@@ -1,9 +1,18 @@
 """Lyndon and Hall word bases of the free Lie algebra with dual elements.
 
 A HallBasis carries, per level, the ordered Hall trees together with three
-derived families: the bracketings p(h), the dual elements s(h) obtained from
-an exact per-level linear solve against the full basis of decreasing Hall
-products, and the first-kind coordinates zeta(h) = pi1_transpose(s(h)).
+derived families: the bracketings p(h), the dual elements s(h) of the
+Poincare-Birkhoff-Witt basis of decreasing Hall products, and the
+first-kind coordinates zeta(h) = pi1_transpose(s(h)).
+
+The duals come from Schutzenberger's closed form (Reutenauer, Free Lie
+Algebras, 1993, Thm 5.3), which holds for any Hall set and so for both
+orders here:
+- s(a) = a for a letter a;
+- s(au) = a s(u) (concatenation) when au is a Hall word;
+- s(w) = s(h1)^{sh i1} sh ... sh s(hk)^{sh ik} / (i1! ... ik!) for the
+  non-increasing Hall factorization w = h1^i1 ... hk^ik of any other word.
+
 Instances are immutable after construction apart from internal caches and
 can be shared for concurrent reads.
 """
@@ -11,14 +20,17 @@ can be shared for concurrent reads.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
-from . import linalg
 from .tensor import (
     TensorElem,
+    concat,
+    format_word,
     letter_elem,
     lie_bracket,
     pi1_transpose,
-    word_sort_key,
+    shuffle,
     words_of_length,
 )
 
@@ -133,6 +145,7 @@ class HallBasis:
             self.levels.append(row)
         self._by_word = {h.word: h for row in self.levels for h in row}
         self._p_cache: dict = {}
+        self._factor_cache: dict = {}
         self._dual_cache: dict = {}
         self._zeta_cache: dict = {}
 
@@ -197,55 +210,59 @@ class HallBasis:
         grow(0, n, [])
         return sequences
 
-    def _solve_level(self, n: int):
-        """Dual basis to the decreasing-product basis of words of length n."""
-        from .tensor import concat
-
-        sequences = self._decreasing_products(n)
-        columns = sorted(words_of_length(self.dim, n), key=word_sort_key)
-        col_index = {w: i for i, w in enumerate(columns)}
-        if len(sequences) != len(columns):
-            raise RuntimeError(
-                "decreasing products do not index the words at level %d" % n
-            )
-        rows = []
-        row_words = []
-        for seq in sequences:
-            elem = self.bracketing(seq[0])
-            for h in seq[1:]:
-                elem = concat(elem, self.bracketing(h))
-            row = [0] * len(columns)
-            for w, c in elem.terms():
-                row[col_index[w]] = c
-            rows.append(row)
-            row_words.append(sum((h.word for h in seq), ()))
-        transposed = [[rows[s][v] for s in range(len(rows))] for v in range(len(columns))]
-        inverse = linalg.invert_matrix(transposed)
-        duals = {}
-        for s, word in enumerate(row_words):
-            terms = {
-                columns[v]: inverse[s][v]
-                for v in range(len(columns))
-                if inverse[s][v]
+    def _factorizations(self, n: int) -> dict:
+        """Word of length n -> its non-increasing Hall factorization."""
+        index = self._factor_cache.get(n)
+        if index is None:
+            index = {
+                sum((h.word for h in seq), ()): seq
+                for seq in self._decreasing_products(n)
             }
-            duals[word] = TensorElem(self.dim, terms)
-        return duals
+            self._factor_cache[n] = index
+        return index
 
-    def _duals_at(self, n: int):
-        cached = self._dual_cache.get(n)
-        if cached is None:
-            cached = self._solve_level(n)
-            self._dual_cache[n] = cached
-        return cached
+    def _dual(self, word) -> TensorElem:
+        # Reutenauer, Free Lie Algebras (1993), Thm 5.3, memoised per word.
+        dual = self._dual_cache.get(word)
+        if dual is not None:
+            return dual
+        if len(word) < 2:
+            dual = TensorElem(self.dim, {word: 1})
+        elif word in self._by_word:
+            dual = concat(letter_elem(word[0], self.dim), self._dual(word[1:]))
+        else:
+            seq = self._factorizations(len(word))[word]
+            dual = functools.reduce(shuffle, [self._dual(h.word) for h in seq])
+            repeats = math.prod(
+                math.factorial(len(list(run))) for _, run in itertools.groupby(seq)
+            )
+            if repeats != 1:
+                dual = dual / repeats
+        self._dual_cache[word] = dual
+        return dual
 
     def dual_pbw(self, h: HallWord) -> TensorElem:
         """s(h): the word-side element dual to the bracketing of h."""
-        return self._duals_at(len(h))[h.word]
+        return self._dual(h.word)
 
     def dual_pbw_for_word(self, word) -> TensorElem:
-        """Dual element for an arbitrary word of the full product basis."""
+        """Dual element for an arbitrary word of the full product basis.
+
+        The empty word gives the unit, dual to the empty product.  Raises
+        ValueError for a word longer than max_level or with a letter
+        outside 1..dim.
+        """
         word = tuple(word)
-        return self._duals_at(len(word))[word]
+        if len(word) > self.max_level:
+            raise ValueError(
+                "word %s is longer than max_level %d"
+                % (format_word(word, self.dim), self.max_level)
+            )
+        if any(not 1 <= letter <= self.dim for letter in word):
+            raise ValueError(
+                "word %s uses letters outside 1..%d" % (format_word(word, self.dim), self.dim)
+            )
+        return self._dual(word)
 
     def zeta(self, h: HallWord) -> TensorElem:
         cached = self._zeta_cache.get(h.word)

@@ -77,34 +77,6 @@ def rank_of_vectors(vectors, columns=None):
     return rank_int_bareiss(matrix)
 
 
-def invert_matrix(matrix):
-    """Exact inverse of a square Fraction/int matrix (Gauss-Jordan).
-
-    Raises ValueError on a singular input.
-    """
-    n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def express_in_span(vectors, target):
     """Coefficients writing `target` as a combination of `vectors`, or None.
 

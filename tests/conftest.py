@@ -2,15 +2,16 @@
 
 The oracles here are deliberately independent of the library code paths
 they check: shuffles by brute-force position enumeration, brackets by a
-tiny standalone expansion on dicts, ranks by plain Fraction elimination.
+tiny standalone expansion on dicts, ranks by plain Fraction elimination,
+Hall duals by inverting the matrix of decreasing Hall products.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import random
 
-from areasig import TensorElem
+from areasig import TensorElem, concat, unit
 
 
 def shuffle_oracle(u, v):
@@ -89,3 +90,55 @@ def random_lie_elem(rng: random.Random, basis, max_level):
                 rng.randint(-3, 3), rng.randint(1, 3)
             )
     return total
+
+
+def pbw_product(basis, seq):
+    """Concatenation product of the bracketings along a Hall sequence."""
+    elem = unit(basis.dim)
+    for h in seq:
+        elem = concat(elem, basis.bracketing(h))
+    return elem
+
+
+def invert_matrix_oracle(matrix):
+    """Exact inverse of a square Fraction/int matrix by Gauss-Jordan."""
+    n = len(matrix)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def dual_pbw_oracle(basis, n):
+    """Word -> dual element at level n, by inverting the d^n x d^n matrix
+    whose rows are the decreasing Hall products in word coordinates."""
+    sequences = basis._decreasing_products(n)
+    columns = list(product(range(1, basis.dim + 1), repeat=n))
+    assert len(sequences) == len(columns)
+    col_index = {w: i for i, w in enumerate(columns)}
+    rows = []
+    for seq in sequences:
+        row = [0] * len(columns)
+        for w, c in pbw_product(basis, seq).terms():
+            row[col_index[w]] = c
+        rows.append(row)
+    transposed = [list(col) for col in zip(*rows)]
+    inverse = invert_matrix_oracle(transposed)
+    duals = {}
+    for seq, inv_row in zip(sequences, inverse):
+        terms = {columns[v]: c for v, c in enumerate(inv_row) if c}
+        duals[sum((h.word for h in seq), ())] = TensorElem(basis.dim, terms)
+    assert len(duals) == len(sequences)
+    return duals

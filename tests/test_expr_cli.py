@@ -154,7 +154,8 @@ def test_cli_usage_error_exit_code():
 
 
 def test_cli_term_budget_abort():
-    code = main(["--term-budget", "5", "tables", "--d", "2", "--level", "4"])
+    # level 5 has bracketings and zetas of up to 10 terms, over the budget of 5
+    code = main(["--term-budget", "5", "tables", "--d", "2", "--level", "5"])
     assert code == 1
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,13 +12,15 @@ from areasig import (
     pairing,
     pi1_transpose,
     shuffle,
+    unit,
     witt_dimension,
     word_elem,
     zeta_first_kind,
 )
+from areasig import linalg
 from areasig.tensor import parse_word
 
-from conftest import random_elem
+from conftest import dual_pbw_oracle, pbw_product, random_elem
 from reference_tables import LYNDON_D2_TABLE, bracket_elem, el
 
 
@@ -122,30 +125,62 @@ def test_duality_matrix_identity_d3():
 
 
 def test_pbw_products_span_each_level():
-    # the per-level dual solve only succeeds when the decreasing products
-    # form a basis, so reaching the duals at all is the full-rank check
-    basis = hall_set(2, 5)
-    for n in range(1, 6):
-        duals = basis._duals_at(n)
-        assert len(duals) == 2**n
+    # the d**n decreasing Hall products at level n form a basis of the words
+    for d, top in ((2, 5), (3, 4)):
+        for kind in ("lyndon", "standard_hall"):
+            basis = hall_set(d, top, kind)
+            for n in range(1, top + 1):
+                products = [
+                    dict(pbw_product(basis, seq).terms())
+                    for seq in basis._decreasing_products(n)
+                ]
+                assert len(products) == d**n
+                assert linalg.rank_of_vectors(products) == d**n
 
 
 def test_full_dual_basis_property():
     # duals of arbitrary words pair correctly against decreasing products
-    from areasig.tensor import concat
-
     basis = hall_set(2, 4)
     n = 4
     seqs = basis._decreasing_products(n)
     for seq in seqs[:10]:
         word = sum((h.word for h in seq), ())
-        prod = basis.bracketing(seq[0])
-        for h in seq[1:]:
-            prod = concat(prod, basis.bracketing(h))
+        prod = pbw_product(basis, seq)
         for other in seqs:
             other_word = sum((h.word for h in other), ())
             expected = 1 if other_word == word else 0
             assert pairing(basis.dual_pbw_for_word(other_word), prod) == expected
+
+
+@pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
+def test_dual_pbw_matches_gauss_jordan_oracle(kind):
+    # the closed form equals the inverse of the decreasing-product matrix
+    for d, top in ((2, 6), (3, 4), (4, 3)):
+        basis = hall_set(d, top, kind)
+        for n in range(1, top + 1):
+            oracle = dual_pbw_oracle(basis, n)
+            for word in product(range(1, d + 1), repeat=n):
+                assert basis.dual_pbw_for_word(word) == oracle[word], word
+            for h in basis.level(n):
+                assert basis.dual_pbw(h) == oracle[h.word]
+
+
+def test_dual_pbw_for_word_empty_is_unit():
+    assert hall_set(2, 3).dual_pbw_for_word(()) == unit(2)
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((1, 2, 3), "letters outside 1..2"),
+        ((0, 1), "letters outside 1..2"),
+        ((1, 2, 1, 2), "longer than max_level 3"),
+    ],
+)
+def test_dual_pbw_for_word_rejects_bad_words(word, message):
+    basis = hall_set(2, 3)
+    with pytest.raises(ValueError, match=message):
+        basis.dual_pbw_for_word(word)
 
 
 def test_zeta_unchanged_by_shuffle_perturbation():
