@@ -549,6 +549,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parsers reject deeper text; this catches input that parses
+        # just under the limit and then overflows a recursive walker
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     finally:
         guard.set_term_budget(previous_budget)
 

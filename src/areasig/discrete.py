@@ -1,11 +1,10 @@
 """Time series, discrete signed areas and exact signatures of linear splines.
 
 A TimeSeries is a breakpoint sequence anchored at the origin; there are no
-timestamps because the signature does not see the parametrization.  In
-exact mode every value is a Fraction and all identities here hold with
-exact equality; float64 mode exists for bulk CSV input and makes no
-exactness promise (float values are carried into the signature through
-their exact binary expansions, results are reported back as floats).
+timestamps because the signature does not see the parametrization.  Every
+value is a Fraction and all identities here hold with exact equality.  CSV
+input is read exactly: a token that is not a finite rational number (nan,
+inf, or text in a data row) is rejected with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -19,24 +18,20 @@ from .tensor import TensorElem, concat, exp_conc, unit
 from .trees import is_leaf
 
 EXACT = "exact_rational"
-FLOAT = "float64"
 
 
 class ScalarSeries:
     """Scalar breakpoint values v0 = 0, v1, ..., vn."""
 
-    __slots__ = ("values", "mode")
+    __slots__ = ("values",)
 
-    def __init__(self, values, mode=EXACT):
+    def __init__(self, values):
         values = list(values)
         if not values:
             raise ValueError("a series needs at least the starting value")
         if values[0] != 0:
             raise ValueError("series must start at zero")
-        if mode == EXACT:
-            values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-        self.values = values
-        self.mode = mode
+        self.values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
 
     def __len__(self):
         return len(self.values)
@@ -54,11 +49,7 @@ class ScalarSeries:
         return self.values[-1]
 
     def to_json_obj(self):
-        if self.mode == EXACT:
-            vals = [str(v) for v in self.values]
-        else:
-            vals = [float(v) for v in self.values]
-        return {"mode": self.mode, "values": vals}
+        return {"mode": EXACT, "values": [str(v) for v in self.values]}
 
     def to_json(self):
         return json.dumps(self.to_json_obj())
@@ -67,9 +58,9 @@ class ScalarSeries:
 class TimeSeries:
     """Points x0 = 0, x1, ..., xn in ambient dimension d."""
 
-    __slots__ = ("dim", "points", "mode", "meta")
+    __slots__ = ("dim", "points", "meta")
 
-    def __init__(self, points, mode=EXACT, meta=None):
+    def __init__(self, points, meta=None):
         points = [tuple(p) for p in points]
         if not points:
             raise ValueError("a time series needs at least the origin")
@@ -81,13 +72,10 @@ class TimeSeries:
             raise ValueError("need dimension >= 1")
         if any(v != 0 for v in points[0]):
             raise ValueError("time series must start at the origin")
-        if mode == EXACT:
-            points = [
-                tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p)
-                for p in points
-            ]
-        self.points = points
-        self.mode = mode
+        self.points = [
+            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p)
+            for p in points
+        ]
         self.meta = dict(meta or {})
 
     def __len__(self):
@@ -97,7 +85,7 @@ class TimeSeries:
         """The i-th coordinate (letters count from 1) as a scalar series."""
         if not 1 <= i <= self.dim:
             raise ValueError("coordinate %d outside 1..%d" % (i, self.dim))
-        return ScalarSeries([p[i - 1] for p in self.points], self.mode)
+        return ScalarSeries([p[i - 1] for p in self.points])
 
 
 def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
@@ -105,7 +93,7 @@ def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
 
     The orientation is fixed so that the final value equals the pairing of
     the signed-area element with the signature of the linear interpolation,
-    exactly, in exact mode; see signature_pwl.
+    exactly; see signature_pwl.
     """
     if len(a) != len(b):
         raise ValueError("series lengths differ")
@@ -114,8 +102,7 @@ def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     for i in range(len(a) - 1):
         acc = acc + a[i] * b[i + 1] - a[i + 1] * b[i]
         out.append(acc)
-    mode = EXACT if a.mode == b.mode == EXACT else FLOAT
-    return ScalarSeries(out, mode)
+    return ScalarSeries(out)
 
 
 def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
@@ -126,14 +113,13 @@ def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     """
     if len(a) != len(b):
         raise ValueError("series lengths differ")
-    half = Fraction(1, 2) if a.mode == b.mode == EXACT else 0.5
+    half = Fraction(1, 2)
     out = [a.values[0] * 0]
     acc = out[0]
     for i in range(len(a) - 1):
         acc = acc + half * (a[i] + a[i + 1]) * (b[i + 1] - b[i])
         out.append(acc)
-    mode = EXACT if a.mode == b.mode == EXACT else FLOAT
-    return ScalarSeries(out, mode)
+    return ScalarSeries(out)
 
 
 def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
@@ -156,10 +142,7 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     for start, end in zip(x.points, x.points[1:]):
         increment = TensorElem(
             x.dim,
-            {
-                (i + 1,): Fraction(end[i]) - Fraction(start[i])
-                for i in range(x.dim)
-            },
+            {(i + 1,): end[i] - start[i] for i in range(x.dim)},
         )
         sig = concat(sig, exp_conc(increment, level), level)
     return sig
@@ -171,8 +154,7 @@ def signature_pairing(phi: TensorElem, x: TimeSeries, level=None):
 
     if level is None:
         level = max(phi.degree(), 1)
-    value = pairing(phi, signature_pwl(x, level))
-    return float(value) if x.mode == FLOAT else value
+    return pairing(phi, signature_pwl(x, level))
 
 
 def _parse_token(token: str):
@@ -183,12 +165,24 @@ def _parse_token(token: str):
         return None
 
 
+def _is_numeric(cell: str) -> bool:
+    """Whether a cell reads as a number, finite or not (a header has none)."""
+    if _parse_token(cell) is not None:
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_timeseries(source, fmt: str = "csv") -> TimeSeries:
     """Read a d-column CSV (optional header) into an origin-anchored series.
 
-    All-numeric rows become the points; a leading zero row is prepended when
-    absent.  Tokens that all parse as integers, fractions, or finite
-    decimals give exact mode, anything else falls back to float64.
+    Row 0 is a header when none of its cells is numeric; the other rows
+    become the points, and a leading zero row is prepended when absent.
+    Every token must be an integer, a fraction, or a finite decimal, read
+    exactly; any other token (nan, inf, text) raises a ValueError naming it.
     """
     if fmt != "csv":
         raise ValueError("only csv input is supported")
@@ -205,44 +199,24 @@ def load_timeseries(source, fmt: str = "csv") -> TimeSeries:
     )]
     if not rows:
         raise ValueError("empty csv input")
-    start = 0
-    header_skipped = False
-    if any(_parse_token(cell) is None and not _is_float(cell) for cell in rows[0]):
-        start = 1
-        header_skipped = True
-        if start == len(rows):
-            raise ValueError("csv has a header but no data rows")
+    header_skipped = not any(_is_numeric(cell) for cell in rows[0])
+    start = int(header_skipped)
+    if start == len(rows):
+        raise ValueError("csv has a header but no data rows")
     widths = {len(row) for row in rows[start:]}
     if len(widths) != 1:
         raise ValueError("ragged csv rows: widths %s" % sorted(widths))
-    exact = True
     parsed = []
     for row in rows[start:]:
         values = []
         for cell in row:
             value = _parse_token(cell)
             if value is None:
-                if not _is_float(cell):
-                    raise ValueError("unparseable csv token %r" % cell)
-                exact = False
-                value = float(cell)
+                raise ValueError("csv token %r is not a finite rational number" % cell)
             values.append(value)
         parsed.append(tuple(values))
-    mode = EXACT if exact else FLOAT
-    if not exact:
-        parsed = [tuple(float(v) for v in p) for p in parsed]
-    dim = len(parsed[0])
-    origin = tuple(Fraction(0) if exact else 0.0 for _ in range(dim))
     anchored = all(v == 0 for v in parsed[0])
     if not anchored:
-        parsed.insert(0, origin)
+        parsed.insert(0, tuple(Fraction(0) for _ in parsed[0]))
     meta = {"zero_row_prepended": not anchored, "header_skipped": header_skipped}
-    return TimeSeries(parsed, mode, meta)
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+    return TimeSeries(parsed, meta)

@@ -14,6 +14,7 @@ from .guard import check_term_budget
 from .tensor import (
     EMPTY_WORD,
     TensorElem,
+    _bump,
     as_scalar,
     format_word,
     half_shuffle_words,
@@ -53,18 +54,21 @@ class DoubleTensor:
                 continue
             clean[(left, right)] = coeff
         check_term_budget(len(clean))
-        self.dim = dim
-        self.level = level
-        self._terms = clean
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _raw(cls, dim, clean_terms, level):
         check_term_budget(len(clean_terms))
         self = object.__new__(cls)
-        self.dim = dim
-        self.level = level
-        self._terms = clean_terms
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "_terms", clean_terms)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DoubleTensor is immutable")
 
     def coeff(self, left, right) -> Fraction:
         return self._terms.get((tuple(left), tuple(right)), Fraction(0))
@@ -161,19 +165,6 @@ class DoubleTensor:
 def _same(a: DoubleTensor, b: DoubleTensor):
     if a.dim != b.dim:
         raise AlphabetMismatch("alphabet sizes differ: %d vs %d" % (a.dim, b.dim))
-
-
-def _bump(acc, key, value):
-    cur = acc.get(key)
-    if cur is None:
-        if value:
-            acc[key] = value
-    else:
-        cur = cur + value
-        if cur:
-            acc[key] = cur
-        else:
-            del acc[key]
 
 
 def zero_double(dim: int, level=None) -> DoubleTensor:
@@ -429,7 +420,7 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
     """Logarithm of the diagonal element, graded piece by graded piece."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if method in ("log_of_s", "log_of_S"):
+    if method == "log_of_s":
         return log_box(s_element(d, level), level)
     if method == "recursion":
         parts = [r_level_one(d)]

@@ -197,7 +197,11 @@ class _Parser:
 
 
 def parse_expression(text: str):
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", parser.pos) from None
 
 
 def format_expression(node) -> str:

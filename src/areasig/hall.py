@@ -13,8 +13,9 @@ orders here:
 - s(w) = s(h1)^{sh i1} sh ... sh s(hk)^{sh ik} / (i1! ... ik!) for the
   non-increasing Hall factorization w = h1^i1 ... hk^ik of any other word.
 
-Instances are immutable after construction apart from internal caches and
-can be shared for concurrent reads.
+Instances are immutable after construction and can be shared for
+concurrent reads; the derived families are memoised per instance through
+areasig.memo.memo_per_owner, so their tables are freed with the basis.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import itertools
 import math
 
+from .memo import memo_per_owner
 from .tensor import (
     TensorElem,
     concat,
@@ -144,10 +146,6 @@ class HallBasis:
                 row.append(hw)
             self.levels.append(row)
         self._by_word = {h.word: h for row in self.levels for h in row}
-        self._p_cache: dict = {}
-        self._factor_cache: dict = {}
-        self._dual_cache: dict = {}
-        self._zeta_cache: dict = {}
 
     def _tree_cmp(self, a, b):
         if self._less(a, b):
@@ -182,12 +180,9 @@ class HallBasis:
 
     # -- derived families --------------------------------------------------
 
+    @memo_per_owner
     def bracketing(self, h: HallWord) -> TensorElem:
-        cached = self._p_cache.get(h.word)
-        if cached is None:
-            cached = hall_bracketing(h)
-            self._p_cache[h.word] = cached
-        return cached
+        return hall_bracketing(h)
 
     def _decreasing_products(self, n: int):
         """All non-increasing Hall sequences of total length n."""
@@ -210,36 +205,27 @@ class HallBasis:
         grow(0, n, [])
         return sequences
 
+    @memo_per_owner
     def _factorizations(self, n: int) -> dict:
         """Word of length n -> its non-increasing Hall factorization."""
-        index = self._factor_cache.get(n)
-        if index is None:
-            index = {
-                sum((h.word for h in seq), ()): seq
-                for seq in self._decreasing_products(n)
-            }
-            self._factor_cache[n] = index
-        return index
+        return {
+            sum((h.word for h in seq), ()): seq
+            for seq in self._decreasing_products(n)
+        }
 
+    @memo_per_owner
     def _dual(self, word) -> TensorElem:
         # Reutenauer, Free Lie Algebras (1993), Thm 5.3, memoised per word.
-        dual = self._dual_cache.get(word)
-        if dual is not None:
-            return dual
         if len(word) < 2:
-            dual = TensorElem(self.dim, {word: 1})
-        elif word in self._by_word:
-            dual = concat(letter_elem(word[0], self.dim), self._dual(word[1:]))
-        else:
-            seq = self._factorizations(len(word))[word]
-            dual = functools.reduce(shuffle, [self._dual(h.word) for h in seq])
-            repeats = math.prod(
-                math.factorial(len(list(run))) for _, run in itertools.groupby(seq)
-            )
-            if repeats != 1:
-                dual = dual / repeats
-        self._dual_cache[word] = dual
-        return dual
+            return TensorElem(self.dim, {word: 1})
+        if word in self._by_word:
+            return concat(letter_elem(word[0], self.dim), self._dual(word[1:]))
+        seq = self._factorizations(len(word))[word]
+        dual = functools.reduce(shuffle, [self._dual(h.word) for h in seq])
+        repeats = math.prod(
+            math.factorial(len(list(run))) for _, run in itertools.groupby(seq)
+        )
+        return dual / repeats if repeats != 1 else dual
 
     def dual_pbw(self, h: HallWord) -> TensorElem:
         """s(h): the word-side element dual to the bracketing of h."""
@@ -264,12 +250,9 @@ class HallBasis:
             )
         return self._dual(word)
 
+    @memo_per_owner
     def zeta(self, h: HallWord) -> TensorElem:
-        cached = self._zeta_cache.get(h.word)
-        if cached is None:
-            cached = pi1_transpose(self.dual_pbw(h))
-            self._zeta_cache[h.word] = cached
-        return cached
+        return pi1_transpose(self.dual_pbw(h))
 
     # -- reporting ---------------------------------------------------------
 

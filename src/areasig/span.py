@@ -16,6 +16,7 @@ import json
 from . import linalg
 from .errors import EmptyWordOperand
 from .hall import HallBasis, hall_set
+from .memo import memo
 from .tensor import (
     TensorElem,
     area,
@@ -96,22 +97,17 @@ def membership_to_elem(d: int, decomposition) -> TensorElem:
 
 # -- left bracketing ----------------------------------------------------------
 
-_AREALB_CACHE: dict = {}
-
-
 def arealb_word(w, dim: int) -> TensorElem:
-    key = (tuple(w), dim)
-    hit = _AREALB_CACHE.get(key)
-    if hit is None:
-        w = tuple(w)
-        if not w:
-            hit = TensorElem(dim, {})
-        elif len(w) == 1:
-            hit = letter_elem(w[0], dim)
-        else:
-            hit = area(arealb_word(w[:-1], dim), letter_elem(w[-1], dim))
-        _AREALB_CACHE[key] = hit
-    return hit
+    return _arealb_tuple(tuple(w), dim)
+
+
+@memo
+def _arealb_tuple(w, dim):
+    if not w:
+        return TensorElem(dim, {})
+    if len(w) == 1:
+        return letter_elem(w[0], dim)
+    return area(_arealb_tuple(w[:-1], dim), letter_elem(w[-1], dim))
 
 
 def arealb(x: TensorElem) -> TensorElem:
@@ -124,28 +120,23 @@ def arealb(x: TensorElem) -> TensorElem:
 
 # -- permutation expansions -----------------------------------------------------
 
-_SIGNED_PERMS: dict = {}
-
-
+@memo
 def signed_permutations(n: int):
     """All of S_n with the sign f_n; f_n multiplies g_i over positions.
 
     g_i(sigma) is +1 when every smaller value j < i occurs before i in the
     one-line word, else -1.
     """
-    hit = _SIGNED_PERMS.get(n)
-    if hit is None:
-        hit = []
-        for sigma in permutations(range(1, n + 1)):
-            position = {value: idx for idx, value in enumerate(sigma)}
-            sign = 1
-            for i in range(2, n + 1):
-                pos_i = position[i]
-                if any(position[j] > pos_i for j in range(1, i)):
-                    sign = -sign
-            hit.append((sigma, sign))
-        _SIGNED_PERMS[n] = hit
-    return hit
+    out = []
+    for sigma in permutations(range(1, n + 1)):
+        position = {value: idx for idx, value in enumerate(sigma)}
+        sign = 1
+        for i in range(2, n + 1):
+            pos_i = position[i]
+            if any(position[j] > pos_i for j in range(1, i)):
+                sign = -sign
+        out.append((sigma, sign))
+    return out
 
 
 def theta_expansion(w, dim: int) -> TensorElem:
@@ -161,25 +152,16 @@ def theta_expansion(w, dim: int) -> TensorElem:
     return TensorElem(dim, terms)
 
 
-_INTERVAL_PERMS: dict = {}
-
-
+@memo
 def interval_permutations(n: int):
     """Permutations whose every suffix value set is an interval of integers."""
-    hit = _INTERVAL_PERMS.get(n)
-    if hit is None:
-        hit = []
-        for sigma, sign in signed_permutations(n):
-            ok = True
-            for i in range(n - 1):
-                suffix = sigma[i:]
-                if max(suffix) - min(suffix) + 1 != len(suffix):
-                    ok = False
-                    break
-            if ok:
-                hit.append((sigma, sign))
-        _INTERVAL_PERMS[n] = hit
-    return hit
+    return [
+        (sigma, sign)
+        for sigma, sign in signed_permutations(n)
+        if all(
+            max(sigma[i:]) - min(sigma[i:]) + 1 == n - i for i in range(n - 1)
+        )
+    ]
 
 
 def rho_permutation(w, dim: int) -> TensorElem:

@@ -17,6 +17,7 @@ from itertools import combinations, product
 
 from .errors import AlphabetMismatch, EmptyWordOperand
 from .guard import check_term_budget
+from .memo import memo
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -284,28 +285,27 @@ def all_words(dim: int, max_len: int):
 
 # -- word-level kernels (integer coefficients, memoized) ------------------
 
-_SHUFFLE_CACHE: dict = {}
-
 
 def shuffle_words(u: Word, v: Word) -> dict:
     """All interleavings of u and v with multiplicity, as word -> int."""
     if word_sort_key(u) > word_sort_key(v):
         u, v = v, u
-    key = (u, v)
-    hit = _SHUFFLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _shuffle_sorted(u, v)
+
+
+@memo
+def _shuffle_sorted(u: Word, v: Word) -> dict:
+    # Called with u <= v in (length, lex) order, so the table holds each
+    # unordered pair once.
     if not u:
-        out = {v: 1}
-    elif not v:
-        out = {u: 1}
-    else:
-        out = {}
-        for w, c in shuffle_words(u[:-1], v).items():
-            _bump(out, w + u[-1:], c)
-        for w, c in shuffle_words(u, v[:-1]).items():
-            _bump(out, w + v[-1:], c)
-    _SHUFFLE_CACHE[key] = out
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    out: dict = {}
+    for w, c in shuffle_words(u[:-1], v).items():
+        _bump(out, w + u[-1:], c)
+    for w, c in shuffle_words(u, v[:-1]).items():
+        _bump(out, w + v[-1:], c)
     return out
 
 
@@ -316,88 +316,62 @@ def half_shuffle_words(u: Word, v: Word) -> dict:
     return {w + v[-1:]: c for w, c in shuffle_words(u, v[:-1]).items()}
 
 
-_R_CACHE: dict = {}
-
-
+@memo
 def r_word(w: Word) -> dict:
     """Right-nested bracketing [l1,[l2,...[l_{n-1},ln]]] of a word."""
-    hit = _R_CACHE.get(w)
-    if hit is not None:
-        return hit
     n = len(w)
     if n == 0:
-        out = {}
-    elif n == 1:
-        out = {w: 1}
-    else:
-        head = w[:1]
-        out = {}
-        for t, c in r_word(w[1:]).items():
-            _bump(out, head + t, c)
-            _bump(out, t + head, -c)
-    _R_CACHE[w] = out
+        return {}
+    if n == 1:
+        return {w: 1}
+    head = w[:1]
+    out: dict = {}
+    for t, c in r_word(w[1:]).items():
+        _bump(out, head + t, c)
+        _bump(out, t + head, -c)
     return out
 
 
-_RHO_REC_CACHE: dict = {}
-
-
+@memo
 def rho_word(w: Word) -> dict:
     """Adjoint of the right-bracketing operator, via its two-sided recursion."""
-    hit = _RHO_REC_CACHE.get(w)
-    if hit is not None:
-        return hit
     n = len(w)
     if n == 0:
-        out = {}
-    elif n == 1:
-        out = {w: 1}
-    else:
-        i, j, mid = w[:1], w[-1:], w[1:-1]
-        out = {}
-        for t, c in rho_word(mid + j).items():
-            _bump(out, i + t, c)
-        for t, c in rho_word(i + mid).items():
-            _bump(out, j + t, -c)
-    _RHO_REC_CACHE[w] = out
+        return {}
+    if n == 1:
+        return {w: 1}
+    i, j, mid = w[:1], w[-1:], w[1:-1]
+    out: dict = {}
+    for t, c in rho_word(mid + j).items():
+        _bump(out, i + t, c)
+    for t, c in rho_word(i + mid).items():
+        _bump(out, j + t, -c)
     return out
 
 
-_RHO_VIA_D_CACHE: dict = {}
-
-
+@memo
 def rho_word_via_d(w: Word) -> dict:
     """Same map, computed from the grading identity instead.
 
     rho(w) = |w| w - sum over proper splits w = u v of rho(u) shuffled with v.
     """
-    hit = _RHO_VIA_D_CACHE.get(w)
-    if hit is not None:
-        return hit
     n = len(w)
     if n == 0:
-        out = {}
-    elif n == 1:
-        out = {w: 1}
-    else:
-        out = {w: n}
-        for cut in range(1, n):
-            u, v = w[:cut], w[cut:]
-            for t, c in rho_word_via_d(u).items():
-                for s, k in shuffle_words(t, v).items():
-                    _bump(out, s, -c * k)
-    _RHO_VIA_D_CACHE[w] = out
+        return {}
+    if n == 1:
+        return {w: 1}
+    out = {w: n}
+    for cut in range(1, n):
+        u, v = w[:cut], w[cut:]
+        for t, c in rho_word_via_d(u).items():
+            for s, k in shuffle_words(t, v).items():
+                _bump(out, s, -c * k)
     return out
 
 
-_PI1T_CACHE: dict = {}
-
-
+@memo
 def pi1_transpose_word(w: Word) -> dict:
     """Alternating sum of shuffles over concatenation factorizations of w."""
-    hit = _PI1T_CACHE.get(w)
-    if hit is not None:
-        return hit
     n = len(w)
     out: dict = {}
     if n:
@@ -416,22 +390,16 @@ def pi1_transpose_word(w: Word) -> dict:
                 shuffled = nxt
             for t, c in shuffled.items():
                 _bump(out, t, weight * c)
-    _PI1T_CACHE[w] = out
     return out
 
 
-_PI1_CACHE: dict = {}
-
-
+@memo
 def pi1_word(u: Word) -> dict:
     """Alternating-sum projection whose restriction to grouplikes is log.
 
     The n-th summand collects, with weight (-1)^(n+1)/n, every way of
     scattering the letters of u onto n nonempty subsequences, concatenated.
     """
-    hit = _PI1_CACHE.get(u)
-    if hit is not None:
-        return hit
     n = len(u)
     out: dict = {}
     for k in range(1, n + 1):
@@ -444,7 +412,6 @@ def pi1_word(u: Word) -> dict:
                 parts[bin_idx].append(u[pos])
             word = tuple(letter for part in parts for letter in part)
             _bump(out, word, weight)
-    _PI1_CACHE[u] = out
     return out
 
 
@@ -546,7 +513,7 @@ def rho(x: TensorElem, method: str = "recursive") -> TensorElem:
     """Adjoint of dynkin_r under the word pairing."""
     if method == "recursive":
         return _linear(x, rho_word)
-    if method in ("via_d_identity", "via_d"):
+    if method == "via_d_identity":
         return _linear(x, rho_word_via_d)
     raise ValueError("unknown rho method %r" % method)
 
@@ -601,8 +568,11 @@ class CoproductTerms:
             if c:
                 clean[(tuple(u), tuple(v))] = c
         check_term_budget(len(clean))
-        self.dim = dim
-        self._pairs = clean
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_pairs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoproductTerms is immutable")
 
     def coeff(self, u, v) -> Fraction:
         return self._pairs.get((tuple(u), tuple(v)), Fraction(0))

@@ -15,6 +15,7 @@ from .double_tensor import DoubleTensor, tensor_pair, zero_double
 from .errors import ExpressionSyntaxError
 from .guard import check_term_budget
 from .hall import HallBasis, HallWord
+from .memo import memo, memo_per_owner
 from .tensor import (
     TensorElem,
     area,
@@ -56,40 +57,31 @@ def is_valid_mixed(tree, under_area=False) -> bool:
 
 # -- enumeration -------------------------------------------------------------
 
-_PLAIN_SHAPES: dict = {}
-_MIXED_SHAPES: dict = {}
-
 _HOLE = 0  # leaf placeholder in shapes
 
 
+@memo
 def _plain_shapes(n):
-    hit = _PLAIN_SHAPES.get(n)
-    if hit is None:
-        if n == 1:
-            hit = [_HOLE]
-        else:
-            hit = [
-                (AREA, left, right)
-                for k in range(1, n)
-                for left in _plain_shapes(k)
-                for right in _plain_shapes(n - k)
-            ]
-        _PLAIN_SHAPES[n] = hit
-    return hit
+    if n == 1:
+        return [_HOLE]
+    return [
+        (AREA, left, right)
+        for k in range(1, n)
+        for left in _plain_shapes(k)
+        for right in _plain_shapes(n - k)
+    ]
 
 
+@memo
 def _mixed_shapes(n):
     # An area-rooted mixed tree cannot contain shuffle nodes at all, so the
     # shapes split into the plain ones and shuffle-rooted combinations.
-    hit = _MIXED_SHAPES.get(n)
-    if hit is None:
-        hit = list(_plain_shapes(n))
-        for k in range(1, n):
-            for left in _mixed_shapes(k):
-                for right in _mixed_shapes(n - k):
-                    hit.append((SHUFFLE, left, right))
-        _MIXED_SHAPES[n] = hit
-    return hit
+    out = list(_plain_shapes(n))
+    for k in range(1, n):
+        for left in _mixed_shapes(k):
+            for right in _mixed_shapes(n - k):
+                out.append((SHUFFLE, left, right))
+    return out
 
 
 def _label(shape, letters, it):
@@ -124,8 +116,6 @@ def enumerate_mixed(d: int, n: int):
 
 # -- evaluation ---------------------------------------------------------------
 
-_EVAL_CACHE: dict = {}
-
 _OPS = {
     "area": {AREA: area, SHUFFLE: area},
     "lie": {AREA: lie_bracket, SHUFFLE: lie_bracket},
@@ -133,18 +123,12 @@ _OPS = {
 }
 
 
+@memo
 def _eval(tree, dim, mode) -> TensorElem:
-    key = (tree, dim, mode)
-    hit = _EVAL_CACHE.get(key)
-    if hit is None:
-        if is_leaf(tree):
-            hit = letter_elem(tree, dim)
-        else:
-            kind, left, right = tree
-            op = _OPS[mode][kind]
-            hit = op(_eval(left, dim, mode), _eval(right, dim, mode))
-        _EVAL_CACHE[key] = hit
-    return hit
+    if is_leaf(tree):
+        return letter_elem(tree, dim)
+    kind, left, right = tree
+    return _OPS[mode][kind](_eval(left, dim, mode), _eval(right, dim, mode))
 
 
 def area_eval(tree, dim: int) -> TensorElem:
@@ -164,44 +148,27 @@ def mixed_eval(tree, dim: int) -> TensorElem:
 
 # -- coefficients --------------------------------------------------------------
 
-_C_CACHE: dict = {}
-_B_CACHE: dict = {}
-_E_CACHE: dict = {}
-
-
+@memo
 def coeff_c(tree) -> int:
     """Symmetric label-independent weight: doubled product over inner nodes."""
-    hit = _C_CACHE.get(tree)
-    if hit is None:
-        if is_leaf(tree):
-            hit = 1
-        else:
-            _, left, right = tree
-            hit = (
-                2
-                * coeff_c(left)
-                * coeff_c(right)
-                * (leaf_count(left) + leaf_count(right) - 1)
-            )
-        _C_CACHE[tree] = hit
-    return hit
+    if is_leaf(tree):
+        return 1
+    _, left, right = tree
+    return (
+        2
+        * coeff_c(left)
+        * coeff_c(right)
+        * (leaf_count(left) + leaf_count(right) - 1)
+    )
 
 
+@memo
 def coeff_b(tree) -> int:
     """Like coeff_c but without the factor 2 per node."""
-    hit = _B_CACHE.get(tree)
-    if hit is None:
-        if is_leaf(tree):
-            hit = 1
-        else:
-            _, left, right = tree
-            hit = (
-                coeff_b(left)
-                * coeff_b(right)
-                * (leaf_count(left) + leaf_count(right) - 1)
-            )
-        _B_CACHE[tree] = hit
-    return hit
+    if is_leaf(tree):
+        return 1
+    _, left, right = tree
+    return coeff_b(left) * coeff_b(right) * (leaf_count(left) + leaf_count(right) - 1)
 
 
 def _shuffle_spine(tree):
@@ -222,34 +189,29 @@ def _regraft(parts):
     return cur
 
 
+@memo
 def coeff_e(tree) -> Fraction:
     """Rational weight of a mixed tree in the logarithm expansion.
 
     Area-rooted trees weigh 1/(n c); shuffle-rooted trees recurse through
     the factorization along their right spine of shuffle nodes.
     """
-    hit = _E_CACHE.get(tree)
-    if hit is not None:
-        return hit
     if is_leaf(tree):
-        result = Fraction(1)
-    elif tree[0] == AREA:
-        result = Fraction(1, leaf_count(tree) * coeff_c(tree))
-    else:
-        parts = _shuffle_spine(tree)
-        ell = len(parts)
-        n = leaf_count(tree)
-        total = Fraction(0)
-        fact = 1
-        prefix = Fraction(1)
-        for j in range(2, ell + 1):
-            fact *= j
-            prefix *= coeff_e(parts[j - 2])
-            tail = parts[ell - 1] if j == ell else _regraft(parts[j - 1 :])
-            total += Fraction(leaf_count(tail), fact * n) * coeff_e(tail) * prefix
-        result = -total
-    _E_CACHE[tree] = result
-    return result
+        return Fraction(1)
+    if tree[0] == AREA:
+        return Fraction(1, leaf_count(tree) * coeff_c(tree))
+    parts = _shuffle_spine(tree)
+    ell = len(parts)
+    n = leaf_count(tree)
+    total = Fraction(0)
+    fact = 1
+    prefix = Fraction(1)
+    for j in range(2, ell + 1):
+        fact *= j
+        prefix *= coeff_e(parts[j - 2])
+        tail = parts[ell - 1] if j == ell else _regraft(parts[j - 1 :])
+        total += Fraction(leaf_count(tail), fact * n) * coeff_e(tail) * prefix
+    return -total
 
 
 # -- text form -----------------------------------------------------------------
@@ -301,12 +263,15 @@ def parse_tree(text: str):
             return letter
         raise ExpressionSyntaxError("expected a tree", pos)
 
-    node = parse_node()
-    skip_ws()
-    if pos != len(text):
-        raise ExpressionSyntaxError("trailing input", pos)
-    if not is_valid_mixed(node):
-        raise ExpressionSyntaxError("shuffle nodes must be connected to the root", 0)
+    try:
+        node = parse_node()
+        skip_ws()
+        if pos != len(text):
+            raise ExpressionSyntaxError("trailing input", pos)
+        if not is_valid_mixed(node):
+            raise ExpressionSyntaxError("shuffle nodes must be connected to the root", 0)
+    except RecursionError:
+        raise ExpressionSyntaxError("tree nested too deeply", pos) from None
     return node
 
 
@@ -351,11 +316,6 @@ def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
     return total
 
 
-def _basis_scratch(basis: HallBasis, name: str) -> dict:
-    box = basis.__dict__.setdefault("_tree_caches", {})
-    return box.setdefault(name, {})
-
-
 def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
     """The image of the dual element s(h) under rho, three computable ways."""
     if method == "recursion":
@@ -378,67 +338,55 @@ def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> Tensor
     raise ValueError("unknown rho_hall method %r" % method)
 
 
+@memo_per_owner
 def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
-    cache = _basis_scratch(basis, "rho_recursion")
-    hit = cache.get(h.word)
-    if hit is not None:
-        return hit
     n = len(h)
     if n == 1:
-        result = letter_elem(h.word[0], basis.dim)
-    else:
-        s_h = basis.dual_pbw(h)
-        result = TensorElem(basis.dim, {})
-        for n1 in range(1, n):
-            for h1 in basis.level(n1):
-                for h2 in basis.level(n - n1):
-                    if not basis.less(h1, h2):
-                        continue
-                    factor = pairing(
-                        s_h, lie_bracket(basis.bracketing(h1), basis.bracketing(h2))
-                    )
-                    if factor:
-                        result = result + area(
-                            _rho_hall_recursive(basis, h1),
-                            _rho_hall_recursive(basis, h2),
-                        ) * (factor / (n - 1))
-    cache[h.word] = result
+        return letter_elem(h.word[0], basis.dim)
+    s_h = basis.dual_pbw(h)
+    result = TensorElem(basis.dim, {})
+    for n1 in range(1, n):
+        for h1 in basis.level(n1):
+            for h2 in basis.level(n - n1):
+                if not basis.less(h1, h2):
+                    continue
+                factor = pairing(
+                    s_h, lie_bracket(basis.bracketing(h1), basis.bracketing(h2))
+                )
+                if factor:
+                    result = result + area(
+                        _rho_hall_recursive(basis, h1),
+                        _rho_hall_recursive(basis, h2),
+                    ) * (factor / (n - 1))
     return result
 
 
+@memo_per_owner
 def _q_coefficient(basis: HallBasis, tree, h: HallWord) -> Fraction:
-    cache = _basis_scratch(basis, "q_coeff")
-    key = (tree, h.word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if is_leaf(tree):
-        result = Fraction(int(h.word == (tree,)))
-    elif len(h) == 1:
-        result = Fraction(0)
-    else:
-        _, left, right = tree
-        n_left, n_right = leaf_count(left), leaf_count(right)
-        s_h = basis.dual_pbw(h)
-        result = Fraction(0)
-        if n_left + n_right == len(h):
-            for h1 in basis.level(n_left):
-                q1 = _q_coefficient(basis, left, h1)
-                if not q1:
-                    continue
-                for h2 in basis.level(n_right):
-                    if not basis.less(h1, h2):
-                        continue
-                    q2 = _q_coefficient(basis, right, h2)
-                    if not q2:
-                        continue
-                    factor = pairing(
-                        s_h,
-                        lie_bracket(basis.bracketing(h1), basis.bracketing(h2)),
-                    )
-                    if factor:
-                        result += q1 * q2 * factor
-    cache[key] = result
+        return Fraction(int(h.word == (tree,)))
+    result = Fraction(0)
+    _, left, right = tree
+    n_left, n_right = leaf_count(left), leaf_count(right)
+    if len(h) == 1 or n_left + n_right != len(h):
+        return result
+    s_h = basis.dual_pbw(h)
+    for h1 in basis.level(n_left):
+        q1 = _q_coefficient(basis, left, h1)
+        if not q1:
+            continue
+        for h2 in basis.level(n_right):
+            if not basis.less(h1, h2):
+                continue
+            q2 = _q_coefficient(basis, right, h2)
+            if not q2:
+                continue
+            factor = pairing(
+                s_h,
+                lie_bracket(basis.bracketing(h1), basis.bracketing(h2)),
+            )
+            if factor:
+                result += q1 * q2 * factor
     return result
 
 

@@ -19,7 +19,7 @@ from areasig import (
     signature_pwl,
     word_elem,
 )
-from areasig.discrete import EXACT, FLOAT, signature_pairing
+from areasig.discrete import EXACT, signature_pairing
 from areasig.tensor import concat, exp_conc, unit
 
 F = Fraction
@@ -219,10 +219,10 @@ def test_signature_is_grouplike():
 
 
 def test_signature_pairing_mode():
-    assert signature_pairing(word_elem("12", 2), L_PATH) == 1
-    floaty = TimeSeries([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], mode=FLOAT)
-    value = signature_pairing(word_elem("12", 2), floaty)
-    assert isinstance(value, float) and abs(value - 1.0) < 1e-9
+    value = signature_pairing(word_elem("12", 2), L_PATH)
+    assert value == 1 and isinstance(value, Fraction)
+    with pytest.raises(ValueError, match="'inf' is not a finite"):
+        load_timeseries("0,0\n1,inf\n")
 
 
 # -- csv loading -----------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_signature_pairing_mode():
 def test_load_prepends_origin():
     ts = load_timeseries("1,0\n1,1\n")
     assert ts.points == [(0, 0), (1, 0), (1, 1)]
-    assert ts.mode == EXACT
+    assert all(isinstance(v, Fraction) for p in ts.points for v in p)
     assert ts.meta["zero_row_prepended"]
 
 
@@ -246,9 +246,19 @@ def test_load_fraction_tokens():
 
 
 def test_load_header_and_floats():
-    ts = load_timeseries("x,y\n0,0\nnan,1\n")
-    assert ts.mode == FLOAT
+    ts = load_timeseries("x,y\n0,0\n1/2,1\n")
     assert ts.meta["header_skipped"]
+    assert ts.points == [(0, 0), (F(1, 2), 1)]
+    for text, token in [
+        ("x,y\n0,0\nnan,1\n", "nan"),
+        ("0,0\n1,inf\n", "inf"),
+        ("-inf,1\n", "-inf"),
+        ("0.1,abc\n", "abc"),
+    ]:
+        with pytest.raises(ValueError, match="'%s' is not a finite" % token):
+            load_timeseries(text)
+    with pytest.raises(ValueError, match="header but no data rows"):
+        load_timeseries("x,y\n")
 
 
 def test_load_rejects_bad_input():

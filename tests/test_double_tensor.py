@@ -28,6 +28,7 @@ from areasig import (
     shuffle,
     signature_pwl,
     tensor_pair,
+    unshuffle,
     word_elem,
     zero,
 )
@@ -280,3 +281,20 @@ def test_json_ordering():
     data = x.to_json_obj()
     assert data[0]["right"] == "e"
     assert data[1] == {"left": "12", "right": "2", "num": "1", "den": "1"}
+
+
+def test_values_refuse_attribute_assignment():
+    pair = tensor_pair(word_elem("12", 2), word_elem("21", 2), level=3)
+    before = hash(pair)
+    for value in (pair, unshuffle(word_elem("12", 2)), word_elem("12", 2)):
+        for name in ("dim", "level", "_terms", "_pairs"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+    assert hash(pair) == before and pair.level == 3
+
+
+def test_removed_method_aliases_are_rejected():
+    with pytest.raises(ValueError, match="unknown rho method"):
+        rho(word_elem("12", 2), "via_d")
+    with pytest.raises(ValueError, match="unknown lambda_element method"):
+        lambda_element(2, 2, "log_of_S")

@@ -153,6 +153,41 @@ def test_cli_usage_error_exit_code():
     assert main(["eval", "area(1,"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, token",
+    [
+        ("signature", "0,0\n1,inf\n", "inf"),
+        ("discrete-area", "0,0\nnan,1\n", "nan"),
+        ("discrete-area", "0.1,abc\n", "abc"),
+    ],
+)
+def test_cli_rejects_nonfinite_csv_tokens(tmp_path, capsys, command, text, token):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    argv = [command, "--csv", str(csv)]
+    if command == "discrete-area":
+        argv += ["--tree", "a(1,2)"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'%s' is not a finite rational number" % token in err
+    assert "Traceback" not in err
+
+
+def test_cli_eval_deep_nesting_exits_2(capsys):
+    depth = 2000
+    assert main(["eval", "sh(" * depth + "1" + ",1)" * depth]) == 2
+    assert "expression nested too deeply" in capsys.readouterr().err
+
+
+def test_cli_discrete_area_deep_tree_exits_2(tmp_path, capsys):
+    csv = tmp_path / "L.csv"
+    csv.write_text("1,0\n1,1\n")
+    depth = 2000
+    tree = "a(" * depth + "1" + ",2)" * depth
+    assert main(["discrete-area", "--csv", str(csv), "--tree", tree]) == 2
+    assert "tree nested too deeply" in capsys.readouterr().err
+
+
 def test_cli_term_budget_abort():
     # level 5 has bracketings and zetas of up to 10 terms, over the budget of 5
     code = main(["--term-budget", "5", "tables", "--d", "2", "--level", "5"])
