@@ -2,7 +2,8 @@
 
 A TimeSeries is a breakpoint sequence anchored at the origin; there are no
 timestamps because the signature does not see the parametrization.  Every
-value is a Fraction and all identities here hold with exact equality.  CSV
+value is a Fraction (coerced by tensor.as_scalar, so a float is rejected
+with a TypeError) and all identities here hold with exact equality.  CSV
 input is read exactly: a token that is not a finite rational number (nan,
 inf, or text in a data row) is rejected with a ValueError naming it.
 """
@@ -14,8 +15,8 @@ import io
 import json
 from fractions import Fraction
 
-from .tensor import TensorElem, concat, exp_conc, unit
-from .trees import is_leaf
+from .tensor import TensorElem, as_scalar, concat, exp_conc, unit
+from .trees import AREA, SHUFFLE, is_leaf
 
 EXACT = "exact_rational"
 
@@ -31,7 +32,7 @@ class ScalarSeries:
             raise ValueError("a series needs at least the starting value")
         if values[0] != 0:
             raise ValueError("series must start at zero")
-        self.values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        self.values = [as_scalar(v) for v in values]
 
     def __len__(self):
         return len(self.values)
@@ -72,10 +73,7 @@ class TimeSeries:
             raise ValueError("need dimension >= 1")
         if any(v != 0 for v in points[0]):
             raise ValueError("time series must start at the origin")
-        self.points = [
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p)
-            for p in points
-        ]
+        self.points = [tuple(map(as_scalar, p)) for p in points]
         self.meta = dict(meta or {})
 
     def __len__(self):
@@ -123,11 +121,22 @@ def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
 
 
 def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
-    """Iterate discrete_area through a labeled binary area tree."""
+    """Iterate discrete_area through a labeled binary tree.
+
+    An area node ('a') is the discrete area of its children's series and a
+    shuffle node ('s') their pointwise product.  The signature pairing is a
+    character of the shuffle product and shuffle nodes only form the crown
+    at the root, so the series is exact at every breakpoint.
+    """
     if is_leaf(tree):
         return x.coordinate(tree)
-    _, left, right = tree
-    return discrete_area(discrete_area_tree(left, x), discrete_area_tree(right, x))
+    kind, left, right = tree
+    if kind == AREA and any(not is_leaf(t) and t[0] == SHUFFLE for t in (left, right)):
+        raise ValueError("shuffle nodes must be connected to the root")
+    a, b = discrete_area_tree(left, x), discrete_area_tree(right, x)
+    if kind == SHUFFLE:
+        return ScalarSeries([u * v for u, v in zip(a.values, b.values)])
+    return discrete_area(a, b)
 
 
 def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:

@@ -351,7 +351,8 @@ def rho_word(w: Word) -> dict:
 
 @memo
 def rho_word_via_d(w: Word) -> dict:
-    """Same map, computed from the grading identity instead.
+    """Same map, computed from the grading identity instead; kept as the
+    cross-check of rho_word (areasig.checks.rho_three_ways).
 
     rho(w) = |w| w - sum over proper splits w = u v of rho(u) shuffled with v.
     """
@@ -509,13 +510,9 @@ def dynkin_r(x: TensorElem) -> TensorElem:
     return _linear(x, r_word)
 
 
-def rho(x: TensorElem, method: str = "recursive") -> TensorElem:
+def rho(x: TensorElem) -> TensorElem:
     """Adjoint of dynkin_r under the word pairing."""
-    if method == "recursive":
-        return _linear(x, rho_word)
-    if method == "via_d_identity":
-        return _linear(x, rho_word_via_d)
-    raise ValueError("unknown rho method %r" % method)
+    return _linear(x, rho_word)
 
 
 def grading_d(x: TensorElem) -> TensorElem:

@@ -8,48 +8,37 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from areasig import (
     area,
-    area_eval,
     areas_generate_check,
     arealb,
+    checks,
     concat,
-    discrete_area,
-    discrete_area_tree,
-    discrete_integral,
     dynkin_r,
     enumerate_trees,
     evaluate_text,
-    exp_box,
     generation_rank,
-    grading_d,
     hall_set,
     invert_r,
     lambda_element,
-    lambda_via_trees,
     leftbracket_span_check,
     letter_elem,
     lie_bracket,
     pairing,
-    pre_lie,
-    pre_lie_sym,
     r_element,
-    r_via_trees,
     rho,
-    rho_permutation,
-    s_element,
     shuffle,
     signature_pwl,
     tensor_pair,
     theta_expansion,
-    tortkara_check,
     vol,
     word_elem,
     zero,
 )
 from areasig.discrete import TimeSeries
-from areasig.double_tensor import d_hat, zero_double
+from areasig.double_tensor import zero_double
 from areasig.tensor import parse_word, words_of_length
 from areasig.trees import rho_hall
 
@@ -170,30 +159,21 @@ def test_criterion_05_fixed_point_identities():
     ok = True
     for d, level in ((2, 6), (3, 4)):
         r = r_element(d, level)
-        if r != r_element(d, level, "recursion"):
-            ok = False
-        lhs = d_hat(r) - r
-        if lhs != pre_lie(r, r, level):
-            ok = False
-        if lhs != pre_lie_sym(r, r, level) * F(1, 2):
-            ok = False
-    r2 = r_element(2, 5)
-    for n in range(1, 6):
-        if r_via_trees(2, n) != r2.proj_right(n):
-            ok = False
+        ok = (
+            ok
+            and checks.r_recursion_agrees(r, level)
+            and checks.quadratic_fixed_point(r, level)
+            and checks.symmetrized_fixed_point(r, level)
+        )
+    ok = ok and checks.r_tree_expansion(r_element(2, 5), 5)
     elapsed = time.monotonic() - start
     report(5, "quadratic fixed point, recursion and tree form of R", ok and elapsed < 120,
            "%.1fs" % elapsed)
 
 
 def test_criterion_06_lambda_cross_validation():
-    ok = True
     lam = lambda_element(2, 4)
-    if lam != lambda_element(2, 4, "recursion"):
-        ok = False
-    for n in range(1, 5):
-        if lambda_via_trees(2, n) != lam.proj_right(n):
-            ok = False
+    ok = checks.lambda_recursion_agrees(lam, 4) and checks.lambda_tree_expansion(lam, 4)
     one, two = letter_elem(1, 2), letter_elem(2, 2)
     ar, br = area(one, two), lie_bracket(one, two)
     if lam.proj_right(1) != tensor_pair(one, one) + tensor_pair(two, two):
@@ -221,31 +201,18 @@ def test_criterion_06_lambda_cross_validation():
 
 
 def test_criterion_07_coordinates_round_trip():
-    ok = True
-    for d, level in ((2, 5), (3, 4)):
-        b = basis(d, level)
-        combined = zero_double(d, level)
-        for h in b.all_hall_words():
-            combined = combined + tensor_pair(b.zeta(h), b.bracketing(h), level)
-        if exp_box(combined, level) != s_element(d, level):
-            ok = False
+    ok = all(
+        checks.exp_reproduces_diagonal(checks.coordinate_element(basis(d, level), level), level)
+        for d, level in ((2, 5), (3, 4))
+    )
     report(7, "exponential of the coordinate element reproduces the diagonal", ok)
 
 
 def test_criterion_08_grading_identity_and_rho_agreement():
-    ok = True
-    for d, top in ((2, 6), (3, 5)):
-        for n in range(1, top + 1):
-            for w in words_of_length(d, n):
-                we = word_elem(w, d)
-                total = zero(d)
-                for cut in range(1, n + 1):
-                    total = total + shuffle(rho(word_elem(w[:cut], d)), word_elem(w[cut:], d))
-                if total != grading_d(we):
-                    ok = False
-                a = rho(we)
-                if a != rho(we, "via_d_identity") or a != rho_permutation(w, d):
-                    ok = False
+    ok = all(
+        checks.grading_identity(d, top) and checks.rho_three_ways(d, top)
+        for d, top in ((2, 6), (3, 5))
+    )
     report(8, "grading identity and the three rho computations", ok)
 
 
@@ -289,23 +256,18 @@ def test_criterion_10_tortkara():
     )
     ok = instance == expected == area(vol(one, two, three), two)
     letters3 = [letter_elem(i, 3) for i in (1, 2, 3)]
-    for a in letters3:
-        for b in letters3:
-            for c in letters3:
-                if not tortkara_check(a, b, c):
-                    ok = False
-                for d in letters3:
-                    if not tortkara_check(a, b, c, d):
-                        ok = False
+    ok = (
+        ok
+        and checks.tortkara_holds(product(letters3, repeat=3))
+        and checks.tortkara_holds(product(letters3, repeat=4))
+    )
     rng = random.Random(31415)
+    tuples = []
     for _ in range(100):
         dims = rng.choice((2, 3))
-        a = random_elem(rng, dims, 2, min_deg=1)
-        b = random_elem(rng, dims, 2, min_deg=1)
-        c = random_elem(rng, dims, 2, min_deg=1)
-        d = random_elem(rng, dims, 2, min_deg=1)
-        if not tortkara_check(a, b, c) or not tortkara_check(a, b, c, d):
-            ok = False
+        a, b, c, d = (random_elem(rng, dims, 2, min_deg=1) for _ in range(4))
+        tuples += [(a, b, c), (a, b, c, d)]
+    ok = ok and checks.tortkara_holds(tuples)
     report(10, "degree-four identity: shown instance, letters, random tuples", ok)
 
 
@@ -353,9 +315,7 @@ def test_criterion_13_words_as_rho_shuffles():
 def test_criterion_14_discrete_area_exactness():
     start = time.monotonic()
     rng = random.Random(60221023)
-    trees = []
-    for n in range(1, 5):
-        trees.extend(enumerate_trees(2, n))
+    trees = [tree for n in range(1, 5) for tree in enumerate_trees(2, n)]
     ok = True
     for _ in range(50):
         pts = [(F(0), F(0))]
@@ -367,35 +327,15 @@ def test_criterion_14_discrete_area_exactness():
                 )
             )
         ts = TimeSeries(pts)
-        sig = signature_pwl(ts, 4)
-        for tree in trees:
-            if discrete_area_tree(tree, ts).final() != pairing(area_eval(tree, 2), sig):
-                ok = False
-    square = TimeSeries([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
-    if discrete_area(square.coordinate(1), square.coordinate(2)).final() != 2:
-        ok = False
-    witness = None
-    for x1 in (-1, 0, 1):
-        for y1 in (-1, 0, 1):
-            for z1 in (-1, 0, 1):
-                for x2 in (-1, 0, 1):
-                    for y2 in (-1, 0, 1):
-                        for z2 in (-1, 0, 1):
-                            ts = TimeSeries(
-                                [(0, 0, 0), (x1, y1, z1), (x1 + x2, y1 + y2, z1 + z2)]
-                            )
-                            direct = pairing(word_elem("123", 3), signature_pwl(ts, 3))
-                            iterated = discrete_integral(
-                                discrete_integral(ts.coordinate(1), ts.coordinate(2)),
-                                ts.coordinate(3),
-                            ).final()
-                            if direct != iterated:
-                                witness = (ts.points, direct, iterated)
+        if not checks.discrete_areas_match(ts, signature_pwl(ts, 4), trees):
+            ok = False
+    ok = ok and checks.square_loop_area_is_two()
+    witness = checks.noniterating_witness()
     if witness is None:
         ok = False
     elapsed = time.monotonic() - start
     extra = "witness %s: direct %s vs iterated %s; %.1fs" % (
-        witness[0] if witness else None,
+        witness[0].points if witness else None,
         witness[1] if witness else "-",
         witness[2] if witness else "-",
         elapsed,

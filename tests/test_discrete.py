@@ -8,13 +8,16 @@ from areasig import (
     TimeSeries,
     area,
     area_eval,
+    checks,
     discrete_area,
     discrete_area_tree,
     discrete_integral,
+    enumerate_mixed,
     enumerate_trees,
     is_grouplike,
     letter_elem,
     load_timeseries,
+    mixed_eval,
     pairing,
     signature_pwl,
     word_elem,
@@ -28,18 +31,6 @@ L_PATH = TimeSeries([(0, 0), (1, 0), (1, 1)])
 SQUARE = TimeSeries([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
 
 
-def random_path(rng, segments, d=2):
-    pts = [tuple(F(0) for _ in range(d))]
-    for _ in range(segments):
-        pts.append(
-            tuple(
-                prev + F(rng.randint(-4, 4), rng.randint(1, 3))
-                for prev in pts[-1]
-            )
-        )
-    return TimeSeries(pts)
-
-
 # -- series basics ------------------------------------------------------------
 
 
@@ -48,6 +39,14 @@ def test_series_must_start_at_zero():
         ScalarSeries([1, 2])
     with pytest.raises(ValueError):
         TimeSeries([(1, 0), (0, 0)])
+
+
+def test_series_reject_floats():
+    for value in (0.1, float("inf")):
+        with pytest.raises(TypeError, match="exact rational"):
+            TimeSeries([(0, 0), (value, 0)])
+    with pytest.raises(TypeError, match="exact rational"):
+        ScalarSeries([0, 0.5])
 
 
 def test_discrete_area_is_antisymmetric():
@@ -66,17 +65,13 @@ def test_discrete_area_length_mismatch():
 
 
 def test_l_path_values():
-    a, b = L_PATH.coordinate(1), L_PATH.coordinate(2)
-    assert discrete_area(a, b).final() == 1
-    sig = signature_pwl(L_PATH, 2)
-    assert pairing(area(letter_elem(1, 2), letter_elem(2, 2)), sig) == 1
-    assert pairing(word_elem("12", 2), sig) == 1
-    assert discrete_integral(a, b).final() == 1
+    assert checks.l_path_area_is_one()
+    assert pairing(word_elem("12", 2), signature_pwl(L_PATH, 2)) == 1
+    assert discrete_integral(L_PATH.coordinate(1), L_PATH.coordinate(2)).final() == 1
 
 
 def test_square_loop_area_is_two():
-    a, b = SQUARE.coordinate(1), SQUARE.coordinate(2)
-    assert discrete_area(a, b).final() == 2
+    assert checks.square_loop_area_is_two()
     sig = signature_pwl(SQUARE, 2)
     assert pairing(area(letter_elem(1, 2), letter_elem(2, 2)), sig) == 2
 
@@ -110,17 +105,18 @@ def test_tree_labels_validated():
 
 
 def test_discrete_area_matches_signature_exactly():
+    # mixed trees too: a shuffle node multiplies its children pointwise
     rng = random.Random(40)
-    trees = []
-    for n in range(1, 5):
-        trees.extend(enumerate_trees(2, n))
+    trees = [tree for n in range(1, 5) for tree in enumerate_mixed(2, n)]
     for _ in range(12):
-        ts = random_path(rng, rng.randint(1, 5))
+        ts = checks.random_path(rng, rng.randint(1, 5))
         sig = signature_pwl(ts, 4)
         for tree in trees:
             assert discrete_area_tree(tree, ts).final() == pairing(
-                area_eval(tree, 2), sig
+                mixed_eval(tree, 2), sig
             )
+    with pytest.raises(ValueError, match="connected to the root"):
+        discrete_area_tree(("a", ("s", 1, 2), 1), L_PATH)
 
 
 def test_span_members_reproduce_breakpoint_series():
@@ -131,7 +127,7 @@ def test_span_members_reproduce_breakpoint_series():
     from areasig.span import area_span_basis
 
     rng = random.Random(41)
-    paths = [random_path(rng, 4) for _ in range(3)]
+    paths = [checks.random_path(rng, 4) for _ in range(3)]
     prefix_sigs = [
         [
             signature_pwl(TimeSeries(ts.points[: k + 1]), 4)
@@ -157,32 +153,9 @@ def test_span_members_reproduce_breakpoint_series():
 def test_discrete_integral_matches_level_two_but_does_not_iterate():
     rng = random.Random(42)
     for _ in range(10):
-        ts = random_path(rng, 4)
-        sig = signature_pwl(ts, 2)
-        assert discrete_integral(ts.coordinate(1), ts.coordinate(2)).final() == pairing(
-            word_elem("12", 2), sig
-        )
-    # witness: a two-segment path in three dimensions
-    found = None
-    for x1 in (-1, 0, 1):
-        for y1 in (-1, 0, 1):
-            for z1 in (-1, 0, 1):
-                for x2 in (-1, 0, 1):
-                    for y2 in (-1, 0, 1):
-                        for z2 in (-1, 0, 1):
-                            ts = TimeSeries(
-                                [(0, 0, 0), (x1, y1, z1), (x1 + x2, y1 + y2, z1 + z2)]
-                            )
-                            direct = pairing(word_elem("123", 3), signature_pwl(ts, 3))
-                            iterated = discrete_integral(
-                                discrete_integral(
-                                    ts.coordinate(1), ts.coordinate(2)
-                                ),
-                                ts.coordinate(3),
-                            ).final()
-                            if direct != iterated:
-                                found = ts
-    assert found is not None
+        ts = checks.random_path(rng, 4)
+        assert checks.trapezoid_matches_level_two(ts, signature_pwl(ts, 2))
+    assert checks.noniterating_witness() is not None
 
 
 # -- signatures ------------------------------------------------------------------
@@ -199,7 +172,7 @@ def test_single_segment_signature():
 def test_chen_multiplicativity():
     rng = random.Random(43)
     for _ in range(6):
-        ts = random_path(rng, 4)
+        ts = checks.random_path(rng, 4)
         split = rng.randint(1, 3)
         first = TimeSeries(ts.points[: split + 1])
         rest_pts = [
@@ -214,7 +187,7 @@ def test_chen_multiplicativity():
 def test_signature_is_grouplike():
     rng = random.Random(44)
     for _ in range(4):
-        ts = random_path(rng, 3)
+        ts = checks.random_path(rng, 3)
         assert is_grouplike(signature_pwl(ts, 4), 4)
 
 

@@ -13,6 +13,7 @@ from areasig import (
     parse_expression,
     word_elem,
 )
+from areasig import checks
 from areasig.cli import main
 from areasig.errors import ExpressionSyntaxError
 
@@ -126,6 +127,14 @@ def test_cli_verify_ok():
     assert "all checks passed" in out
 
 
+def test_cli_verify_reports_a_failed_check(monkeypatch):
+    monkeypatch.setattr(checks, "exp_log_round_trip", lambda x, level: False)
+    code, out = run_cli("verify", "--suite", "core", "--level", "3")
+    assert code == 1
+    assert "FAIL - [core] exp/log round trip\n" in out
+    assert out.endswith("1 check(s) failed\n")
+
+
 def test_cli_span_check():
     code, out = run_cli("span-check", "areas", "--d", "2", "--level", "3")
     assert code == 0
@@ -138,6 +147,10 @@ def test_cli_discrete_area(tmp_path):
     code, out = run_cli("discrete-area", "--csv", str(csv), "--tree", "a(1,2)")
     assert code == 0
     assert "final: 2" in out
+    # a shuffle node: <1 sh 2, S> = <1, S><2, S> = 0 on a closed loop
+    code, out = run_cli("discrete-area", "--csv", str(csv), "--tree", "s(1,2)")
+    assert code == 0
+    assert "final: 0" in out
 
 
 def test_cli_signature(tmp_path):

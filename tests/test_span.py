@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from areasig import (
     area_span_membership,
     areas_generate_check,
     arealb,
+    checks,
     concat,
     generation_rank,
     hall_set,
@@ -126,12 +128,8 @@ def test_rho_permutation_examples():
 
 
 def test_rho_permutation_matches_recursive():
-    for n in range(1, 8):
-        for w in words_of_length(2, n):
-            assert rho_permutation(w, 2) == rho(word_elem(w, 2))
-    for n in range(1, 6):
-        for w in words_of_length(3, n):
-            assert rho_permutation(w, 3) == rho(word_elem(w, 3))
+    assert checks.rho_three_ways(2, 7)
+    assert checks.rho_three_ways(3, 5)
 
 
 def test_arealb_concat_identity():
@@ -173,12 +171,8 @@ def test_tortkara_explicit_instance():
 
 def test_tortkara_letters_exhaustive():
     letters = [letter_elem(i, 3) for i in (1, 2, 3)]
-    for a in letters:
-        for b in letters:
-            for c in letters:
-                assert tortkara_check(a, b, c)
-                for d in letters:
-                    assert tortkara_check(a, b, c, d)
+    assert checks.tortkara_holds(product(letters, repeat=3))
+    assert checks.tortkara_holds(product(letters, repeat=4))
 
 
 def test_tortkara_degenerate():
@@ -200,8 +194,7 @@ def test_tortkara_random_elements(data):
         )
 
     a, b, c, d = mk(), mk(), mk(), mk()
-    assert tortkara_check(a, b, c)
-    assert tortkara_check(a, b, c, d)
+    assert checks.tortkara_holds([(a, b, c), (a, b, c, d)])
 
 
 def test_vol_n_stays_in_span():
