@@ -374,7 +374,8 @@ def tortkara_suite(d, level):
 def pwl_suite(d, level):
     del d
     rng = random.Random(5)
-    top = min(level, 4)
+    # the trapezoid check pairs with the level-two word 12
+    top = min(max(level, 2), 4)
     trees = [
         tree
         for n in range(1, 5)

@@ -134,6 +134,16 @@ def cmd_verify(args):
     return 0
 
 
+def _positive(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="areasig",
@@ -175,8 +185,8 @@ def build_parser():
         choices=sorted(checks.SUITES) + ["all"],
         default="all",
     )
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--level", type=int, default=4)
+    p.add_argument("--d", type=_positive, default=2)
+    p.add_argument("--level", type=_positive, default=4)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("discrete-area", help="iterate discrete areas over a tree")
@@ -202,12 +212,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     previous_budget = guard.get_term_budget()
-    guard.budget_from_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.term_budget is not None:
-        guard.set_term_budget(args.term_budget)
     try:
+        guard.budget_from_env()
+        args = build_parser().parse_args(argv)
+        if args.term_budget is not None:
+            guard.set_term_budget(args.term_budget)
         return args.func(args)
     except TermBudgetExceeded as exc:
         print("aborted: %s" % exc, file=sys.stderr)

@@ -185,7 +185,7 @@ def _is_numeric(cell: str) -> bool:
     return True
 
 
-def load_timeseries(source, fmt: str = "csv") -> TimeSeries:
+def load_timeseries(source) -> TimeSeries:
     """Read a d-column CSV (optional header) into an origin-anchored series.
 
     Row 0 is a header when none of its cells is numeric; the other rows
@@ -193,8 +193,6 @@ def load_timeseries(source, fmt: str = "csv") -> TimeSeries:
     Every token must be an integer, a fraction, or a finite decimal, read
     exactly; any other token (nan, inf, text) raises a ValueError naming it.
     """
-    if fmt != "csv":
-        raise ValueError("only csv input is supported")
     if isinstance(source, bytes):
         text = source.decode("utf-8")
     elif isinstance(source, str):

@@ -17,7 +17,7 @@ def set_term_budget(n):
     """Set the global ceiling on stored terms per element (n >= 1)."""
     global _budget
     if n < 1:
-        raise ValueError("term budget must be positive")
+        raise ValueError("term budget must be positive, got %r" % n)
     _budget = int(n)
 
 
@@ -29,7 +29,13 @@ def budget_from_env():
     """Apply AREASIG_TERM_BUDGET from the environment, if set."""
     raw = os.environ.get("AREASIG_TERM_BUDGET")
     if raw:
-        set_term_budget(int(raw))
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(
+                "AREASIG_TERM_BUDGET must be an integer, got %r" % raw
+            ) from None
+        set_term_budget(n)
     return _budget
 
 

@@ -256,11 +256,10 @@ class HallBasis:
 
     # -- reporting ---------------------------------------------------------
 
-    def table_rows(self, max_level=None):
+    def table_rows(self):
         """Rows (h, bracket text, P_h, S_h, zeta_h) for the table emitter."""
-        top = self.max_level if max_level is None else max_level
-        for n in range(1, top + 1):
-            for h in self.levels[n - 1]:
+        for level in self.levels:
+            for h in level:
                 yield {
                     "hall_word": "".join(map(str, h.word)),
                     "bracketing": tree_brackets(h._tree),

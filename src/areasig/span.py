@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 import json
 
 from . import linalg
@@ -27,7 +27,7 @@ from .tensor import (
     word_elem,
     words_of_length,
 )
-from .trees import AREA, area_eval
+from .trees import AREA, _labeled, area_eval
 
 
 # -- the area span -----------------------------------------------------------
@@ -139,17 +139,22 @@ def signed_permutations(n: int):
     return out
 
 
-def theta_expansion(w, dim: int) -> TensorElem:
-    """Left-bracketed area of a word as a signed sum over all permutations."""
+def _permutation_sum(w, dim: int, signed_perms) -> TensorElem:
+    """Sum of sign * (w permuted by sigma) over the (sigma, sign) pairs."""
     w = tuple(w)
     n = len(w)
     if n < 1:
         raise EmptyWordOperand("need a nonempty word")
     terms: dict = {}
-    for sigma, sign in signed_permutations(n):
+    for sigma, sign in signed_perms(n):
         permuted = tuple(w[s - 1] for s in sigma)
         terms[permuted] = terms.get(permuted, 0) + sign
     return TensorElem(dim, terms)
+
+
+def theta_expansion(w, dim: int) -> TensorElem:
+    """Left-bracketed area of a word as a signed sum over all permutations."""
+    return _permutation_sum(w, dim, signed_permutations)
 
 
 @memo
@@ -166,15 +171,7 @@ def interval_permutations(n: int):
 
 def rho_permutation(w, dim: int) -> TensorElem:
     """rho of a word as a signed sum over interval permutations."""
-    w = tuple(w)
-    n = len(w)
-    if n < 1:
-        raise EmptyWordOperand("need a nonempty word")
-    terms: dict = {}
-    for sigma, sign in interval_permutations(n):
-        permuted = tuple(w[s - 1] for s in sigma)
-        terms[permuted] = terms.get(permuted, 0) + sign
-    return TensorElem(dim, terms)
+    return _permutation_sum(w, dim, interval_permutations)
 
 
 # -- volumes and the degree-4 identity -------------------------------------------
@@ -294,7 +291,7 @@ def generation_rank(xs, n: int, basis: HallBasis | None = None) -> SpanReport:
             if value:
                 row[idx] = value
         vectors.append(row)
-    rank = linalg.rank_of_vectors(vectors, columns=list(range(len(hall_level))))
+    rank = linalg.rank_of_vectors(vectors)
     target = len(hall_level)
     return SpanReport(d, n, len(xs), rank, target, rank == target)
 
@@ -387,32 +384,19 @@ def special_tree(n: int):
     return (AREA, left_tree(n - 2), (AREA, 1, 1))
 
 
-def _relabel(tree, letters_iter):
-    if isinstance(tree, int):
-        return next(letters_iter)
-    kind, left, right = tree
-    return (kind, _relabel(left, letters_iter), _relabel(right, letters_iter))
-
-
 def special_tree_reduction(n: int, d: int) -> SpanReport:
     """Solvability of every labeled special tree over the left-bracket span.
 
     generators counts the left-bracket generators, rank the number of
-    solvable labelings, target the number of labelings tested.
+    solvable labelings, target the number of labelings tested.  The
+    generators are reduced to echelon form once, and each labeled tree
+    against it.
     """
-    shape = special_tree(n)
-    basis_vectors = [
+    trees = _labeled([special_tree(n)], d, n)
+    rows = linalg.echelon(
         dict(arealb_word(w, d).terms()) for w in words_of_length(d, n)
-    ]
-    solvable = 0
-    total = 0
-    for letters in product(range(1, d + 1), repeat=n):
-        tree = _relabel(shape, iter(letters))
-        value = area_eval(tree, d)
-        total += 1
-        if value.is_zero():
-            solvable += 1
-            continue
-        if linalg.express_in_span(basis_vectors, dict(value.terms())) is not None:
-            solvable += 1
-    return SpanReport(d, n, len(basis_vectors), solvable, total, solvable == total)
+    )
+    solvable = sum(
+        linalg.in_span(rows, dict(area_eval(tree, d).terms())) for tree in trees
+    )
+    return SpanReport(d, n, d**n, solvable, len(trees), solvable == len(trees))

@@ -269,10 +269,6 @@ def letter_elem(letter: int, dim: int) -> TensorElem:
     return TensorElem(dim, {(letter,): 1})
 
 
-def from_terms(dim: int, mapping) -> TensorElem:
-    return TensorElem(dim, {parse_word(w): c for w, c in mapping.items()})
-
-
 def words_of_length(dim: int, n: int):
     """All words of exactly length n, lexicographic order."""
     return (tuple(w) for w in product(range(1, dim + 1), repeat=n))

@@ -84,11 +84,12 @@ def _mixed_shapes(n):
     return out
 
 
-def _label(shape, letters, it):
-    if shape == _HOLE:
+def _label(shape, it):
+    """The shape with its leaves, left to right, replaced from `it`."""
+    if is_leaf(shape):
         return next(it)
     kind, left, right = shape
-    return (kind, _label(left, letters, it), _label(right, letters, it))
+    return (kind, _label(left, it), _label(right, it))
 
 
 def _labeled(shapes, d, n):
@@ -96,8 +97,7 @@ def _labeled(shapes, d, n):
     out = []
     for shape in shapes:
         for letters in product(range(1, d + 1), repeat=n):
-            it = iter(letters)
-            out.append(_label(shape, letters, it))
+            out.append(_label(shape, iter(letters)))
     return out
 
 

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the library code paths
 they check: shuffles by brute-force position enumeration, brackets by a
-tiny standalone expansion on dicts, ranks by plain Fraction elimination,
-Hall duals by inverting the matrix of decreasing Hall products.
+tiny standalone expansion on dicts, ranks, span membership and inverses
+by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
+decreasing Hall products.
 """
 
 from fractions import Fraction
@@ -48,28 +49,53 @@ def right_bracketing_oracle(word) -> dict:
     return out
 
 
+def gauss_jordan(rows, width):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan, pivoting on
+    the first `width` columns only; returns (rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        head = rows[top][col]
+        rows[top] = [v / head for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def rank_oracle(vectors):
     """Rank by plain Fraction Gaussian elimination (no fraction-free tricks)."""
     columns = sorted({c for vec in vectors for c in vec})
-    rows = [[Fraction(vec.get(c, 0)) for c in columns] for vec in vectors]
-    rank = 0
-    for col in range(len(columns)):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
-        rows[rank] = [v / head for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    rows = [[vec.get(c, 0) for c in columns] for vec in vectors]
+    return len(gauss_jordan(rows, len(columns))[1])
+
+
+def solve_oracle(vectors, target):
+    """Coefficients writing `target` as a combination of `vectors`, or None.
+
+    Vectors and target are sparse dicts key -> coefficient; for a dependent
+    family the free coefficients are zero.
+    """
+    columns = sorted(set(target).union(*vectors))
+    # one equation per key: sum_j c_j vectors[j][key] = target[key]
+    rows = [
+        [vec.get(key, 0) for vec in vectors] + [target.get(key, 0)]
+        for key in columns
+    ]
+    rows, pivots = gauss_jordan(rows, len(vectors))
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * len(vectors)
+    for row, col in zip(rows, pivots):
+        solution[col] = row[-1]
+    return solution
 
 
 def random_elem(rng: random.Random, d, max_deg, min_deg=0, terms=4):
@@ -104,21 +130,13 @@ def invert_matrix_oracle(matrix):
     """Exact inverse of a square Fraction/int matrix by Gauss-Jordan."""
     n = len(matrix)
     aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        list(row) + [int(i == j) for j in range(n)]
         for i, row in enumerate(matrix)
     ]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows, pivots = gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def dual_pbw_oracle(basis, n):

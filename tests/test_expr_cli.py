@@ -135,6 +135,25 @@ def test_cli_verify_reports_a_failed_check(monkeypatch):
     assert out.endswith("1 check(s) failed\n")
 
 
+@pytest.mark.parametrize("d", ["1", "2"])
+@pytest.mark.parametrize("suite", ["core", "dynkin", "lambda", "pwl"])
+def test_cli_verify_passes_at_level_one(d, suite):
+    # the pwl suite pairs with the level-two word 12 whatever the level;
+    # tortkara is left out, since it reads neither the level nor a d below 3
+    code, out = run_cli("verify", "--suite", suite, "--d", d, "--level", "1")
+    assert code == 0
+    assert out.endswith("all checks passed\n")
+
+
+@pytest.mark.parametrize("option", ["--d", "--level"])
+def test_cli_verify_rejects_sizes_below_one(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", option, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be an integer >= 1, got '0'" % option in err
+
+
 def test_cli_span_check():
     code, out = run_cli("span-check", "areas", "--d", "2", "--level", "3")
     assert code == 0
@@ -205,6 +224,29 @@ def test_cli_term_budget_abort():
     # level 5 has bracketings and zetas of up to 10 terms, over the budget of 5
     code = main(["--term-budget", "5", "tables", "--d", "2", "--level", "5"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "env, argv, named",
+    [
+        (None, ["--term-budget", "0", "eval", "1"], "got 0"),
+        ("abc", ["eval", "1"], "AREASIG_TERM_BUDGET must be an integer, got 'abc'"),
+        ("0", ["eval", "1"], "got 0"),
+    ],
+    ids=["flag-0", "env-abc", "env-0"],
+)
+def test_cli_bad_term_budget_exits_2(monkeypatch, capsys, env, argv, named):
+    from areasig import guard
+
+    if env is None:
+        monkeypatch.delenv("AREASIG_TERM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("AREASIG_TERM_BUDGET", env)
+    previous = guard.get_term_budget()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert guard.get_term_budget() == previous
 
 
 def test_budget_env_override(monkeypatch):

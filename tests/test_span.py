@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -327,6 +328,20 @@ def test_special_tree_shape():
 
     assert format_tree(special_tree(4)) == "a(a(1,1),a(1,1))"
     assert format_tree(special_tree(5)) == "a(a(a(1,1),1),a(1,1))"
+
+
+def test_special_tree_reduction_full_rank_within_ceiling():
+    # the generators are reduced to echelon form once per call; reducing
+    # them again for every labeling took minutes at (3, 5)
+    start = time.monotonic()
+    reports = [special_tree_reduction(7, 2), special_tree_reduction(5, 3)]
+    elapsed = time.monotonic() - start
+    assert [(r.generators, r.rank, r.target) for r in reports] == [
+        (128, 128, 128),
+        (243, 243, 243),
+    ]
+    assert all(r.full_rank for r in reports)
+    assert elapsed < 20, "%.1fs" % elapsed
 
 
 def test_special_tree_reduction_small():
