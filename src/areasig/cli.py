@@ -161,21 +161,21 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expression")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_positive, default=2)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tables", help="emit hall-basis tables (P, S, zeta)")
     p.add_argument("--basis", choices=["lyndon", "hall"], default="lyndon")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--level", type=int, default=5)
+    p.add_argument("--d", type=_positive, default=2)
+    p.add_argument("--level", type=_positive, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("rho-table", help="emit rho of the dual basis elements")
     p.add_argument("--basis", choices=["lyndon", "hall"], default="lyndon")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--level", type=int, default=5)
+    p.add_argument("--d", type=_positive, default=2)
+    p.add_argument("--level", type=_positive, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_rho_table)
 
@@ -197,14 +197,14 @@ def build_parser():
 
     p = sub.add_parser("signature", help="signature of a csv path")
     p.add_argument("--csv", required=True)
-    p.add_argument("--level", type=int, default=5)
+    p.add_argument("--level", type=_positive, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("span-check", help="rank reports for generating sets")
     p.add_argument("which", choices=["areas", "leftbracket", "special"])
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--level", type=int, default=4)
+    p.add_argument("--d", type=_positive, default=2)
+    p.add_argument("--level", type=_positive, default=4)
     p.set_defaults(func=cmd_span_check)
 
     return parser

@@ -15,7 +15,7 @@ import io
 import json
 from fractions import Fraction
 
-from .tensor import TensorElem, as_scalar, concat, exp_conc, unit
+from .tensor import TensorElem, as_scalar, concat, exp_conc, pairing, unit
 from .trees import AREA, SHUFFLE, is_leaf
 
 EXACT = "exact_rational"
@@ -159,8 +159,6 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
 
 def signature_pairing(phi: TensorElem, x: TimeSeries, level=None):
     """<phi, signature of x>, at the level needed by phi unless given."""
-    from .tensor import pairing
-
     if level is None:
         level = max(phi.degree(), 1)
     return pairing(phi, signature_pwl(x, level))

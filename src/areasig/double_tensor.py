@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, EmptyWordOperand
-from .guard import check_term_budget
+from .errors import EmptyWordOperand
 from .tensor import (
     EMPTY_WORD,
     TensorElem,
     _bump,
-    as_scalar,
+    _series,
+    _Terms,
     format_word,
     half_shuffle_words,
     r_word,
@@ -32,43 +32,31 @@ def _min_level(a, b):
     return min(a, b)
 
 
-class DoubleTensor:
+class DoubleTensor(_Terms):
     """Finite map (left word, right word) -> Fraction with a truncation level.
 
     level is the right-word length this element is trusted to; None means
-    untruncated.  Stored right words never exceed the level.
+    untruncated.  Stored right words never exceed the level, and a sum is
+    trusted to the smaller level of its operands.
     """
 
-    __slots__ = ("dim", "level", "_terms")
+    __slots__ = ("level",)
 
     def __init__(self, dim: int, terms=None, level=None):
-        if dim < 1:
-            raise ValueError("alphabet size must be >= 1")
-        clean = {}
-        for (left, right), coeff in (terms or {}).items():
-            coeff = as_scalar(coeff)
-            if not coeff:
-                continue
-            left, right = tuple(left), tuple(right)
-            if level is not None and len(right) > level:
-                continue
-            clean[(left, right)] = coeff
-        check_term_budget(len(clean))
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_terms", clean)
+        if level is not None and terms:
+            terms = {k: c for k, c in terms.items() if len(k[1]) <= level}
+        super().__init__(dim, terms)
 
     @classmethod
-    def _raw(cls, dim, clean_terms, level):
-        check_term_budget(len(clean_terms))
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
+    def _raw(cls, dim, clean_terms, level=None):
+        self = super()._raw(dim, clean_terms)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_terms", clean_terms)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleTensor is immutable")
+    def _like(self, clean_terms, other=None):
+        level = self.level if other is None else _min_level(self.level, other.level)
+        return DoubleTensor._raw(self.dim, clean_terms, level)
 
     def coeff(self, left, right) -> Fraction:
         return self._terms.get((tuple(left), tuple(right)), Fraction(0))
@@ -82,65 +70,16 @@ class DoubleTensor:
         for left, right in sorted(self._terms, key=key):
             yield left, right, self._terms[(left, right)]
 
-    def __len__(self):
-        return len(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def __add__(self, other):
-        _same(self, other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            _bump(out, k, c)
-        return DoubleTensor._raw(
-            self.dim, out, _min_level(self.level, other.level)
-        )
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        if not s:
-            return DoubleTensor._raw(self.dim, {}, self.level)
-        return DoubleTensor._raw(
-            self.dim, {k: c * s for k, c in self._terms.items()}, self.level
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleTensor)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
-
     def proj_right(self, n: int):
         """Terms whose right word has length exactly n."""
-        return DoubleTensor._raw(
-            self.dim,
-            {k: c for k, c in self._terms.items() if len(k[1]) == n},
-            self.level,
-        )
+        return self._select(lambda k: len(k[1]) == n)
 
     def truncate(self, level: int):
         terms = {k: c for k, c in self._terms.items() if len(k[1]) <= level}
         return DoubleTensor._raw(self.dim, terms, _min_level(self.level, level))
 
     def right_degree_zero(self):
-        return DoubleTensor._raw(
-            self.dim,
-            {k: c for k, c in self._terms.items() if not k[1]},
-            self.level,
-        )
+        return self._select(lambda k: not k[1])
 
     def __repr__(self):
         inner = " + ".join(
@@ -162,11 +101,6 @@ class DoubleTensor:
         ]
 
 
-def _same(a: DoubleTensor, b: DoubleTensor):
-    if a.dim != b.dim:
-        raise AlphabetMismatch("alphabet sizes differ: %d vs %d" % (a.dim, b.dim))
-
-
 def zero_double(dim: int, level=None) -> DoubleTensor:
     return DoubleTensor._raw(dim, {}, level)
 
@@ -177,8 +111,7 @@ def unit_double(dim: int, level=None) -> DoubleTensor:
 
 def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor:
     """Outer product of a left-side and a right-side element."""
-    if left.dim != right.dim:
-        raise AlphabetMismatch("alphabet sizes differ")
+    left._same_alphabet(right)
     terms = {}
     for l, cl in left.terms():
         for r, cr in right.terms():
@@ -192,7 +125,7 @@ def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor
 
 
 def _combine(a, b, left_op, right_op, level=None):
-    _same(a, b)
+    a._same_alphabet(b)
     out_level = _min_level(level, _min_level(a.level, b.level))
     acc: dict = {}
     for (pa, qa), ca in a._terms.items():
@@ -306,8 +239,7 @@ def r_hat(a: DoubleTensor) -> DoubleTensor:
 
 def eval_at(x: TensorElem, f: DoubleTensor) -> TensorElem:
     """Pair the left factors against x, leaving a right-side element."""
-    if x.dim != f.dim:
-        raise AlphabetMismatch("alphabet sizes differ")
+    f._same_alphabet(x)
     acc: dict = {}
     for (left, right), c in f._terms.items():
         cx = x.coeff(left)
@@ -318,8 +250,7 @@ def eval_at(x: TensorElem, f: DoubleTensor) -> TensorElem:
 
 def coeval_at(y: TensorElem, f: DoubleTensor) -> TensorElem:
     """Pair the right factors against y, leaving a left-side element."""
-    if y.dim != f.dim:
-        raise AlphabetMismatch("alphabet sizes differ")
+    f._same_alphabet(y)
     acc: dict = {}
     for (left, right), c in f._terms.items():
         cy = y.coeff(right)
@@ -358,11 +289,7 @@ def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
             for split in range(1, n):
                 total = total + pre_lie_sym(parts[split - 1], parts[n - split - 1])
             parts.append(total * Fraction(1, 2 * (n - 1)))
-        acc = {}
-        for part in parts:
-            for k, c in part._terms.items():
-                _bump(acc, k, c)
-        return DoubleTensor._raw(d, acc, level)
+        return sum(parts, zero_double(d, level))
     raise ValueError("unknown r_element method %r" % method)
 
 
@@ -376,33 +303,16 @@ def exp_box(x: DoubleTensor, level: int) -> DoubleTensor:
     """Exponential for box_mul, truncated by the right-word grading."""
     if not x.right_degree_zero().is_zero():
         raise EmptyWordOperand("exp needs vanishing right-degree-zero part")
-    x = x.truncate(level)
-    result = unit_double(x.dim, level)
-    power = unit_double(x.dim, level)
-    factorial = 1
-    for n in range(1, level + 1):
-        power = box_mul(power, x, level)
-        if power.is_zero():
-            break
-        factorial *= n
-        result = result + power * Fraction(1, factorial)
-    return result
+    return _series(x.truncate(level), unit_double(x.dim, level), box_mul, level)
 
 
 def log_box(g: DoubleTensor, level: int) -> DoubleTensor:
     """Logarithm for box_mul; needs right-degree-zero part exactly e (x) e."""
-    lowest = g.right_degree_zero()
-    if lowest != unit_double(g.dim, g.level):
+    one = unit_double(g.dim, g.level)
+    if g.right_degree_zero() != one:
         raise ValueError("log needs right-degree-zero part equal to e(x)e")
-    y = (g - unit_double(g.dim, g.level)).truncate(level)
-    result = zero_double(g.dim, level)
-    power = unit_double(g.dim, level)
-    for n in range(1, level + 1):
-        power = box_mul(power, y, level)
-        if power.is_zero():
-            break
-        result = result + power * Fraction((-1) ** (n - 1), n)
-    return result
+    y = (g - one).truncate(level)
+    return _series(y, unit_double(g.dim, level), box_mul, level, log=True)
 
 
 def _compositions(total, parts):
@@ -441,9 +351,5 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
                         Fraction(comp[-1], n) * weight
                     )
             parts.append(total)
-        acc: dict = {}
-        for part in parts:
-            for k, c in part._terms.items():
-                _bump(acc, k, c)
-        return DoubleTensor._raw(d, acc, level)
+        return sum(parts, zero_double(d, level))
     raise ValueError("unknown lambda_element method %r" % method)

@@ -310,11 +310,3 @@ def witt_dimension(d: int, n: int) -> int:
         if n % k == 0:
             total += _mobius(k) * d ** (n // k)
     return total // n
-
-
-def dual_pbw(basis: HallBasis, h: HallWord) -> TensorElem:
-    return basis.dual_pbw(h)
-
-
-def zeta_first_kind(basis: HallBasis, h: HallWord) -> TensorElem:
-    return basis.zeta(h)

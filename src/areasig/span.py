@@ -24,6 +24,7 @@ from .tensor import (
     letter_elem,
     pairing,
     rho,
+    shuffle,
     word_elem,
     words_of_length,
 )
@@ -296,8 +297,14 @@ def generation_rank(xs, n: int, basis: HallBasis | None = None) -> SpanReport:
     return SpanReport(d, n, len(xs), rank, target, rank == target)
 
 
+def _check_alphabet(d: int):
+    if d < 1:
+        raise ValueError("alphabet size d must be >= 1, got %r" % (d,))
+
+
 def areas_generate_check(d: int, n: int, basis: HallBasis | None = None) -> SpanReport:
     """Pairing rank of the degree-n part of the area span against the Lie level."""
+    _check_alphabet(d)
     return generation_rank(area_span_basis(d, n), n, basis)
 
 
@@ -307,6 +314,7 @@ def leftbracket_span_check(d: int, n: int) -> SpanReport:
     For d = 2 full rank is asserted by callers; for larger alphabets this
     only reports the numbers, since the spanning statement is open there.
     """
+    _check_alphabet(d)
     if n < 2:
         raise ValueError("need n >= 2")
     vectors = []
@@ -347,8 +355,6 @@ def words_as_rho_shuffles(w):
 
 
 def eval_rho_shuffle_expansion(w, dim: int) -> TensorElem:
-    from .tensor import shuffle
-
     total = TensorElem(dim, {})
     for blocks, coefficient in words_as_rho_shuffles(w):
         cur = rho(word_elem(blocks[0], dim))
@@ -392,6 +398,7 @@ def special_tree_reduction(n: int, d: int) -> SpanReport:
     generators are reduced to echelon form once, and each labeled tree
     against it.
     """
+    _check_alphabet(d)
     trees = _labeled([special_tree(n)], d, n)
     rows = linalg.echelon(
         dict(arealb_word(w, d).terms()) for w in words_of_length(d, n)

@@ -1,9 +1,11 @@
 """Words over the alphabet 1..d and exact-rational combinations of them.
 
-TensorElem is the shared container for elements of the tensor algebra
-(finite combinations of words) and of its level-truncated completion.
-Coefficients are fractions.Fraction throughout; floats are rejected so that
-every identity in this package can be checked with exact equality.
+_Terms is the one coefficient store of the package: TensorElem (finite
+combinations of words, for the tensor algebra and its level-truncated
+completion), CoproductTerms here and double_tensor.DoubleTensor are its
+subclasses.  Coefficients are fractions.Fraction throughout; floats are
+rejected so that every identity in this package can be checked with exact
+equality.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 from .errors import AlphabetMismatch, EmptyWordOperand
 from .guard import check_term_budget
@@ -59,11 +62,14 @@ def word_sort_key(w: Word):
     return (len(w), w)
 
 
-class TensorElem:
-    """Finite map word -> Fraction over a fixed alphabet size.
+class _Terms:
+    """Immutable finite map key -> nonzero Fraction over the alphabet 1..dim.
 
-    Invariants: no zero coefficients are stored; iteration through terms()
-    follows the canonical (length, lexicographic) order.
+    The one coefficient store behind TensorElem, DoubleTensor and
+    CoproductTerms: construction and the term budget, immutability, the
+    linear structure, equality and the alphabet check live here.  Keys are
+    pairs of words unless a subclass overrides _key.  Values of different
+    kinds never combine: + and - raise TypeError and == is False.
     """
 
     __slots__ = ("dim", "_terms")
@@ -72,30 +78,112 @@ class TensorElem:
         if dim < 1:
             raise ValueError("alphabet size must be >= 1")
         clean = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
+        for key, coeff in (terms or {}).items():
             coeff = as_scalar(coeff)
-            if any(not 1 <= letter <= dim for letter in word):
-                raise ValueError(
-                    "word %s uses letters outside 1..%d" % (format_word(word), dim)
-                )
+            key = self._key(key, dim)
             if coeff:
-                clean[word] = coeff
-        check_term_budget(len(clean))
+                clean[key] = coeff
+        self._store(dim, clean)
+
+    @staticmethod
+    def _key(key, dim):
+        left, right = key
+        return (tuple(left), tuple(right))
+
+    def _store(self, dim, clean_terms):
+        check_term_budget(len(clean_terms))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", clean_terms)
 
     @classmethod
     def _raw(cls, dim, clean_terms):
-        # Internal fast path: terms already canonical and zero-free.
-        check_term_budget(len(clean_terms))
+        # Internal fast path: keys canonical, coefficients nonzero Fractions.
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean_terms)
+        self._store(dim, clean_terms)
         return self
 
+    def _like(self, clean_terms, other=None):
+        """This kind over this alphabet holding `clean_terms`; `other` is
+        the second operand of a binary operation, if any."""
+        return self._raw(self.dim, clean_terms)
+
+    def _select(self, keep):
+        return self._like({k: c for k, c in self._terms.items() if keep(k)})
+
     def __setattr__(self, name, value):
-        raise AttributeError("TensorElem is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _same_alphabet(self, other):
+        if self.dim != other.dim:
+            raise AlphabetMismatch(
+                "alphabet sizes differ: %d vs %d" % (self.dim, other.dim)
+            )
+
+    def __len__(self):
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # -- linear structure ------------------------------------------------
+
+    def _plus(self, other, negate):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same_alphabet(other)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            _bump(out, key, -c if negate else c)
+        return self._like(out, other)
+
+    def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, scalar):
+        s = as_scalar(scalar)
+        if not s:
+            return self._like({})
+        return self._like({k: c * s for k, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / as_scalar(scalar))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dim == other.dim
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self._terms.items())))
+
+
+class TensorElem(_Terms):
+    """Finite map word -> Fraction over a fixed alphabet size.
+
+    Invariants: no zero coefficients are stored; iteration through terms()
+    follows the canonical (length, lexicographic) order.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(word, dim):
+        word = tuple(word)
+        if any(not 1 <= letter <= dim for letter in word):
+            raise ValueError(
+                "word %s uses letters outside 1..%d" % (format_word(word), dim)
+            )
+        return word
 
     # -- inspection ------------------------------------------------------
 
@@ -110,12 +198,6 @@ class TensorElem:
     def words(self):
         return sorted(self._terms, key=word_sort_key)
 
-    def __len__(self):
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         """Maximal word length present; 0 for the zero element."""
         return max((len(w) for w in self._terms), default=0)
@@ -126,65 +208,18 @@ class TensorElem:
     def empty_coeff(self) -> Fraction:
         return self._terms.get(EMPTY_WORD, Fraction(0))
 
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other):
-        _same_dim(self, other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _bump(out, w, c)
-        return TensorElem._raw(self.dim, out)
-
-    def __sub__(self, other):
-        _same_dim(self, other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _bump(out, w, -c)
-        return TensorElem._raw(self.dim, out)
-
-    def __neg__(self):
-        return TensorElem._raw(self.dim, {w: -c for w, c in self._terms.items()})
-
-    def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        if not s:
-            return TensorElem._raw(self.dim, {})
-        return TensorElem._raw(self.dim, {w: c * s for w, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        s = as_scalar(scalar)
-        return self * (Fraction(1) / s)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
-
     # -- grading ---------------------------------------------------------
 
     def proj(self, n: int):
         """Terms of length exactly n."""
-        return TensorElem._raw(
-            self.dim, {w: c for w, c in self._terms.items() if len(w) == n}
-        )
+        return self._select(lambda w: len(w) == n)
 
     def proj_at_least(self, n: int):
-        return TensorElem._raw(
-            self.dim, {w: c for w, c in self._terms.items() if len(w) >= n}
-        )
+        return self._select(lambda w: len(w) >= n)
 
     def truncate(self, level: int):
         """Drop terms with word length above `level`."""
-        return TensorElem._raw(
-            self.dim, {w: c for w, c in self._terms.items() if len(w) <= level}
-        )
+        return self._select(lambda w: len(w) <= level)
 
     # -- presentation ----------------------------------------------------
 
@@ -227,13 +262,6 @@ class TensorElem:
             word = parse_word(entry["word"])
             terms[word] = Fraction(int(entry["num"]), int(entry["den"]))
         return cls(dim, terms)
-
-
-def _same_dim(x: TensorElem, y: TensorElem):
-    if x.dim != y.dim:
-        raise AlphabetMismatch(
-            "alphabet sizes differ: %d vs %d" % (x.dim, y.dim)
-        )
 
 
 def _bump(acc, key, value):
@@ -430,7 +458,7 @@ def unshuffle_word(w: Word) -> dict:
 
 
 def _bilinear(x: TensorElem, y: TensorElem, word_op) -> TensorElem:
-    _same_dim(x, y)
+    x._same_alphabet(y)
     acc: dict = {}
     for u, cu in x._terms.items():
         for v, cv in y._terms.items():
@@ -458,7 +486,7 @@ def _reject_empty(x: TensorElem, role: str):
 
 def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
     """Concatenation product; levels above `level` are dropped if given."""
-    _same_dim(x, y)
+    x._same_alphabet(y)
     acc: dict = {}
     for u, cu in x._terms.items():
         for v, cv in y._terms.items():
@@ -491,7 +519,7 @@ def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:
 
 def pairing(x: TensorElem, y: TensorElem) -> Fraction:
     """Dual pairing with words as an orthonormal pair of bases."""
-    _same_dim(x, y)
+    x._same_alphabet(y)
     small, big = (x._terms, y._terms) if len(x) <= len(y) else (y._terms, x._terms)
     total = Fraction(0)
     for w, c in small.items():
@@ -533,14 +561,6 @@ def antipode(x: TensorElem) -> TensorElem:
     )
 
 
-def proj(x: TensorElem, n: int) -> TensorElem:
-    return x.proj(n)
-
-
-def proj_at_least(x: TensorElem, n: int) -> TensorElem:
-    return x.proj_at_least(n)
-
-
 def pi1(x: TensorElem) -> TensorElem:
     return _linear(x, pi1_word)
 
@@ -549,49 +569,26 @@ def pi1_transpose(x: TensorElem) -> TensorElem:
     return _linear(x, pi1_transpose_word)
 
 
-class CoproductTerms:
+class CoproductTerms(_Terms):
     """Finite map (word, word) -> Fraction produced by unshuffling."""
 
-    __slots__ = ("dim", "_pairs")
-
-    def __init__(self, dim, pairs):
-        clean = {}
-        for (u, v), c in pairs.items():
-            c = as_scalar(c)
-            if c:
-                clean[(tuple(u), tuple(v))] = c
-        check_term_budget(len(clean))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_pairs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoproductTerms is immutable")
+    __slots__ = ()
 
     def coeff(self, u, v) -> Fraction:
-        return self._pairs.get((tuple(u), tuple(v)), Fraction(0))
+        return self._terms.get((tuple(u), tuple(v)), Fraction(0))
 
     def pairs(self):
         def key(pair):
             u, v = pair
             return (word_sort_key(u), word_sort_key(v))
 
-        for u, v in sorted(self._pairs, key=key):
-            yield (u, v), self._pairs[(u, v)]
-
-    def __len__(self):
-        return len(self._pairs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoproductTerms)
-            and self.dim == other.dim
-            and self._pairs == other._pairs
-        )
+        for u, v in sorted(self._terms, key=key):
+            yield (u, v), self._terms[(u, v)]
 
     def pair_with(self, a: TensorElem, b: TensorElem) -> Fraction:
         """<a (x) b, self>, the scalar dual to shuffling a with b."""
         total = Fraction(0)
-        for (u, v), c in self._pairs.items():
+        for (u, v), c in self._terms.items():
             ca = a._terms.get(u)
             if ca is None:
                 continue
@@ -608,7 +605,7 @@ def unshuffle(x: TensorElem) -> CoproductTerms:
     for w, c in x._terms.items():
         for pair, k in unshuffle_word(w).items():
             _bump(acc, pair, c * k)
-    return CoproductTerms(x.dim, acc)
+    return CoproductTerms._raw(x.dim, acc)
 
 
 def is_grouplike(g: TensorElem, level: int) -> bool:
@@ -624,36 +621,37 @@ def is_grouplike(g: TensorElem, level: int) -> bool:
     return True
 
 
+def _series(x, one, product, level, log=False):
+    """Truncated exp(x), or log(one + x) if `log`, for a product with unit `one`.
+
+    Adds x^n/n!, or (-1)^(n-1) x^n/n, for n = 1..level to one (to zero for
+    log), stopping at the first power that product(_, _, level) truncates
+    to zero.  Backs exp_conc, log_conc, exp_box and log_box.
+    """
+    result = one * 0 if log else one
+    power = one
+    for n in range(1, level + 1):
+        power = product(power, x, level)
+        if power.is_zero():
+            break
+        weight = Fraction((-1) ** (n - 1), n) if log else Fraction(1, factorial(n))
+        result = result + power * weight
+    return result
+
+
 def exp_conc(x: TensorElem, level: int = 5) -> TensorElem:
     """Concatenation exponential, truncated at `level`."""
     if x.empty_coeff():
         raise EmptyWordOperand("exp needs a vanishing empty-word coefficient")
-    x = x.truncate(level)
-    result = unit(x.dim)
-    power = unit(x.dim)
-    factorial = 1
-    for n in range(1, level + 1):
-        power = concat(power, x, level)
-        if power.is_zero():
-            break
-        factorial *= n
-        result = result + power * Fraction(1, factorial)
-    return result
+    return _series(x.truncate(level), unit(x.dim), concat, level)
 
 
 def log_conc(g: TensorElem, level: int = 5) -> TensorElem:
     """Concatenation logarithm, truncated at `level`."""
     if g.empty_coeff() != 1:
         raise ValueError("log needs empty-word coefficient exactly 1")
-    y = (g - unit(g.dim)).truncate(level)
-    result = zero(g.dim)
-    power = unit(g.dim)
-    for n in range(1, level + 1):
-        power = concat(power, y, level)
-        if power.is_zero():
-            break
-        result = result + power * Fraction((-1) ** (n - 1), n)
-    return result
+    one = unit(g.dim)
+    return _series((g - one).truncate(level), one, concat, level, log=True)
 
 
 def is_lie_element(x: TensorElem, level=None) -> bool:

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from areasig import (
+    CoproductTerms,
+    DoubleTensor,
     EmptyWordOperand,
+    TensorElem,
+    TermBudgetExceeded,
     area,
     box_bracket,
     box_mul,
@@ -33,6 +37,7 @@ from areasig import (
     word_elem,
     zero,
 )
+from areasig import guard
 from areasig.double_tensor import d_hat, d_hat_inv, r_hat, unit_double, zero_double
 from areasig.discrete import TimeSeries
 from areasig.tensor import words_of_length
@@ -290,6 +295,56 @@ def test_values_refuse_attribute_assignment():
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
     assert hash(pair) == before and pair.level == 3
+
+
+def _one_of_each_kind():
+    word = word_elem("12", 2)
+    return word, tensor_pair(word, word), unshuffle(word)
+
+
+def test_values_of_different_kinds_do_not_add():
+    values = _one_of_each_kind()
+    for a in values:
+        for b in values:
+            if a is b:
+                continue
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+
+
+def test_values_of_different_kinds_are_unequal():
+    values = _one_of_each_kind()
+    for a in values:
+        for b in values:
+            assert (a == b) is (a is b)
+    # both kinds key their terms by word pairs, so only the kind tells them apart
+    pair = {((1,), (2,)): 1}
+    assert DoubleTensor(2, pair) != CoproductTerms(2, pair)
+
+
+FOUR_WORDS = [(1,), (2,), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TensorElem(2, {w: 1 for w in FOUR_WORDS}),
+        lambda: DoubleTensor(2, {(w, w): 1 for w in FOUR_WORDS}),
+        lambda: CoproductTerms(2, {(w, ()): 1 for w in FOUR_WORDS}),
+    ],
+    ids=["TensorElem", "DoubleTensor", "CoproductTerms"],
+)
+def test_each_kind_obeys_the_term_budget(build):
+    assert len(build()) == 4
+    previous = guard.get_term_budget()
+    guard.set_term_budget(3)
+    try:
+        with pytest.raises(TermBudgetExceeded):
+            build()
+    finally:
+        guard.set_term_budget(previous)
 
 
 def test_removed_method_aliases_are_rejected():

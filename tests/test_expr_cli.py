@@ -154,6 +154,31 @@ def test_cli_verify_rejects_sizes_below_one(capsys, option):
     assert "argument %s: must be an integer >= 1, got '0'" % option in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", "w(1)", "--d", "0"], "--d"),
+        (["tables", "--d", "0"], "--d"),
+        (["tables", "--level", "0"], "--level"),
+        (["rho-table", "--d", "0"], "--d"),
+        (["rho-table", "--level", "0"], "--level"),
+        (["signature", "--csv", "path.csv", "--level", "0"], "--level"),
+        (["span-check", "areas", "--d", "0"], "--d"),
+        (["span-check", "leftbracket", "--d", "0", "--level", "3"], "--d"),
+        (["span-check", "special", "--d", "0", "--level", "4"], "--d"),
+        (["span-check", "special", "--d", "2", "--level", "-1"], "--level"),
+    ],
+)
+def test_cli_sizes_below_one_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    value = argv[argv.index(option) + 1]
+    assert "argument %s: must be an integer >= 1, got %r" % (option, value) in (
+        capsys.readouterr().err
+    )
+
+
 def test_cli_span_check():
     code, out = run_cli("span-check", "areas", "--d", "2", "--level", "3")
     assert code == 0

@@ -279,6 +279,20 @@ def test_leftbracket_span_check():
     assert report_d3.rank <= report_d3.target
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: areas_generate_check(0, 3),
+        lambda: leftbracket_span_check(0, 3),
+        lambda: special_tree_reduction(4, 0),
+    ],
+    ids=["areas", "leftbracket", "special"],
+)
+def test_span_checks_reject_empty_alphabet(check):
+    with pytest.raises(ValueError, match="alphabet size d must be >= 1, got 0"):
+        check()
+
+
 def test_span_report_json():
     report = areas_generate_check(2, 2)
     data = report.to_json_obj()

@@ -25,8 +25,6 @@ from areasig import (
     pairing,
     pi1,
     pi1_transpose,
-    proj,
-    proj_at_least,
     rho,
     shuffle,
     unit,
@@ -364,7 +362,7 @@ def test_exp_log_examples():
     assert log_conc(e, 2) == one
     x = w("12", 2) - w("21", 2)
     sq = concat(x, x)
-    assert proj(exp_conc(x, 4), 4) == sq * F(1, 2)
+    assert exp_conc(x, 4).proj(4) == sq * F(1, 2)
 
 
 def test_exp_log_round_trips():
@@ -383,10 +381,10 @@ def test_exp_preconditions():
 
 def test_proj():
     e = unit(2) + letter_elem(1, 2) + w("11", 2) * F(1, 2)
-    assert proj(e, 2) == w("11", 2) * F(1, 2)
-    assert proj(e, 2) + proj(e, 1) + proj(e, 0) == e
-    assert proj_at_least(e, 1) == e - unit(2)
-    assert proj(w("12", 2) - w("21", 2), 1).is_zero()
+    assert e.proj(2) == w("11", 2) * F(1, 2)
+    assert e.proj(2) + e.proj(1) + e.proj(0) == e
+    assert e.proj_at_least(1) == e - unit(2)
+    assert (w("12", 2) - w("21", 2)).proj(1).is_zero()
 
 
 # -- inverse of the dynkin map ----------------------------------------------------------------
