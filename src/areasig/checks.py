@@ -21,7 +21,6 @@ from .discrete import (
     signature_pwl,
 )
 from .double_tensor import (
-    d_hat,
     exp_box,
     lambda_element,
     pre_lie,
@@ -158,15 +157,15 @@ def r_recursion_agrees(r, level) -> bool:
 
 def quadratic_fixed_point(r, level) -> bool:
     """D^(R) - R = R pre-Lie R."""
-    return d_hat(r) - r == pre_lie(r, r, level)
+    return grading_d(r) - r == pre_lie(r, r, level)
 
 
 def symmetrized_fixed_point(r, level) -> bool:
-    return d_hat(r) - r == pre_lie_sym(r, r, level) * Fraction(1, 2)
+    return grading_d(r) - r == pre_lie_sym(r, r, level) * Fraction(1, 2)
 
 
 def r_tree_expansion(r, top) -> bool:
-    return all(r_via_trees(r.dim, n) == r.proj_right(n) for n in range(1, top + 1))
+    return all(r_via_trees(r.dim, n) == r.proj(n) for n in range(1, top + 1))
 
 
 # -- the logarithm element and the coordinates of the first kind -----------------
@@ -178,13 +177,13 @@ def lambda_recursion_agrees(lam, level) -> bool:
 
 def lambda_tree_expansion(lam, top) -> bool:
     return all(
-        lambda_via_trees(lam.dim, n) == lam.proj_right(n) for n in range(1, top + 1)
+        lambda_via_trees(lam.dim, n) == lam.proj(n) for n in range(1, top + 1)
     )
 
 
 def coordinate_element(basis, level):
     """Sum over Hall words h of zeta_h (x) P_h."""
-    combined = zero_double(basis.dim, level)
+    combined = zero_double(basis.dim)
     for h in basis.all_hall_words():
         combined = combined + tensor_pair(basis.zeta(h), basis.bracketing(h), level)
     return combined

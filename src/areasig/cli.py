@@ -62,7 +62,7 @@ def cmd_rho_table(args):
     basis = hall_set(args.d, args.level, kind)
     rows = []
     for h in basis.all_hall_words():
-        value = rho_hall(basis, h, "recursion")
+        value = rho_hall(basis, h)
         rows.append(("".join(map(str, h.word)), value))
     if args.format == "json":
         print(

@@ -157,11 +157,9 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     return sig
 
 
-def signature_pairing(phi: TensorElem, x: TimeSeries, level=None):
-    """<phi, signature of x>, at the level needed by phi unless given."""
-    if level is None:
-        level = max(phi.degree(), 1)
-    return pairing(phi, signature_pwl(x, level))
+def signature_pairing(phi: TensorElem, x: TimeSeries):
+    """<phi, signature of x>, at the level needed by phi."""
+    return pairing(phi, signature_pwl(x, max(phi.degree(), 1)))
 
 
 def _parse_token(token: str):

@@ -1,8 +1,9 @@
 """Combinations of word-pairs: shuffle on the left, concatenation on the right.
 
-The grading of a pair (p, q) is the length of the right word q, and only the
-right side is ever truncated.  Left factors grow without bound during
-products, exactly as the product rules require.
+The grading of a pair (p, q) is the length of the right word q, so proj,
+truncate, grading_d and grading_d_inv of the tensor module act on the right
+side only.  Products truncate at their `level` argument alone; left factors
+grow without bound, exactly as the product rules require.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .tensor import (
     EMPTY_WORD,
     TensorElem,
     _bump,
+    _linear,
     _series,
     _Terms,
     format_word,
@@ -24,39 +26,14 @@ from .tensor import (
 )
 
 
-def _min_level(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class DoubleTensor(_Terms):
-    """Finite map (left word, right word) -> Fraction with a truncation level.
+    """Finite map (left word, right word) -> Fraction, graded by the right word."""
 
-    level is the right-word length this element is trusted to; None means
-    untruncated.  Stored right words never exceed the level, and a sum is
-    trusted to the smaller level of its operands.
-    """
+    __slots__ = ()
 
-    __slots__ = ("level",)
-
-    def __init__(self, dim: int, terms=None, level=None):
-        object.__setattr__(self, "level", level)
-        if level is not None and terms:
-            terms = {k: c for k, c in terms.items() if len(k[1]) <= level}
-        super().__init__(dim, terms)
-
-    @classmethod
-    def _raw(cls, dim, clean_terms, level=None):
-        self = super()._raw(dim, clean_terms)
-        object.__setattr__(self, "level", level)
-        return self
-
-    def _like(self, clean_terms, other=None):
-        level = self.level if other is None else _min_level(self.level, other.level)
-        return DoubleTensor._raw(self.dim, clean_terms, level)
+    @staticmethod
+    def _grade(key):
+        return len(key[1])
 
     def coeff(self, left, right) -> Fraction:
         return self._terms.get((tuple(left), tuple(right)), Fraction(0))
@@ -70,24 +47,13 @@ class DoubleTensor(_Terms):
         for left, right in sorted(self._terms, key=key):
             yield left, right, self._terms[(left, right)]
 
-    def proj_right(self, n: int):
-        """Terms whose right word has length exactly n."""
-        return self._select(lambda k: len(k[1]) == n)
-
-    def truncate(self, level: int):
-        terms = {k: c for k, c in self._terms.items() if len(k[1]) <= level}
-        return DoubleTensor._raw(self.dim, terms, _min_level(self.level, level))
-
-    def right_degree_zero(self):
-        return self._select(lambda k: not k[1])
-
     def __repr__(self):
         inner = " + ".join(
             "%s*(%s)x(%s)"
             % (c, format_word(l, self.dim), format_word(r, self.dim))
             for l, r, c in self.terms()
         )
-        return "<DoubleTensor d=%d level=%s %s>" % (self.dim, self.level, inner or "0")
+        return "<DoubleTensor d=%d %s>" % (self.dim, inner or "0")
 
     def to_json_obj(self):
         return [
@@ -101,12 +67,12 @@ class DoubleTensor(_Terms):
         ]
 
 
-def zero_double(dim: int, level=None) -> DoubleTensor:
-    return DoubleTensor._raw(dim, {}, level)
+def zero_double(dim: int) -> DoubleTensor:
+    return DoubleTensor(dim, {})
 
 
-def unit_double(dim: int, level=None) -> DoubleTensor:
-    return DoubleTensor(dim, {(EMPTY_WORD, EMPTY_WORD): 1}, level)
+def unit_double(dim: int) -> DoubleTensor:
+    return DoubleTensor(dim, {(EMPTY_WORD, EMPTY_WORD): 1})
 
 
 def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor:
@@ -118,7 +84,7 @@ def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor
             if level is not None and len(r) > level:
                 continue
             terms[(l, r)] = cl * cr
-    return DoubleTensor._raw(left.dim, terms, level)
+    return DoubleTensor._raw(left.dim, terms)
 
 
 # -- products ---------------------------------------------------------------
@@ -126,18 +92,17 @@ def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor
 
 def _combine(a, b, left_op, right_op, level=None):
     a._same_alphabet(b)
-    out_level = _min_level(level, _min_level(a.level, b.level))
     acc: dict = {}
     for (pa, qa), ca in a._terms.items():
         for (pb, qb), cb in b._terms.items():
-            if out_level is not None and len(qa) + len(qb) > out_level:
+            if level is not None and len(qa) + len(qb) > level:
                 continue
             c = ca * cb
             rights = right_op(qa, qb)
             for left_word, lk in left_op(pa, pb).items():
                 for right_word, rk in rights.items():
                     _bump(acc, (left_word, right_word), c * lk * rk)
-    return DoubleTensor._raw(a.dim, acc, out_level)
+    return DoubleTensor._raw(a.dim, acc)
 
 
 def _concat_words(u, v):
@@ -209,29 +174,13 @@ def nested_box_bracket(items) -> DoubleTensor:
 # -- right-side operators ----------------------------------------------------
 
 
-def d_hat(a: DoubleTensor) -> DoubleTensor:
-    return DoubleTensor._raw(
-        a.dim,
-        {k: c * len(k[1]) for k, c in a._terms.items() if k[1]},
-        a.level,
-    )
-
-
-def d_hat_inv(a: DoubleTensor) -> DoubleTensor:
-    if any(not right for (_left, right) in a._terms):
-        raise EmptyWordOperand("right grading inverse needs right words of length >= 1")
-    return DoubleTensor._raw(
-        a.dim, {k: c / len(k[1]) for k, c in a._terms.items()}, a.level
-    )
-
-
 def r_hat(a: DoubleTensor) -> DoubleTensor:
     """Apply the right-bracketing operator to every right word."""
-    acc: dict = {}
-    for (left, right), c in a._terms.items():
-        for t, k in r_word(right).items():
-            _bump(acc, (left, t), c * k)
-    return DoubleTensor._raw(a.dim, acc, a.level)
+    return _linear(
+        a,
+        lambda key: {(key[0], t): k for t, k in r_word(key[1]).items()},
+        DoubleTensor,
+    )
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -268,7 +217,7 @@ def s_element(d: int, level: int) -> DoubleTensor:
     for n in range(level + 1):
         for w in words_of_length(d, n):
             terms[(w, w)] = Fraction(1)
-    return DoubleTensor(d, terms, level)
+    return DoubleTensor(d, terms)
 
 
 def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
@@ -281,38 +230,36 @@ def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
             for w in words_of_length(d, n):
                 for t, k in r_word(w).items():
                     _bump(acc, (w, t), Fraction(k))
-        return DoubleTensor._raw(d, acc, level)
+        return DoubleTensor._raw(d, acc)
     if method == "recursion":
         parts = [r_level_one(d)]
         for n in range(2, level + 1):
-            total = zero_double(d, level)
+            total = zero_double(d)
             for split in range(1, n):
                 total = total + pre_lie_sym(parts[split - 1], parts[n - split - 1])
             parts.append(total * Fraction(1, 2 * (n - 1)))
-        return sum(parts, zero_double(d, level))
+        return sum(parts, zero_double(d))
     raise ValueError("unknown r_element method %r" % method)
 
 
 def r_level_one(d: int) -> DoubleTensor:
-    return DoubleTensor(
-        d, {((i,), (i,)): 1 for i in range(1, d + 1)}, level=None
-    )
+    return DoubleTensor(d, {((i,), (i,)): 1 for i in range(1, d + 1)})
 
 
 def exp_box(x: DoubleTensor, level: int) -> DoubleTensor:
     """Exponential for box_mul, truncated by the right-word grading."""
-    if not x.right_degree_zero().is_zero():
+    if not x.proj(0).is_zero():
         raise EmptyWordOperand("exp needs vanishing right-degree-zero part")
-    return _series(x.truncate(level), unit_double(x.dim, level), box_mul, level)
+    return _series(x.truncate(level), unit_double(x.dim), box_mul, level)
 
 
 def log_box(g: DoubleTensor, level: int) -> DoubleTensor:
     """Logarithm for box_mul; needs right-degree-zero part exactly e (x) e."""
-    one = unit_double(g.dim, g.level)
-    if g.right_degree_zero() != one:
+    one = unit_double(g.dim)
+    if g.proj(0) != one:
         raise ValueError("log needs right-degree-zero part equal to e(x)e")
     y = (g - one).truncate(level)
-    return _series(y, unit_double(g.dim, level), box_mul, level, log=True)
+    return _series(y, one, box_mul, level, log=True)
 
 
 def _compositions(total, parts):
@@ -336,7 +283,7 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
         parts = [r_level_one(d)]
         r_full = r_element(d, level)
         for n in range(2, level + 1):
-            total = r_full.proj_right(n) * Fraction(1, n)
+            total = r_full.proj(n) * Fraction(1, n)
             for i in range(2, n + 1):
                 weight = Fraction(1)
                 for j in range(2, i + 1):
@@ -351,5 +298,5 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
                         Fraction(comp[-1], n) * weight
                     )
             parts.append(total)
-        return sum(parts, zero_double(d, level))
+        return sum(parts, zero_double(d))
     raise ValueError("unknown lambda_element method %r" % method)

@@ -62,14 +62,26 @@ def word_sort_key(w: Word):
     return (len(w), w)
 
 
+def _word(word, dim) -> Word:
+    """`word` as a tuple, checked to use only the letters 1..dim."""
+    word = tuple(word)
+    if any(not 1 <= letter <= dim for letter in word):
+        raise ValueError(
+            "word %s uses letters outside 1..%d" % (format_word(word), dim)
+        )
+    return word
+
+
 class _Terms:
     """Immutable finite map key -> nonzero Fraction over the alphabet 1..dim.
 
     The one coefficient store behind TensorElem, DoubleTensor and
     CoproductTerms: construction and the term budget, immutability, the
-    linear structure, equality and the alphabet check live here.  Keys are
-    pairs of words unless a subclass overrides _key.  Values of different
-    kinds never combine: + and - raise TypeError and == is False.
+    linear structure, equality, the alphabet check and the grading live
+    here.  Keys are pairs of words unless a subclass overrides _key, and
+    _grade maps a key to its degree: the total length of a pair unless a
+    subclass says otherwise.  Values of different kinds never combine:
+    + and - raise TypeError and == is False.
     """
 
     __slots__ = ("dim", "_terms")
@@ -88,7 +100,11 @@ class _Terms:
     @staticmethod
     def _key(key, dim):
         left, right = key
-        return (tuple(left), tuple(right))
+        return (_word(left, dim), _word(right, dim))
+
+    @staticmethod
+    def _grade(key):
+        return len(key[0]) + len(key[1])
 
     def _store(self, dim, clean_terms):
         check_term_budget(len(clean_terms))
@@ -102,13 +118,13 @@ class _Terms:
         self._store(dim, clean_terms)
         return self
 
-    def _like(self, clean_terms, other=None):
-        """This kind over this alphabet holding `clean_terms`; `other` is
-        the second operand of a binary operation, if any."""
+    def _like(self, clean_terms):
+        """This kind over this alphabet holding `clean_terms`."""
         return self._raw(self.dim, clean_terms)
 
     def _select(self, keep):
-        return self._like({k: c for k, c in self._terms.items() if keep(k)})
+        grade = self._grade
+        return self._like({k: c for k, c in self._terms.items() if keep(grade(k))})
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -134,7 +150,7 @@ class _Terms:
         out = dict(self._terms)
         for key, c in other._terms.items():
             _bump(out, key, -c if negate else c)
-        return self._like(out, other)
+        return self._like(out)
 
     def __add__(self, other):
         return self._plus(other, False)
@@ -166,6 +182,19 @@ class _Terms:
     def __hash__(self):
         return hash((self.dim, frozenset(self._terms.items())))
 
+    # -- grading ---------------------------------------------------------
+
+    def proj(self, n: int):
+        """Terms of degree exactly n."""
+        return self._select(lambda g: g == n)
+
+    def proj_at_least(self, n: int):
+        return self._select(lambda g: g >= n)
+
+    def truncate(self, level: int):
+        """Drop terms of degree above `level`."""
+        return self._select(lambda g: g <= level)
+
 
 class TensorElem(_Terms):
     """Finite map word -> Fraction over a fixed alphabet size.
@@ -176,14 +205,8 @@ class TensorElem(_Terms):
 
     __slots__ = ()
 
-    @staticmethod
-    def _key(word, dim):
-        word = tuple(word)
-        if any(not 1 <= letter <= dim for letter in word):
-            raise ValueError(
-                "word %s uses letters outside 1..%d" % (format_word(word), dim)
-            )
-        return word
+    _key = staticmethod(_word)
+    _grade = staticmethod(len)
 
     # -- inspection ------------------------------------------------------
 
@@ -207,19 +230,6 @@ class TensorElem(_Terms):
 
     def empty_coeff(self) -> Fraction:
         return self._terms.get(EMPTY_WORD, Fraction(0))
-
-    # -- grading ---------------------------------------------------------
-
-    def proj(self, n: int):
-        """Terms of length exactly n."""
-        return self._select(lambda w: len(w) == n)
-
-    def proj_at_least(self, n: int):
-        return self._select(lambda w: len(w) >= n)
-
-    def truncate(self, level: int):
-        """Drop terms with word length above `level`."""
-        return self._select(lambda w: len(w) <= level)
 
     # -- presentation ----------------------------------------------------
 
@@ -468,12 +478,13 @@ def _bilinear(x: TensorElem, y: TensorElem, word_op) -> TensorElem:
     return TensorElem._raw(x.dim, acc)
 
 
-def _linear(x: TensorElem, word_op) -> TensorElem:
+def _linear(x, word_op, kind=TensorElem):
+    """The linear map sending each key u of x to word_op(u), as a `kind`."""
     acc: dict = {}
     for u, cu in x._terms.items():
         for w, k in word_op(u).items():
             _bump(acc, w, cu * k)
-    return TensorElem._raw(x.dim, acc)
+    return kind._raw(x.dim, acc)
 
 
 def _reject_empty(x: TensorElem, role: str):
@@ -539,18 +550,20 @@ def rho(x: TensorElem) -> TensorElem:
     return _linear(x, rho_word)
 
 
-def grading_d(x: TensorElem) -> TensorElem:
-    return TensorElem._raw(
-        x.dim, {w: c * len(w) for w, c in x._terms.items() if w}
-    )
+def grading_d(x):
+    """Each term times its degree: the word length of a TensorElem, the
+    right-word length of a DoubleTensor."""
+    grade = x._grade
+    return x._like({k: c * grade(k) for k, c in x._terms.items() if grade(k)})
 
 
-def grading_d_inv(x: TensorElem) -> TensorElem:
-    if x.empty_coeff():
-        raise EmptyWordOperand("grading inverse is undefined on the empty word")
-    return TensorElem._raw(
-        x.dim, {w: c / len(w) for w, c in x._terms.items()}
-    )
+def grading_d_inv(x):
+    """Divide each term by its degree; undefined on terms of degree zero."""
+    grade = x._grade
+    try:
+        return x._like({k: c / grade(k) for k, c in x._terms.items()})
+    except ZeroDivisionError:
+        raise EmptyWordOperand("grading inverse is undefined in degree zero") from None
 
 
 def antipode(x: TensorElem) -> TensorElem:
@@ -601,11 +614,7 @@ class CoproductTerms(_Terms):
 
 def unshuffle(x: TensorElem) -> CoproductTerms:
     """Coproduct dual to the shuffle product."""
-    acc: dict = {}
-    for w, c in x._terms.items():
-        for pair, k in unshuffle_word(w).items():
-            _bump(acc, pair, c * k)
-    return CoproductTerms._raw(x.dim, acc)
+    return _linear(x, unshuffle_word, CoproductTerms)
 
 
 def is_grouplike(g: TensorElem, level: int) -> bool:
@@ -654,12 +663,10 @@ def log_conc(g: TensorElem, level: int = 5) -> TensorElem:
     return _series((g - one).truncate(level), one, concat, level, log=True)
 
 
-def is_lie_element(x: TensorElem, level=None) -> bool:
-    """Dynkin criterion: no empty word and r(x) = D(x) (up to `level`)."""
+def is_lie_element(x: TensorElem) -> bool:
+    """Dynkin criterion: no empty word and r(x) = D(x)."""
     if x.empty_coeff():
         return False
-    if level is not None:
-        x = x.truncate(level)
     return dynkin_r(x) == grading_d(x)
 
 

@@ -280,7 +280,7 @@ def parse_tree(text: str):
 
 def r_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the right-bracketing element as a sum over area trees."""
-    total = zero_double(d, n)
+    total = zero_double(d)
     for tree in enumerate_trees(d, n):
         weight = Fraction(1, coeff_c(tree))
         total = total + tensor_pair(area_eval(tree, d), lie_eval(tree, d)) * weight
@@ -289,7 +289,7 @@ def r_via_trees(d: int, n: int) -> DoubleTensor:
 
 def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the logarithm element as a sum over mixed trees."""
-    total = zero_double(d, n)
+    total = zero_double(d)
     for tree in enumerate_mixed(d, n):
         weight = coeff_e(tree)
         if weight:

@@ -176,9 +176,9 @@ def test_criterion_06_lambda_cross_validation():
     ok = checks.lambda_recursion_agrees(lam, 4) and checks.lambda_tree_expansion(lam, 4)
     one, two = letter_elem(1, 2), letter_elem(2, 2)
     ar, br = area(one, two), lie_bracket(one, two)
-    if lam.proj_right(1) != tensor_pair(one, one) + tensor_pair(two, two):
+    if lam.proj(1) != tensor_pair(one, one) + tensor_pair(two, two):
         ok = False
-    if lam.proj_right(2) != tensor_pair(ar, br) * F(1, 2):
+    if lam.proj(2) != tensor_pair(ar, br) * F(1, 2):
         ok = False
     level3 = (
         tensor_pair(area(one, ar), lie_bracket(one, br)) * F(1, 6)
@@ -186,16 +186,16 @@ def test_criterion_06_lambda_cross_validation():
         - tensor_pair(shuffle(one, ar), lie_bracket(one, br)) * F(1, 12)
         - tensor_pair(shuffle(two, ar), lie_bracket(two, br)) * F(1, 12)
     )
-    if lam.proj_right(3) != level3:
+    if lam.proj(3) != level3:
         ok = False
-    level4 = zero_double(2, 4)
+    level4 = zero_double(2)
     for i, iel in ((1, one), (2, two)):
         for j, jel in ((1, one), (2, two)):
             inner = area(jel, ar)
             right = lie_bracket(iel, lie_bracket(jel, br))
             level4 = level4 + tensor_pair(area(iel, inner), right) * F(1, 24)
             level4 = level4 - tensor_pair(shuffle(iel, inner), right) * F(1, 24)
-    if lam.proj_right(4) != level4:
+    if lam.proj(4) != level4:
         ok = False
     report(6, "logarithm element: series, recursion, trees and shown values", ok)
 

@@ -19,6 +19,8 @@ from areasig import (
     dendriform,
     eval_at,
     exp_box,
+    grading_d,
+    grading_d_inv,
     hall_set,
     lambda_element,
     letter_elem,
@@ -38,7 +40,7 @@ from areasig import (
     zero,
 )
 from areasig import guard
-from areasig.double_tensor import d_hat, d_hat_inv, r_hat, unit_double, zero_double
+from areasig.double_tensor import r_hat, unit_double, zero_double
 from areasig.discrete import TimeSeries
 from areasig.tensor import words_of_length
 
@@ -60,6 +62,13 @@ def test_box_mul_examples():
     )
     assert box_mul(unit_double(2), product) == product
     assert box_mul(a, a) == tensor_pair(word_elem("11", 2) * 2, word_elem("11", 2))
+
+
+def test_products_truncate_only_at_their_level_argument():
+    # a value carries no truncation level of its own
+    a = tensor_pair(letter_elem(1, 2), letter_elem(1, 2), level=1)
+    assert box_mul(a, a) == tensor_pair(word_elem("11", 2) * 2, word_elem("11", 2))
+    assert box_mul(a, a, 1).is_zero()
 
 
 def test_dendriform_halves():
@@ -107,7 +116,7 @@ def test_s_element():
     s = s_element(2, 1)
     assert s == unit_double(2) + pair_of_letters(1, 1) + pair_of_letters(2, 2)
     s3 = s_element(2, 3)
-    assert len(s3.proj_right(3)) == 8
+    assert len(s3.proj(3)) == 8
     x = word_elem("12", 2) - word_elem("21", 2)
     assert eval_at(x, s_element(2, 2)) == x
 
@@ -117,9 +126,9 @@ def test_r_element_values():
     assert r1 == pair_of_letters(1, 1) + pair_of_letters(2, 2)
     r = r_element(2, 3)
     x = word_elem("12", 2) - word_elem("21", 2)
-    assert r.proj_right(2) == tensor_pair(x, x)
+    assert r.proj(2) == tensor_pair(x, x)
     # doubled level three part equals the symmetrized product of lower parts
-    assert r.proj_right(3) * 2 == pre_lie_sym(r.proj_right(1), r.proj_right(2))
+    assert r.proj(3) * 2 == pre_lie_sym(r.proj(1), r.proj(2))
 
 
 def test_r_element_methods_agree():
@@ -155,13 +164,13 @@ def test_fixed_point_identities():
 
 def test_s_as_iterated_application():
     r = r_element(2, 5)
-    acc = unit_double(2, 5)
-    z = unit_double(2, 5)
+    acc = unit_double(2)
+    z = unit_double(2)
     while True:
         z = box_mul(r, z, 5)
         if z.is_zero():
             break
-        z = d_hat_inv(z)
+        z = grading_d_inv(z)
         acc = acc + z
     assert acc == s_element(2, 5)
 
@@ -214,15 +223,15 @@ def test_lambda_example_values():
     lam = lambda_element(2, 4)
     one, two = letter_elem(1, 2), letter_elem(2, 2)
     ar, br = area(one, two), lie_bracket(one, two)
-    assert lam.proj_right(1) == r_element(2, 1)
-    assert lam.proj_right(2) == tensor_pair(ar, br) * F(1, 2)
+    assert lam.proj(1) == r_element(2, 1)
+    assert lam.proj(2) == tensor_pair(ar, br) * F(1, 2)
     level3 = (
         tensor_pair(area(one, ar), lie_bracket(one, br)) * F(1, 6)
         + tensor_pair(area(two, ar), lie_bracket(two, br)) * F(1, 6)
         - tensor_pair(shuffle(one, ar), lie_bracket(one, br)) * F(1, 12)
         - tensor_pair(shuffle(two, ar), lie_bracket(two, br)) * F(1, 12)
     )
-    assert lam.proj_right(3) == level3
+    assert lam.proj(3) == level3
 
 
 def test_lambda_hall_decomposition():
@@ -239,8 +248,8 @@ def test_lambda_hall_decomposition():
 def test_r_from_lambda_series():
     lam = lambda_element(2, 5)
     r = r_element(2, 5)
-    term = d_hat(lam)
-    total = zero_double(2, 5)
+    term = grading_d(lam)
+    total = zero_double(2)
     for n in range(1, 6):
         total = total + term * F(1, math.factorial(n))
         term = box_bracket(lam, term, 5)
@@ -294,7 +303,17 @@ def test_values_refuse_attribute_assignment():
         for name in ("dim", "level", "_terms", "_pairs"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
-    assert hash(pair) == before and pair.level == 3
+    assert hash(pair) == before
+    assert pair == tensor_pair(word_elem("12", 2), word_elem("21", 2))
+
+
+@pytest.mark.parametrize("kind", [DoubleTensor, CoproductTerms])
+@pytest.mark.parametrize(
+    "key, bad", [(((5,), (1,)), "5"), (((1,), (2, 7)), "27")], ids=["left", "right"]
+)
+def test_pair_keys_use_only_alphabet_letters(kind, key, bad):
+    with pytest.raises(ValueError, match="word %s uses letters outside 1..2" % bad):
+        kind(2, {key: 1})
 
 
 def _one_of_each_kind():

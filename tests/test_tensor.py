@@ -25,13 +25,16 @@ from areasig import (
     pairing,
     pi1,
     pi1_transpose,
+    r_element,
     rho,
+    s_element,
     shuffle,
     unit,
     unshuffle,
     word_elem,
     zero,
 )
+from areasig.double_tensor import unit_double
 from areasig.tensor import words_of_length
 
 from conftest import random_elem, right_bracketing_oracle, shuffle_oracle
@@ -250,6 +253,12 @@ def test_grading_d():
     assert grading_d(e) == letter_elem(1, 2) + w("12", 2) * 2
     with pytest.raises(EmptyWordOperand):
         grading_d_inv(unit(2))
+    # a DoubleTensor is graded by the length of its right word
+    r = r_element(2, 4)
+    assert grading_d_inv(grading_d(r)) == r
+    with pytest.raises(EmptyWordOperand):
+        grading_d_inv(unit_double(2))
+    assert len(s_element(2, 3).truncate(1)) == 3
 
 
 def test_antipode():
