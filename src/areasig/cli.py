@@ -19,6 +19,9 @@ from .span import areas_generate_check, leftbracket_span_check, special_tree_red
 from .trees import format_tree, parse_tree, rho_hall
 
 
+_BASIS_KINDS = {"lyndon": "lyndon", "hall": "standard_hall"}
+
+
 def _print_table_text(rows):
     for row in rows:
         print(
@@ -37,8 +40,7 @@ def cmd_eval(args):
 
 
 def cmd_tables(args):
-    kind = "lyndon" if args.basis == "lyndon" else "standard_hall"
-    basis = hall_set(args.d, args.level, kind)
+    basis = hall_set(args.d, args.level, _BASIS_KINDS[args.basis])
     rows = list(basis.table_rows())
     if args.format == "json":
         payload = [
@@ -58,8 +60,7 @@ def cmd_tables(args):
 
 
 def cmd_rho_table(args):
-    kind = "lyndon" if args.basis == "lyndon" else "standard_hall"
-    basis = hall_set(args.d, args.level, kind)
+    basis = hall_set(args.d, args.level, _BASIS_KINDS[args.basis])
     rows = []
     for h in basis.all_hall_words():
         value = rho_hall(basis, h)
@@ -166,14 +167,14 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tables", help="emit hall-basis tables (P, S, zeta)")
-    p.add_argument("--basis", choices=["lyndon", "hall"], default="lyndon")
+    p.add_argument("--basis", choices=list(_BASIS_KINDS), default="lyndon")
     p.add_argument("--d", type=_positive, default=2)
     p.add_argument("--level", type=_positive, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("rho-table", help="emit rho of the dual basis elements")
-    p.add_argument("--basis", choices=["lyndon", "hall"], default="lyndon")
+    p.add_argument("--basis", choices=list(_BASIS_KINDS), default="lyndon")
     p.add_argument("--d", type=_positive, default=2)
     p.add_argument("--level", type=_positive, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -4,6 +4,10 @@ The grading of a pair (p, q) is the length of the right word q, so proj,
 truncate, grading_d and grading_d_inv of the tensor module act on the right
 side only.  Products truncate at their `level` argument alone; left factors
 grow without bound, exactly as the product rules require.
+
+This module holds word-pair rules and builders only: each product hands a
+rule on left words and a rule on right words to the tensor module's
+bilinear lift, and eval_at / coeval_at are its contraction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from .errors import EmptyWordOperand
 from .tensor import (
     EMPTY_WORD,
     TensorElem,
+    _bilinear,
     _bump,
+    _contract,
     _linear,
     _series,
     _Terms,
@@ -35,25 +41,11 @@ class DoubleTensor(_Terms):
     def _grade(key):
         return len(key[1])
 
-    def coeff(self, left, right) -> Fraction:
-        return self._terms.get((tuple(left), tuple(right)), Fraction(0))
-
-    def terms(self):
-        """(left, right, coefficient) in (right length, right, left) order."""
-        def key(pair):
-            left, right = pair
-            return (len(right), right, left)
-
-        for left, right in sorted(self._terms, key=key):
-            yield left, right, self._terms[(left, right)]
-
-    def __repr__(self):
-        inner = " + ".join(
-            "%s*(%s)x(%s)"
-            % (c, format_word(l, self.dim), format_word(r, self.dim))
-            for l, r, c in self.terms()
-        )
-        return "<DoubleTensor d=%d %s>" % (self.dim, inner or "0")
+    @staticmethod
+    def _order(key):
+        """terms() runs in (right length, right word, left word) order."""
+        left, right = key
+        return (len(right), right, left)
 
     def to_json_obj(self):
         return [
@@ -63,7 +55,7 @@ class DoubleTensor(_Terms):
                 "num": str(c.numerator),
                 "den": str(c.denominator),
             }
-            for l, r, c in self.terms()
+            for (l, r), c in self.terms()
         ]
 
 
@@ -77,32 +69,27 @@ def unit_double(dim: int) -> DoubleTensor:
 
 def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor:
     """Outer product of a left-side and a right-side element."""
-    left._same_alphabet(right)
-    terms = {}
-    for l, cl in left.terms():
-        for r, cr in right.terms():
-            if level is not None and len(r) > level:
-                continue
-            terms[(l, r)] = cl * cr
-    return DoubleTensor._raw(left.dim, terms)
+    if level is not None:
+        right = right.truncate(level)
+    return _bilinear(left, right, lambda u, v: {(u, v): 1}, kind=DoubleTensor)
 
 
 # -- products ---------------------------------------------------------------
 
 
 def _combine(a, b, left_op, right_op, level=None):
-    a._same_alphabet(b)
-    acc: dict = {}
-    for (pa, qa), ca in a._terms.items():
-        for (pb, qb), cb in b._terms.items():
-            if level is not None and len(qa) + len(qb) > level:
-                continue
-            c = ca * cb
-            rights = right_op(qa, qb)
-            for left_word, lk in left_op(pa, pb).items():
-                for right_word, rk in rights.items():
-                    _bump(acc, (left_word, right_word), c * lk * rk)
-    return DoubleTensor._raw(a.dim, acc)
+    """The product of a and b that applies left_op to their left words and
+    right_op to their right words, dropping right degrees above `level`."""
+
+    def pair_op(p, q):
+        rights = right_op(p[1], q[1])
+        return {
+            (left_word, right_word): lk * rk
+            for left_word, lk in left_op(p[0], q[0]).items()
+            for right_word, rk in rights.items()
+        }
+
+    return _bilinear(a, b, pair_op, level)
 
 
 def _concat_words(u, v):
@@ -122,7 +109,7 @@ def box_mul(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
 
 
 def _check_left_nonempty(x: DoubleTensor, role):
-    if any(not left for (left, _right) in x._terms):
+    if any(not left for (left, _right), _c in x.terms()):
         raise EmptyWordOperand("%s must have empty-word-free left factors" % role)
 
 
@@ -176,11 +163,7 @@ def nested_box_bracket(items) -> DoubleTensor:
 
 def r_hat(a: DoubleTensor) -> DoubleTensor:
     """Apply the right-bracketing operator to every right word."""
-    return _linear(
-        a,
-        lambda key: {(key[0], t): k for t, k in r_word(key[1]).items()},
-        DoubleTensor,
-    )
+    return _linear(a, lambda key: {(key[0], t): k for t, k in r_word(key[1]).items()})
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -188,24 +171,12 @@ def r_hat(a: DoubleTensor) -> DoubleTensor:
 
 def eval_at(x: TensorElem, f: DoubleTensor) -> TensorElem:
     """Pair the left factors against x, leaving a right-side element."""
-    f._same_alphabet(x)
-    acc: dict = {}
-    for (left, right), c in f._terms.items():
-        cx = x.coeff(left)
-        if cx:
-            _bump(acc, right, c * cx)
-    return TensorElem(f.dim, acc)
+    return _contract(f, x, 0)
 
 
 def coeval_at(y: TensorElem, f: DoubleTensor) -> TensorElem:
     """Pair the right factors against y, leaving a left-side element."""
-    f._same_alphabet(y)
-    acc: dict = {}
-    for (left, right), c in f._terms.items():
-        cy = y.coeff(right)
-        if cy:
-            _bump(acc, left, c * cy)
-    return TensorElem(f.dim, acc)
+    return _contract(f, y, 1)
 
 
 # -- canonical elements --------------------------------------------------------
@@ -225,12 +196,7 @@ def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
     if level < 1:
         raise ValueError("level must be >= 1")
     if method == "direct":
-        acc: dict = {}
-        for n in range(1, level + 1):
-            for w in words_of_length(d, n):
-                for t, k in r_word(w).items():
-                    _bump(acc, (w, t), Fraction(k))
-        return DoubleTensor._raw(d, acc)
+        return r_hat(s_element(d, level))
     if method == "recursion":
         parts = [r_level_one(d)]
         for n in range(2, level + 1):

@@ -27,6 +27,7 @@ import math
 from .memo import memo_per_owner
 from .tensor import (
     TensorElem,
+    _word,
     concat,
     format_word,
     letter_elem,
@@ -235,18 +236,14 @@ class HallBasis:
         """Dual element for an arbitrary word of the full product basis.
 
         The empty word gives the unit, dual to the empty product.  Raises
-        ValueError for a word longer than max_level or with a letter
-        outside 1..dim.
+        ValueError for a word with a letter outside 1..dim or longer than
+        max_level.
         """
-        word = tuple(word)
+        word = _word(word, self.dim)
         if len(word) > self.max_level:
             raise ValueError(
                 "word %s is longer than max_level %d"
                 % (format_word(word, self.dim), self.max_level)
-            )
-        if any(not 1 <= letter <= self.dim for letter in word):
-            raise ValueError(
-                "word %s uses letters outside 1..%d" % (format_word(word, self.dim), self.dim)
             )
         return self._dual(word)
 

@@ -8,7 +8,7 @@ every level is exactly the condition for shuffle generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 import json
@@ -255,14 +255,7 @@ class SpanReport:
     full_rank: bool
 
     def to_json_obj(self):
-        return {
-            "d": self.d,
-            "n": self.n,
-            "generators": self.generators,
-            "rank": self.rank,
-            "target": self.target,
-            "full_rank": self.full_rank,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_json_obj())

@@ -3,9 +3,11 @@
 _Terms is the one coefficient store of the package: TensorElem (finite
 combinations of words, for the tensor algebra and its level-truncated
 completion), CoproductTerms here and double_tensor.DoubleTensor are its
-subclasses.  Coefficients are fractions.Fraction throughout; floats are
-rejected so that every identity in this package can be checked with exact
-equality.
+subclasses.  Only this module reads a value's coefficient map: other
+modules go through coeff, terms() and the lifts below (one bilinear, one
+linear, one contraction).  Coefficients are fractions.Fraction
+throughout; floats are rejected so that every identity in this package
+can be checked with exact equality.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -66,8 +68,10 @@ def _word(word, dim) -> Word:
     """`word` as a tuple, checked to use only the letters 1..dim."""
     word = tuple(word)
     if any(not 1 <= letter <= dim for letter in word):
+        # Brackets as soon as a letter has two digits: (1, 12) is not 112.
         raise ValueError(
-            "word %s uses letters outside 1..%d" % (format_word(word), dim)
+            "word %s uses letters outside 1..%d"
+            % (format_word(word, max((dim,) + word)), dim)
         )
     return word
 
@@ -77,11 +81,13 @@ class _Terms:
 
     The one coefficient store behind TensorElem, DoubleTensor and
     CoproductTerms: construction and the term budget, immutability, the
-    linear structure, equality, the alphabet check and the grading live
-    here.  Keys are pairs of words unless a subclass overrides _key, and
-    _grade maps a key to its degree: the total length of a pair unless a
-    subclass says otherwise.  Values of different kinds never combine:
-    + and - raise TypeError and == is False.
+    linear structure, equality, the alphabet check, the grading, lookup
+    and ordered iteration live here.  Keys are pairs of words unless a
+    subclass overrides _key; _grade maps a key to its degree (the total
+    length of a pair unless a subclass says otherwise) and _order to its
+    place in terms() (left word, then right word, each by length and then
+    lexicographically).  Values of different kinds never combine: + and -
+    raise TypeError and == is False.
     """
 
     __slots__ = ("dim", "_terms")
@@ -105,6 +111,10 @@ class _Terms:
     @staticmethod
     def _grade(key):
         return len(key[0]) + len(key[1])
+
+    @staticmethod
+    def _order(key):
+        return (word_sort_key(key[0]), word_sort_key(key[1]))
 
     def _store(self, dim, clean_terms):
         check_term_budget(len(clean_terms))
@@ -140,6 +150,22 @@ class _Terms:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def coeff(self, left, right) -> Fraction:
+        return self._terms.get((tuple(left), tuple(right)), Fraction(0))
+
+    def terms(self):
+        """Yield (key, coefficient) pairs in canonical order."""
+        terms = self._terms
+        for key in sorted(terms, key=self._order):
+            yield key, terms[key]
+
+    def __repr__(self):
+        inner = " + ".join(
+            "%s*(%s)x(%s)" % (c, format_word(l, self.dim), format_word(r, self.dim))
+            for (l, r), c in self.terms()
+        )
+        return "<%s d=%d %s>" % (type(self).__name__, self.dim, inner or "0")
 
     # -- linear structure ------------------------------------------------
 
@@ -207,16 +233,12 @@ class TensorElem(_Terms):
 
     _key = staticmethod(_word)
     _grade = staticmethod(len)
+    _order = staticmethod(word_sort_key)
 
     # -- inspection ------------------------------------------------------
 
     def coeff(self, word) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
-
-    def terms(self):
-        """Yield (word, coefficient) pairs in canonical order."""
-        for word in sorted(self._terms, key=word_sort_key):
-            yield word, self._terms[word]
 
     def words(self):
         return sorted(self._terms, key=word_sort_key)
@@ -467,24 +489,47 @@ def unshuffle_word(w: Word) -> dict:
 # -- bilinear and linear lifts --------------------------------------------
 
 
-def _bilinear(x: TensorElem, y: TensorElem, word_op) -> TensorElem:
+def _bilinear(x, y, key_op, level=None, kind=None):
+    """The bilinear map sending each key pair (u, v) to key_op(u, v), as a
+    `kind` (x's own unless given).  Pairs whose grades add up to more than
+    `level` are skipped.  Backs shuffle, half_shuffle, tensor_pair and the
+    double-tensor products.
+    """
     x._same_alphabet(y)
+    grade = x._grade
     acc: dict = {}
     for u, cu in x._terms.items():
         for v, cv in y._terms.items():
+            if level is not None and grade(u) + grade(v) > level:
+                continue
             c = cu * cv
-            for w, k in word_op(u, v).items():
-                _bump(acc, w, c * k)
-    return TensorElem._raw(x.dim, acc)
+            for w, k in key_op(u, v).items():
+                # most multiplicities are 1; skip the Fraction product then
+                _bump(acc, w, c if k == 1 else c * k)
+    return (kind or type(x))._raw(x.dim, acc)
 
 
-def _linear(x, word_op, kind=TensorElem):
-    """The linear map sending each key u of x to word_op(u), as a `kind`."""
+def _linear(x, key_op, kind=None):
+    """The linear map sending each key u of x to key_op(u), as a `kind`
+    (x's own unless given)."""
     acc: dict = {}
     for u, cu in x._terms.items():
-        for w, k in word_op(u).items():
+        for w, k in key_op(u).items():
             _bump(acc, w, cu * k)
-    return kind._raw(x.dim, acc)
+    return (kind or type(x))._raw(x.dim, acc)
+
+
+def _contract(f, x, side):
+    """Pair side `side` (0 left, 1 right) of f's pair keys against the
+    TensorElem x, leaving a TensorElem in the other side's words."""
+    f._same_alphabet(x)
+    against = x._terms
+    acc: dict = {}
+    for key, c in f._terms.items():
+        cx = against.get(key[side])
+        if cx is not None:
+            _bump(acc, key[1 - side], c * cx)
+    return TensorElem._raw(f.dim, acc)
 
 
 def _reject_empty(x: TensorElem, role: str):
@@ -587,29 +632,9 @@ class CoproductTerms(_Terms):
 
     __slots__ = ()
 
-    def coeff(self, u, v) -> Fraction:
-        return self._terms.get((tuple(u), tuple(v)), Fraction(0))
-
-    def pairs(self):
-        def key(pair):
-            u, v = pair
-            return (word_sort_key(u), word_sort_key(v))
-
-        for u, v in sorted(self._terms, key=key):
-            yield (u, v), self._terms[(u, v)]
-
     def pair_with(self, a: TensorElem, b: TensorElem) -> Fraction:
         """<a (x) b, self>, the scalar dual to shuffling a with b."""
-        total = Fraction(0)
-        for (u, v), c in self._terms.items():
-            ca = a._terms.get(u)
-            if ca is None:
-                continue
-            cb = b._terms.get(v)
-            if cb is None:
-                continue
-            total += c * ca * cb
-        return total
+        return pairing(a, _contract(self, b, 1))
 
 
 def unshuffle(x: TensorElem) -> CoproductTerms:

@@ -179,6 +179,21 @@ def test_r_hat_of_s_is_r():
     assert r_hat(s_element(2, 4)) == r_element(2, 4)
 
 
+def test_r_element_terms_run_by_right_length_right_word_then_left_word():
+    assert list(r_element(2, 2).terms()) == [
+        (((1,), (1,)), 1),
+        (((2,), (2,)), 1),
+        (((1, 2), (1, 2)), 1),
+        (((2, 1), (1, 2)), -1),
+        (((1, 2), (2, 1)), -1),
+        (((2, 1), (2, 1)), 1),
+    ]
+    assert repr(r_element(2, 2)) == (
+        "<DoubleTensor d=2 1*(1)x(1) + 1*(2)x(2) + 1*(12)x(12)"
+        " + -1*(21)x(12) + -1*(12)x(21) + 1*(21)x(21)>"
+    )
+
+
 def test_exp_box_example():
     x = pair_of_letters(1, 1)
     got = exp_box(x, 2)

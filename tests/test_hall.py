@@ -173,6 +173,7 @@ def test_dual_pbw_for_word_empty_is_unit():
         ((1, 2, 3), "letters outside 1..2"),
         ((0, 1), "letters outside 1..2"),
         ((1, 2, 1, 2), "longer than max_level 3"),
+        ((12,), r"^word \[12\] uses letters outside 1\.\.2$"),
     ],
 )
 def test_dual_pbw_for_word_rejects_bad_words(word, message):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import areasig
 from areasig import (
     AlphabetMismatch,
     EmptyWordOperand,
@@ -297,6 +299,27 @@ def test_unshuffle_dual_to_shuffle():
         assert unshuffle(c).pair_with(a, b) == pairing(shuffle(a, b), c)
 
 
+def test_pair_with_rejects_a_different_alphabet():
+    split = unshuffle(w("12", 2))
+    with pytest.raises(AlphabetMismatch):
+        split.pair_with(w("1", 3), w("2", 3))
+    with pytest.raises(AlphabetMismatch):
+        split.pair_with(w("1", 3), w("2", 2))
+
+
+def test_unshuffle_terms_order_and_repr():
+    split = unshuffle(w("12", 2))
+    assert [key for key, _ in split.terms()] == [
+        ((), (1, 2)),
+        ((1,), (2,)),
+        ((2,), (1,)),
+        ((1, 2), ()),
+    ]
+    assert repr(split) == (
+        "<CoproductTerms d=2 1*(e)x(12) + 1*(1)x(2) + 1*(2)x(1) + 1*(12)x(e)>"
+    )
+
+
 def test_antipode_dynkin_identity_on_grouplike():
     # r(g) = concat of (D x antipode) applied to the unshuffle of g
     from areasig import signature_pwl, TimeSeries
@@ -304,7 +327,7 @@ def test_antipode_dynkin_identity_on_grouplike():
     g = signature_pwl(TimeSeries([(0, 0), (2, 1), (1, 3)]), 4)
     split = unshuffle(g)
     total = zero(2)
-    for (u, v), c in split.pairs():
+    for (u, v), c in split.terms():
         if len(u) + len(v) > 4:
             continue
         total = total + concat(
@@ -426,3 +449,28 @@ def test_invert_r_rejects_non_lie():
     assert not is_lie_element(w("12", 2))
     with pytest.raises(ValueError):
         invert_r(w("12", 2), 3)
+
+
+# -- the term map -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "word, shown",
+    [((1, 12), "[1,12]"), ((12,), "[12]"), ((5,), "5"), ((0, 1), "01")],
+)
+def test_bad_letter_message_names_the_word_unambiguously(word, shown):
+    with pytest.raises(ValueError) as caught:
+        TensorElem(3, {word: 1})
+    assert str(caught.value) == "word %s uses letters outside 1..3" % shown
+
+
+def test_only_the_tensor_module_reads_coefficient_maps():
+    package = Path(areasig.__file__).parent
+    readers = [
+        "%s:%d" % (path.name, number)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "tensor.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "._terms" in line or "._raw(" in line
+    ]
+    assert readers == []
