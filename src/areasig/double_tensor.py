@@ -20,6 +20,7 @@ from .tensor import (
     TensorElem,
     _bilinear,
     _bump,
+    _concat_words,
     _contract,
     _linear,
     _series,
@@ -90,10 +91,6 @@ def _combine(a, b, left_op, right_op, level=None):
         }
 
     return _bilinear(a, b, pair_op, level)
-
-
-def _concat_words(u, v):
-    return {u + v: 1}
 
 
 def _bracket_words(u, v):

@@ -33,20 +33,30 @@ from .tensor import (
     word_elem,
 )
 
+
+def _fold(op, args):
+    out = args[0]
+    for nxt in args[1:]:
+        out = op(out, nxt)
+    return out
+
+
+# name: (min arity, max arity or None for unbounded, operation on the list
+# of evaluated arguments).  Each operation looks its function up in this
+# module's globals when it runs, not when the table is built.
 FUNCTIONS = {
-    # name: (min arity, max arity or None for unbounded)
-    "sh": (2, None),
-    "hs": (2, 2),
-    "cc": (2, None),
-    "area": (2, 2),
-    "lie": (2, 2),
-    "r": (1, 1),
-    "rho": (1, 1),
-    "D": (1, 1),
-    "Dinv": (1, 1),
-    "pi1T": (1, 1),
-    "arealb": (1, 1),
-    "vol": (3, 3),
+    "sh": (2, None, lambda a: _fold(shuffle, a)),
+    "hs": (2, 2, lambda a: half_shuffle(*a)),
+    "cc": (2, None, lambda a: _fold(concat, a)),
+    "area": (2, 2, lambda a: area(*a)),
+    "lie": (2, 2, lambda a: lie_bracket(*a)),
+    "r": (1, 1, lambda a: dynkin_r(*a)),
+    "rho": (1, 1, lambda a: rho(*a)),
+    "D": (1, 1, lambda a: grading_d(*a)),
+    "Dinv": (1, 1, lambda a: grading_d_inv(*a)),
+    "pi1T": (1, 1, lambda a: pi1_transpose(*a)),
+    "arealb": (1, 1, lambda a: arealb(*a)),
+    "vol": (3, 3, lambda a: vol(*a)),
 }
 
 
@@ -185,7 +195,7 @@ class _Parser:
                 self.pos += 1
                 args.append(self.parse_expr())
             self.expect(")")
-            low, high = FUNCTIONS[name]
+            low, high, _op = FUNCTIONS[name]
             if len(args) < low or (high is not None and len(args) > high):
                 self.pos = start
                 self.error(
@@ -231,13 +241,6 @@ def format_expression(node) -> str:
     raise ValueError("bad expression node %r" % (node,))
 
 
-def _fold(op, args):
-    out = args[0]
-    for nxt in args[1:]:
-        out = op(out, nxt)
-    return out
-
-
 def evaluate(node, dim: int) -> TensorElem:
     kind = node[0]
     if kind == "word":
@@ -250,33 +253,8 @@ def evaluate(node, dim: int) -> TensorElem:
             value = evaluate(term, dim) * sign
             total = value if total is None else total + value
         return total
-    if kind == "call":
-        name = node[1]
-        args = [evaluate(arg, dim) for arg in node[2]]
-        if name == "sh":
-            return _fold(shuffle, args)
-        if name == "cc":
-            return _fold(concat, args)
-        if name == "hs":
-            return half_shuffle(*args)
-        if name == "area":
-            return area(*args)
-        if name == "lie":
-            return lie_bracket(*args)
-        if name == "r":
-            return dynkin_r(args[0])
-        if name == "rho":
-            return rho(args[0])
-        if name == "D":
-            return grading_d(args[0])
-        if name == "Dinv":
-            return grading_d_inv(args[0])
-        if name == "pi1T":
-            return pi1_transpose(args[0])
-        if name == "arealb":
-            return arealb(args[0])
-        if name == "vol":
-            return vol(*args)
+    if kind == "call" and node[1] in FUNCTIONS:
+        return FUNCTIONS[node[1]][2]([evaluate(arg, dim) for arg in node[2]])
     raise ValueError("bad expression node %r" % (node,))
 
 

@@ -51,6 +51,8 @@ def area_span_basis(d: int, n: int):
 
 
 def area_span_dim(d: int, n: int) -> int:
+    if n < 1:
+        raise ValueError("need n >= 1")
     if n == 1:
         return d
     return d ** (n - 2) * d * (d - 1) // 2
@@ -330,21 +332,21 @@ def words_as_rho_shuffles(w):
     sum of coefficient * rho(w1) sh ... sh rho(wn).
     """
     w = tuple(w)
-    n = len(w)
-    if n < 1:
+    if not w:
         raise EmptyWordOperand("need a nonempty word")
-    expansion = []
-    for cut_mask in range(1 << (n - 1)):
-        cuts = [i + 1 for i in range(n - 1) if cut_mask >> i & 1]
-        bounds = [0] + cuts + [n]
-        blocks = tuple(w[a:b] for a, b in zip(bounds, bounds[1:]))
-        k = 1
-        suffix = 0
-        for block in reversed(blocks):
-            suffix += len(block)
-            k *= suffix
-        expansion.append((blocks, Fraction(1, k)))
-    return expansion
+    return list(_rho_shuffle_terms(w).items())
+
+
+@memo
+def _rho_shuffle_terms(w):
+    """blocks -> coefficient for the nonempty word w, unrolling
+    w = (1/|w|) sum over w = u v with u nonempty of rho(u) sh v."""
+    n = len(w)
+    out = {(w,): Fraction(1, n)}
+    for cut in range(1, n):
+        for blocks, c in _rho_shuffle_terms(w[cut:]).items():
+            out[(w[:cut],) + blocks] = c / n
+    return out
 
 
 def eval_rho_shuffle_expansion(w, dim: int) -> TensorElem:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import factorial
 
 from .errors import AlphabetMismatch, EmptyWordOperand
@@ -426,64 +426,71 @@ def rho_word_via_d(w: Word) -> dict:
     return out
 
 
+def _concat_words(u: Word, v: Word) -> dict:
+    return {u + v: 1}
+
+
+def _deconcat_word(w: Word) -> dict:
+    """Every splitting w = u v, empty factors included, as (u, v) -> 1."""
+    return {(w[:cut], w[cut:]): 1 for cut in range(len(w) + 1)}
+
+
 @memo
-def pi1_transpose_word(w: Word) -> dict:
-    """Alternating sum of shuffles over concatenation factorizations of w."""
-    n = len(w)
+def unshuffle_word(w: Word) -> dict:
+    """All splittings of w's positions into two complementary subsequences,
+    by the last letter a: unshuffle(w a) = unshuffle(w) (a (x) e + e (x) a)."""
+    if not w:
+        return {(EMPTY_WORD, EMPTY_WORD): 1}
+    a = w[-1:]
     out: dict = {}
-    if n:
-        for cut_mask in range(1 << (n - 1)):
-            cuts = [i + 1 for i in range(n - 1) if cut_mask >> i & 1]
-            bounds = [0] + cuts + [n]
-            blocks = [w[a:b] for a, b in zip(bounds, bounds[1:])]
-            k = len(blocks)
-            weight = Fraction((-1) ** (k - 1), k)
-            shuffled = {blocks[0]: 1}
-            for block in blocks[1:]:
-                nxt: dict = {}
-                for t, c in shuffled.items():
-                    for s, m in shuffle_words(t, block).items():
-                        _bump(nxt, s, c * m)
-                shuffled = nxt
-            for t, c in shuffled.items():
-                _bump(out, t, weight * c)
+    for (u, v), c in unshuffle_word(w[:-1]).items():
+        _bump(out, (u + a, v), c)
+        _bump(out, (u, v + a), c)
+    return out
+
+
+@memo
+def _convolution_power(w: Word, k: int, coproduct, product) -> dict:
+    """(id - unit counit)^{*k} at the nonempty word w, for the convolution
+    of `coproduct` and `product`: w itself at k = 1, else the sum over the
+    coproduct terms (u, v) of w with u and v nonempty of u times the
+    (k-1)-st power at v."""
+    if k == 1:
+        return {w: 1}
+    out: dict = {}
+    for (u, v), m in coproduct(w).items():
+        if not (u and v) or len(v) < k - 1:
+            continue
+        for t, c in _convolution_power(v, k - 1, coproduct, product).items():
+            for s, n in product(u, t).items():
+                _bump(out, s, m * c * n)
+    return out
+
+
+def _log_id(w: Word, coproduct, product) -> dict:
+    """log(id) at w in the convolution algebra of `coproduct` and `product`:
+    the sum over k of (-1)^(k-1)/k times the k-th convolution power."""
+    out: dict = {}
+    for k in range(1, len(w) + 1):
+        weight = Fraction((-1) ** (k - 1), k)
+        for t, c in _convolution_power(w, k, coproduct, product).items():
+            _bump(out, t, weight * c)
     return out
 
 
 @memo
 def pi1_word(u: Word) -> dict:
-    """Alternating-sum projection whose restriction to grouplikes is log.
+    """Eulerian idempotent: log(id) for unshuffle and concatenation.
 
-    The n-th summand collects, with weight (-1)^(n+1)/n, every way of
-    scattering the letters of u onto n nonempty subsequences, concatenated.
+    Its restriction to grouplike elements is the concatenation logarithm.
     """
-    n = len(u)
-    out: dict = {}
-    for k in range(1, n + 1):
-        weight = Fraction((-1) ** (k - 1), k)
-        for assignment in product(range(k), repeat=n):
-            if len(set(assignment)) != k:
-                continue
-            parts = [[] for _ in range(k)]
-            for pos, bin_idx in enumerate(assignment):
-                parts[bin_idx].append(u[pos])
-            word = tuple(letter for part in parts for letter in part)
-            _bump(out, word, weight)
-    return out
+    return _log_id(u, unshuffle_word, _concat_words)
 
 
-def unshuffle_word(w: Word) -> dict:
-    """All splittings of w's positions into two complementary subsequences."""
-    n = len(w)
-    out: dict = {}
-    positions = range(n)
-    for k in range(n + 1):
-        for chosen in combinations(positions, k):
-            chosen_set = set(chosen)
-            left = tuple(w[i] for i in chosen)
-            right = tuple(w[i] for i in positions if i not in chosen_set)
-            _bump(out, (left, right), 1)
-    return out
+@memo
+def pi1_transpose_word(w: Word) -> dict:
+    """Transpose of pi1: log(id) for deconcatenation and shuffle."""
+    return _log_id(w, _deconcat_word, shuffle_words)
 
 
 # -- bilinear and linear lifts --------------------------------------------

@@ -148,23 +148,14 @@ def mixed_eval(tree, dim: int) -> TensorElem:
 
 # -- coefficients --------------------------------------------------------------
 
-@memo
 def coeff_c(tree) -> int:
-    """Symmetric label-independent weight: doubled product over inner nodes."""
-    if is_leaf(tree):
-        return 1
-    _, left, right = tree
-    return (
-        2
-        * coeff_c(left)
-        * coeff_c(right)
-        * (leaf_count(left) + leaf_count(right) - 1)
-    )
+    """Symmetric label-independent weight: coeff_b doubled at every inner node."""
+    return coeff_b(tree) * 2 ** (leaf_count(tree) - 1)
 
 
 @memo
 def coeff_b(tree) -> int:
-    """Like coeff_c but without the factor 2 per node."""
+    """Product over inner nodes of (leaves below the node - 1)."""
     if is_leaf(tree):
         return 1
     _, left, right = tree

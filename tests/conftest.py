@@ -1,13 +1,16 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the library code paths
-they check: shuffles by brute-force position enumeration, brackets by a
-tiny standalone expansion on dicts, ranks, span membership and inverses
+they check: shuffles by brute-force position enumeration, unshuffles by
+choosing position subsets, the Eulerian idempotent pi1 by scattering
+positions onto blocks and its transpose by cutting into blocks, brackets
+by a tiny standalone expansion on dicts, ranks, span membership and inverses
 by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
 decreasing Hall products.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import random
@@ -26,6 +29,73 @@ def shuffle_oracle(u, v):
         word = tuple(next(ui) if i in chosen else next(vi) for i in range(n))
         out[word] = out.get(word, 0) + 1
     return out
+
+
+def unshuffle_oracle(w):
+    """Every split of w's positions into two complementary subsequences."""
+    w = tuple(w)
+    n = len(w)
+    out = {}
+    for k in range(n + 1):
+        for chosen in combinations(range(n), k):
+            left = tuple(w[i] for i in chosen)
+            right = tuple(w[i] for i in range(n) if i not in chosen)
+            out[(left, right)] = out.get((left, right), 0) + 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pi1_scatter(n):
+    """pi1 at n distinct letters 0..n-1: for each k, every surjective
+    scatter of the positions onto k blocks, read off block by block, with
+    weight (-1)^(k-1)/k."""
+    out = {}
+    for k in range(1, n + 1):
+        weight = Fraction((-1) ** (k - 1), k)
+        for assignment in product(range(k), repeat=n):
+            if len(set(assignment)) != k:
+                continue
+            blocks = [[] for _ in range(k)]
+            for pos, block in enumerate(assignment):
+                blocks[block].append(pos)
+            order = tuple(pos for block in blocks for pos in block)
+            out[order] = out.get(order, 0) + weight
+    return out
+
+
+def pi1_word_oracle(w):
+    """pi1(w) by brute force: the scatter of positions, read in w's letters."""
+    w = tuple(w)
+    out = {}
+    for order, c in _pi1_scatter(len(w)).items():
+        word = tuple(w[pos] for pos in order)
+        out[word] = out.get(word, 0) + c
+    return {word: c for word, c in out.items() if c}
+
+
+def pi1_transpose_oracle(w):
+    """pi1 transposed by brute force: for every cut of w into k blocks, the
+    shuffle of the blocks (by shuffle_oracle), weight (-1)^(k-1)/k."""
+    w = tuple(w)
+    n = len(w)
+    if not n:
+        return {}
+    out = {}
+    for cut_mask in range(1 << (n - 1)):
+        cuts = [i + 1 for i in range(n - 1) if cut_mask >> i & 1]
+        bounds = [0] + cuts + [n]
+        blocks = [w[a:b] for a, b in zip(bounds, bounds[1:])]
+        weight = Fraction((-1) ** (len(blocks) - 1), len(blocks))
+        shuffled = {blocks[0]: 1}
+        for block in blocks[1:]:
+            nxt = {}
+            for t, c in shuffled.items():
+                for s, m in shuffle_oracle(t, block).items():
+                    nxt[s] = nxt.get(s, 0) + c * m
+            shuffled = nxt
+        for t, c in shuffled.items():
+            out[t] = out.get(t, 0) + weight * c
+    return {word: c for word, c in out.items() if c}
 
 
 def bracket_oracle(x: dict, y: dict) -> dict:

@@ -80,6 +80,15 @@ def test_area_span_basis_independent():
         assert rank_oracle(vectors) == area_span_dim(d, n)
 
 
+@pytest.mark.parametrize(
+    "degree_fn", [area_span_basis, area_span_dim, lyndon_words, witt_dimension]
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_degree_functions_reject_degree_below_one(degree_fn, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        degree_fn(2, n)
+
+
 def test_leftbracket_reference_combination():
     lhs = concat(word_elem("12", 2), word_elem("12", 2) - word_elem("21", 2))
     rhs = arealb_word((1, 2, 1, 2), 2) * F(2, 6) - arealb_word((1, 2, 2, 1), 2) * F(1, 6)
@@ -307,6 +316,13 @@ def test_span_report_json():
 
 
 # -- factorization expansion -----------------------------------------------------------
+
+
+def test_words_as_rho_shuffles_hands_out_a_fresh_list():
+    first = words_as_rho_shuffles((1, 2, 1))
+    assert len(first) == 4
+    first.clear()
+    assert len(words_as_rho_shuffles((1, 2, 1))) == 4
 
 
 def test_words_as_rho_shuffles_coefficients():

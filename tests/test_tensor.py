@@ -37,9 +37,21 @@ from areasig import (
     zero,
 )
 from areasig.double_tensor import unit_double
-from areasig.tensor import words_of_length
+from areasig.tensor import (
+    pi1_transpose_word,
+    pi1_word,
+    unshuffle_word,
+    words_of_length,
+)
 
-from conftest import random_elem, right_bracketing_oracle, shuffle_oracle
+from conftest import (
+    pi1_transpose_oracle,
+    pi1_word_oracle,
+    random_elem,
+    right_bracketing_oracle,
+    shuffle_oracle,
+    unshuffle_oracle,
+)
 
 w = word_elem
 F = Fraction
@@ -337,6 +349,28 @@ def test_antipode_dynkin_identity_on_grouplike():
 
 
 # -- eulerian projections --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kernel, oracle, seeded_length",
+    [
+        (pi1_word, pi1_word_oracle, 6),
+        (pi1_transpose_word, pi1_transpose_oracle, 7),
+        (unshuffle_word, unshuffle_oracle, 7),
+    ],
+    ids=["pi1_word", "pi1_transpose_word", "unshuffle_word"],
+)
+def test_word_kernel_matches_its_oracle(kernel, oracle, seeded_length):
+    # every word of length <= 5 over two and three letters, then seeded longer ones
+    rng = random.Random(seeded_length)
+    words = [u for d in (2, 3) for n in range(6) for u in words_of_length(d, n)]
+    words += [
+        tuple(rng.randint(1, d) for _ in range(seeded_length))
+        for d in (2, 3)
+        for _ in range(3)
+    ]
+    for word in words:
+        assert kernel(word) == oracle(word), word
 
 
 def test_pi1_transpose_table_values():
