@@ -14,8 +14,10 @@ import csv
 import io
 import json
 from fractions import Fraction
+from math import factorial, lcm
 
-from .tensor import TensorElem, as_scalar, concat, exp_conc, pairing, unit
+from .guard import check_term_budget
+from .tensor import EMPTY_WORD, TensorElem, as_scalar, pairing
 from .trees import AREA, SHUFFLE, is_leaf
 
 EXACT = "exact_rational"
@@ -86,20 +88,31 @@ class TimeSeries:
         return ScalarSeries([p[i - 1] for p in self.points])
 
 
+def _numerators(values):
+    """(D, [v * D for v in values]): integer numerators over the lcm D of
+    the denominators of the Fractions `values`."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     """Antisymmetrized cross-correlation of two series.
 
     The orientation is fixed so that the final value equals the pairing of
     the signed-area element with the signature of the linear interpolation,
-    exactly; see signature_pwl.
+    exactly; see signature_pwl.  The sums run on integer numerators, with
+    one Fraction per breakpoint.
     """
     if len(a) != len(b):
         raise ValueError("series lengths differ")
-    out = [a.values[0] * 0]
-    acc = out[0]
-    for i in range(len(a) - 1):
-        acc = acc + a[i] * b[i + 1] - a[i + 1] * b[i]
-        out.append(acc)
+    den_a, p = _numerators(a.values)
+    den_b, q = _numerators(b.values)
+    den = den_a * den_b
+    out = [Fraction(0)]
+    acc = 0
+    for i in range(len(p) - 1):
+        acc += p[i] * q[i + 1] - p[i + 1] * q[i]
+        out.append(Fraction(acc, den))
     return ScalarSeries(out)
 
 
@@ -142,19 +155,52 @@ def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
 def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     """Truncated signature of the piecewise-linear path through the points.
 
-    Each segment contributes the exponential of its increment; segments
-    multiply by concatenation.  The result is grouplike up to the level.
+    Each segment multiplies the running signature S by the exponential of
+    its increment z.  Level n of the product is the sum over i of
+    S_i z^(n-i) / (n-i)!, computed by Horner's rule (as in Signatory and
+    iisignature): acc_0 = S_0, acc_j = acc_(j-1) z / (n-j+1) + S_j, and
+    the new S_n is acc_n.  Levels are updated from n = level down to 1, so
+    each reads the S_i of before the segment.  The result is grouplike up
+    to the level.
+
+    The arithmetic is on integers: with D the lcm of the denominators of
+    all increments and L = level, level n is held as a map word -> int
+    equal to its coefficient times L! D^n, and D z is an integer vector.
+    Every division is exact: a term of acc_j that comes from S_i and
+    segments taken k_1, ..., k_m times is an integer divided by
+    k_1! ... k_m! (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!,
+    hence L!.  The words of acc_j z are distinct (u a has one last
+    letter), so each is divided on its own.  Only letters with a nonzero
+    increment enter z, so an axis-aligned path stays sparse.  The
+    coefficients become Fractions once, at the end.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    sig = unit(x.dim)
-    for start, end in zip(x.points, x.points[1:]):
-        increment = TensorElem(
-            x.dim,
-            {(i + 1,): end[i] - start[i] for i in range(x.dim)},
-        )
-        sig = concat(sig, exp_conc(increment, level), level)
-    return sig
+    dim = x.dim
+    den, scaled = _numerators([
+        e - s for start, end in zip(x.points, x.points[1:]) for s, e in zip(start, end)
+    ])
+    scale = factorial(level)
+    levels = [{EMPTY_WORD: scale}] + [{} for _ in range(level)]
+    for at in range(0, len(scaled), dim):
+        step = [((i + 1,), k) for i, k in enumerate(scaled[at:at + dim]) if k]
+        if not step:
+            continue
+        for n in range(level, 0, -1):
+            acc = levels[0]
+            for j in range(1, n + 1):
+                check_term_budget(len(acc) * len(step))
+                div = n - j + 1
+                nxt = {u + a: c * k // div for u, c in acc.items() for a, k in step}
+                for w, c in levels[j].items():
+                    nxt[w] = nxt.get(w, 0) + c
+                acc = nxt
+            levels[n] = acc
+    return TensorElem(dim, {
+        w: Fraction(c, scale * den ** n)
+        for n, terms in enumerate(levels)
+        for w, c in terms.items()
+    })
 
 
 def signature_pairing(phi: TensorElem, x: TimeSeries):

@@ -302,8 +302,8 @@ def _mobius(n: int) -> int:
 
 def witt_dimension(d: int, n: int) -> int:
     """Dimension of the degree-n part of the free Lie algebra on d letters."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     total = 0
     for k in range(1, n + 1):
         if n % k == 0:

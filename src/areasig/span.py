@@ -36,8 +36,8 @@ from .trees import AREA, _labeled, area_eval
 
 def area_span_basis(d: int, n: int):
     """Canonical degree-n basis: letters at n=1, else w(ij-ji) with i < j."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     if n == 1:
         return [letter_elem(i, d) for i in range(1, d + 1)]
     out = []
@@ -51,8 +51,8 @@ def area_span_basis(d: int, n: int):
 
 
 def area_span_dim(d: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if d < 1 or n < 1:
+        raise ValueError("need d >= 1 and n >= 1")
     if n == 1:
         return d
     return d ** (n - 2) * d * (d - 1) // 2

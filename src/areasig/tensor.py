@@ -16,6 +16,7 @@ so elements can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -548,13 +549,23 @@ def _reject_empty(x: TensorElem, role: str):
 
 
 def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
-    """Concatenation product; levels above `level` are dropped if given."""
+    """Concatenation product; levels above `level` are dropped if given.
+
+    With a level, y's terms are sorted by word length once, and each u
+    runs over the prefix of length at most level - |u| only, rather than
+    testing every pair.
+    """
     x._same_alphabet(y)
+    if level is not None:
+        ordered = sorted(y._terms.items(), key=lambda term: len(term[0]))
+        lengths = [len(v) for v, _ in ordered]
     acc: dict = {}
     for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            if level is not None and len(u) + len(v) > level:
-                continue
+        if level is None:
+            terms = y._terms.items()
+        else:
+            terms = ordered[:bisect_right(lengths, level - len(u))]
+        for v, cv in terms:
             _bump(acc, u + v, cu * cv)
     return TensorElem._raw(x.dim, acc)
 

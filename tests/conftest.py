@@ -6,7 +6,8 @@ choosing position subsets, the Eulerian idempotent pi1 by scattering
 positions onto blocks and its transpose by cutting into blocks, brackets
 by a tiny standalone expansion on dicts, ranks, span membership and inverses
 by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
-decreasing Hall products.
+decreasing Hall products, path signatures by a chain of sparse Fraction
+concatenation products, discrete areas by a plain Fraction sum.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from itertools import combinations, product
 
 import random
 
-from areasig import TensorElem, concat, unit
+from areasig import ScalarSeries, TensorElem, concat, exp_conc, unit
 
 
 def shuffle_oracle(u, v):
@@ -230,3 +231,24 @@ def dual_pbw_oracle(basis, n):
         duals[sum((h.word for h in seq), ())] = TensorElem(basis.dim, terms)
     assert len(duals) == len(sequences)
     return duals
+
+
+def signature_oracle(x, level):
+    """Signature of the piecewise-linear path x: the exponentials of the
+    increments multiplied by truncated concatenation, in Fractions."""
+    sig = unit(x.dim)
+    for start, end in zip(x.points, x.points[1:]):
+        increment = TensorElem(
+            x.dim,
+            {(i + 1,): end[i] - start[i] for i in range(x.dim)},
+        )
+        sig = concat(sig, exp_conc(increment, level), level)
+    return sig
+
+
+def discrete_area_oracle(a, b):
+    """Antisymmetrized cross-correlation of two series, summed in Fractions."""
+    out = [Fraction(0)]
+    for i in range(len(a) - 1):
+        out.append(out[-1] + a[i] * b[i + 1] - a[i + 1] * b[i])
+    return ScalarSeries(out)

@@ -22,10 +22,12 @@ from areasig import (
     signature_pwl,
     word_elem,
 )
+from areasig import guard
 from areasig.discrete import EXACT, signature_pairing
+from areasig.errors import TermBudgetExceeded
 from areasig.tensor import concat, exp_conc, unit
 
-from conftest import solve_oracle
+from conftest import discrete_area_oracle, signature_oracle, solve_oracle
 
 F = Fraction
 
@@ -190,6 +192,71 @@ def test_signature_is_grouplike():
     for _ in range(4):
         ts = checks.random_path(rng, 3)
         assert is_grouplike(signature_pwl(ts, 4), 4)
+
+
+def _seeded_path(rng, d, segments, dens=(1, 2, 3, 5)):
+    pts = [(F(0),) * d]
+    for _ in range(segments):
+        pts.append(tuple(
+            c + F(rng.randint(-6, 6), rng.choice(dens)) for c in pts[-1]
+        ))
+    return TimeSeries(pts)
+
+
+def _assert_matches_oracles(ts, level):
+    sig = signature_pwl(ts, level)
+    assert sig == signature_oracle(ts, level)
+    assert all(type(c) is Fraction for _, c in sig.terms())
+    for i in range(1, ts.dim + 1):
+        for j in range(1, ts.dim + 1):
+            a, b = ts.coordinate(i), ts.coordinate(j)
+            got = discrete_area(a, b)
+            assert got == discrete_area_oracle(a, b)
+            assert all(type(v) is Fraction for v in got.values)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_integer_kernels_match_their_oracles(d):
+    rng = random.Random(90 + d)
+    for level in range(1, 7):
+        segments = rng.randint(2, 3) if d ** level <= 256 else 2
+        _assert_matches_oracles(_seeded_path(rng, d, segments), level)
+
+
+def test_integer_kernels_on_degenerate_paths():
+    # a repeated point is a zero segment; the origin alone has signature 1
+    repeated = TimeSeries([(0, 0), (1, F(1, 2)), (1, F(1, 2)), (F(-1, 3), 2)])
+    _assert_matches_oracles(repeated, 5)
+    origin = TimeSeries([(0, 0, 0)])
+    assert signature_pwl(origin, 4) == unit(3) == signature_oracle(origin, 4)
+    _assert_matches_oracles(origin, 4)
+
+
+def test_axis_aligned_path_stays_sparse():
+    ts = TimeSeries([(0,) * 5] + [(0, 0, F(t, 3), 0, 0) for t in (2, -1, 5, 4)])
+    sig = signature_pwl(ts, 6)
+    assert len(sig) == 7
+    assert sig == signature_oracle(ts, 6)
+
+
+def test_integer_kernels_with_large_prime_denominators():
+    rng = random.Random(97)
+    _assert_matches_oracles(_seeded_path(rng, 2, 4, dens=(7919, 7907, 1)), 5)
+    ts = TimeSeries([(0, 0), (F(1, 7919), 0), (F(1, 7919), F(-3, 7907))])
+    _assert_matches_oracles(ts, 4)
+
+
+def test_signature_obeys_the_term_budget():
+    ts = TimeSeries([(0, 0), (1, 2), (F(1, 2), 3)])
+    previous = guard.get_term_budget()
+    guard.set_term_budget(10)
+    try:
+        with pytest.raises(TermBudgetExceeded) as caught:
+            signature_pwl(ts, 5)
+    finally:
+        guard.set_term_budget(previous)
+    # stopped while building a level, before the 63-term result
+    assert caught.value.needed < 63
 
 
 def test_signature_pairing_mode():

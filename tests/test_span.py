@@ -89,6 +89,15 @@ def test_degree_functions_reject_degree_below_one(degree_fn, n):
         degree_fn(2, n)
 
 
+@pytest.mark.parametrize(
+    "degree_fn", [area_span_basis, area_span_dim, lyndon_words, witt_dimension]
+)
+@pytest.mark.parametrize("d", [0, -1])
+def test_degree_functions_reject_alphabet_below_one(degree_fn, d):
+    with pytest.raises(ValueError, match="d >= 1"):
+        degree_fn(d, 3)
+
+
 def test_leftbracket_reference_combination():
     lhs = concat(word_elem("12", 2), word_elem("12", 2) - word_elem("21", 2))
     rhs = arealb_word((1, 2, 1, 2), 2) * F(2, 6) - arealb_word((1, 2, 2, 1), 2) * F(1, 6)

@@ -121,6 +121,20 @@ def test_concat_distributes():
     assert concat(x, letter_elem(3, 3)) == w("123", 3) - w("213", 3)
 
 
+def test_truncated_concat_is_concat_then_truncate():
+    rng = random.Random(12)
+    for _ in range(20):
+        # mixed lengths 0..4, the empty word always present on one side
+        x = random_elem(rng, 3, 4, terms=6)
+        x = x - x.proj(0) + unit(3) * rng.randint(1, 3)
+        y = random_elem(rng, 3, 4, terms=6)
+        x, y = (x, y) if rng.random() < 0.5 else (y, x)
+        full = concat(x, y)
+        assert concat(x, y, None) == full
+        for level in range(7):
+            assert concat(x, y, level) == full.truncate(level)
+
+
 def test_shuffle_matches_bruteforce_oracle():
     rng = random.Random(11)
     for _ in range(30):
