@@ -32,6 +32,7 @@ from .tensor import (
     format_word,
     letter_elem,
     lie_bracket,
+    pairing,
     pi1_transpose,
     shuffle,
     words_of_length,
@@ -168,7 +169,7 @@ class HallBasis:
     def all_hall_words(self, max_level=None):
         top = self.max_level if max_level is None else max_level
         for n in range(1, top + 1):
-            yield from self.levels[n - 1]
+            yield from self.level(n)
 
     def find(self, word) -> HallWord | None:
         return self._by_word.get(tuple(word))
@@ -184,6 +185,25 @@ class HallBasis:
     @memo_per_owner
     def bracketing(self, h: HallWord) -> TensorElem:
         return hall_bracketing(h)
+
+    @memo_per_owner
+    def _bracket_terms(self, n: int) -> dict:
+        """Structure constants at level n: each Hall word h of level n maps
+        to the (h1, h2, c) with h1 < h2, |h1| + |h2| = n and
+        c = <S_h, [P_h1, P_h2]> nonzero, in level order of h1, then h2."""
+        level = self.level(n)
+        table = {h: [] for h in level}
+        for n1 in range(1, n):
+            for h1 in self.levels[n1 - 1]:
+                for h2 in self.levels[n - n1 - 1]:
+                    if not self.less(h1, h2):
+                        continue
+                    bracket = lie_bracket(self.bracketing(h1), self.bracketing(h2))
+                    for h in level:
+                        c = pairing(self.dual_pbw(h), bracket)
+                        if c:
+                            table[h].append((h1, h2, c))
+        return {h: tuple(terms) for h, terms in table.items()}
 
     def _decreasing_products(self, n: int):
         """All non-increasing Hall sequences of total length n."""

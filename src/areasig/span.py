@@ -270,9 +270,9 @@ def generation_rank(xs, n: int, basis: HallBasis | None = None) -> SpanReport:
     generate; inhomogeneous inputs are rejected.
     """
     xs = list(xs)
-    if not xs:
+    if not xs and basis is None:
         raise ValueError("need at least one element")
-    d = xs[0].dim
+    d = xs[0].dim if xs else basis.dim
     for x in xs:
         if not x.is_zero() and (x.degree() != n or x.min_degree() != n):
             raise ValueError("elements must be homogeneous of degree %d" % n)
@@ -300,6 +300,8 @@ def _check_alphabet(d: int):
 def areas_generate_check(d: int, n: int, basis: HallBasis | None = None) -> SpanReport:
     """Pairing rank of the degree-n part of the area span against the Lie level."""
     _check_alphabet(d)
+    if basis is None:
+        basis = hall_set(d, n)
     return generation_rank(area_span_basis(d, n), n, basis)
 
 

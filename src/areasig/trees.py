@@ -334,21 +334,11 @@ def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
     n = len(h)
     if n == 1:
         return letter_elem(h.word[0], basis.dim)
-    s_h = basis.dual_pbw(h)
     result = TensorElem(basis.dim, {})
-    for n1 in range(1, n):
-        for h1 in basis.level(n1):
-            for h2 in basis.level(n - n1):
-                if not basis.less(h1, h2):
-                    continue
-                factor = pairing(
-                    s_h, lie_bracket(basis.bracketing(h1), basis.bracketing(h2))
-                )
-                if factor:
-                    result = result + area(
-                        _rho_hall_recursive(basis, h1),
-                        _rho_hall_recursive(basis, h2),
-                    ) * (factor / (n - 1))
+    for h1, h2, c in basis._bracket_terms(n)[h]:
+        result = result + area(
+            _rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2)
+        ) * (c / (n - 1))
     return result
 
 
@@ -358,26 +348,13 @@ def _q_coefficient(basis: HallBasis, tree, h: HallWord) -> Fraction:
         return Fraction(int(h.word == (tree,)))
     result = Fraction(0)
     _, left, right = tree
-    n_left, n_right = leaf_count(left), leaf_count(right)
-    if len(h) == 1 or n_left + n_right != len(h):
+    n_left = leaf_count(left)
+    if len(h) != n_left + leaf_count(right):
         return result
-    s_h = basis.dual_pbw(h)
-    for h1 in basis.level(n_left):
-        q1 = _q_coefficient(basis, left, h1)
-        if not q1:
-            continue
-        for h2 in basis.level(n_right):
-            if not basis.less(h1, h2):
-                continue
-            q2 = _q_coefficient(basis, right, h2)
-            if not q2:
-                continue
-            factor = pairing(
-                s_h,
-                lie_bracket(basis.bracketing(h1), basis.bracketing(h2)),
-            )
-            if factor:
-                result += q1 * q2 * factor
+    for h1, h2, c in basis._bracket_terms(len(h))[h]:
+        if len(h1) == n_left:
+            q1 = _q_coefficient(basis, left, h1)
+            result += q1 * _q_coefficient(basis, right, h2) * c
     return result
 
 

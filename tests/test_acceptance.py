@@ -147,10 +147,14 @@ def test_criterion_04_rho_example_lists():
         if rho(bh.dual_pbw(h)) != el(2, terms):
             ok = False
     # the recursion through areas gives the same values, level six included
-    for word_txt, terms in {**RHO_D2_LYNDON, **RHO_D2_LYNDON_LEVEL6_EXTRA}.items():
-        h = b2.find(parse_word(word_txt))
-        if rho_hall(b2, h, "recursion") != el(2, terms):
-            ok = False
+    for b, table in (
+        (b2, {**RHO_D2_LYNDON, **RHO_D2_LYNDON_LEVEL6_EXTRA}),
+        (bh, {**RHO_D2_HALL, **RHO_D2_HALL_LEVEL6_EXTRA}),
+    ):
+        for word_txt, terms in table.items():
+            h = b.find(parse_word(word_txt))
+            if rho_hall(b, h, "recursion") != el(2, terms):
+                ok = False
     report(4, "rho example lists (both bases, incl. level-6 extras)", ok)
 
 

@@ -183,6 +183,12 @@ def test_cli_span_check():
     code, out = run_cli("span-check", "areas", "--d", "2", "--level", "3")
     assert code == 0
     assert json.loads(out)["full_rank"] is True
+    # one letter: no area and no Lie element above level 1
+    code, out = run_cli("span-check", "areas", "--d", "1", "--level", "3")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": 1, "n": 3, "generators": 0, "rank": 0, "target": 0, "full_rank": True
+    }
 
 
 def test_cli_discrete_area(tmp_path):

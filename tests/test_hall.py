@@ -7,6 +7,7 @@ import pytest
 from areasig import (
     hall_bracketing,
     hall_set,
+    lie_bracket,
     lyndon_words,
     pairing,
     pi1_transpose,
@@ -14,6 +15,7 @@ from areasig import (
     unit,
     witt_dimension,
     word_elem,
+    zero,
 )
 from areasig import linalg
 from areasig.tensor import parse_word
@@ -214,6 +216,38 @@ def test_hall_words_lookup():
     assert (1, 1, 2) in basis
     with pytest.raises(ValueError):
         basis.level(9)
+
+
+def test_all_hall_words_rejects_level_above_basis():
+    basis = hall_set(2, 4)
+    assert len(list(basis.all_hall_words(4))) == 8
+    with pytest.raises(ValueError, match="level 5 outside 1..4"):
+        list(basis.all_hall_words(5))
+
+
+@pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
+@pytest.mark.parametrize("d, top", [(2, 5), (3, 4)])
+def test_bracket_terms_expand_every_bracket(kind, d, top):
+    # [P_h1, P_h2] = sum of c P_h over the table entries (h1, h2, c) of the
+    # level |h1| + |h2|; a pair without entries brackets to zero
+    basis = hall_set(d, top, kind)
+    expansions = {}
+    for n in range(1, top + 1):
+        table = basis._bracket_terms(n)
+        assert list(table) == basis.level(n)
+        for h, terms in table.items():
+            for h1, h2, c in terms:
+                assert basis.less(h1, h2) and len(h1) + len(h2) == n and c
+                expansions[h1, h2] = expansions.get((h1, h2), zero(d)) + (
+                    basis.bracketing(h) * c
+                )
+    pairs = 0
+    for h1, h2 in product(basis.all_hall_words(), repeat=2):
+        if basis.less(h1, h2) and len(h1) + len(h2) <= top:
+            pairs += 1
+            bracket = lie_bracket(basis.bracketing(h1), basis.bracketing(h2))
+            assert bracket == expansions.pop((h1, h2), zero(d))
+    assert pairs and not expansions
 
 
 def test_table_rows_shape():

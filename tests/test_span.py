@@ -269,6 +269,17 @@ def test_generation_rank_rejects_inhomogeneous():
         generation_rank([word_elem("12", 2) + letter_elem(1, 2)], 2)
 
 
+def test_generation_rank_without_generators():
+    # the alphabet comes from the basis; with no basis there is none
+    report = areas_generate_check(1, 3)
+    assert (report.d, report.generators, report.rank, report.target) == (1, 0, 0, 0)
+    assert report.full_rank
+    report = generation_rank([], 3, hall_set(2, 3))
+    assert (report.d, report.rank, report.target, report.full_rank) == (2, 0, 2, False)
+    with pytest.raises(ValueError, match="need at least one element"):
+        generation_rank([], 3)
+
+
 def test_areas_generate_small():
     assert areas_generate_check(2, 2).full_rank
     report = areas_generate_check(3, 4)

@@ -120,21 +120,17 @@ def test_lambda_via_trees_matches_log():
     assert checks.lambda_tree_expansion(lambda_element(2, 4), 4)
 
 
-def test_rho_hall_methods():
+@pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
+def test_rho_hall_methods(kind):
     # all three computations agree with rho of the dual element across the
     # full stated ranges
-    basis = hall_set(2, 5)
-    for h in basis.all_hall_words():
-        recursion = rho_hall(basis, h, "recursion")
-        assert recursion == rho_hall(basis, h, "q_trees")
-        assert recursion == rho_hall(basis, h, "p_trees")
-        assert recursion == rho(basis.dual_pbw(h))
-    basis3 = hall_set(3, 4)
-    for h in basis3.all_hall_words():
-        recursion = rho_hall(basis3, h, "recursion")
-        assert recursion == rho_hall(basis3, h, "q_trees")
-        assert recursion == rho_hall(basis3, h, "p_trees")
-        assert recursion == rho(basis3.dual_pbw(h))
+    for d, top in ((2, 5), (3, 4)):
+        basis = hall_set(d, top, kind)
+        for h in basis.all_hall_words():
+            recursion = rho_hall(basis, h, "recursion")
+            assert recursion == rho_hall(basis, h, "q_trees")
+            assert recursion == rho_hall(basis, h, "p_trees")
+            assert recursion == rho(basis.dual_pbw(h))
 
 
 def test_rho_hall_area_forms():
