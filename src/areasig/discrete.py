@@ -18,7 +18,7 @@ from math import factorial, lcm
 
 from .guard import check_term_budget
 from .tensor import EMPTY_WORD, TensorElem, as_scalar, pairing
-from .trees import AREA, SHUFFLE, is_leaf
+from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
 EXACT = "exact_rational"
 
@@ -141,12 +141,16 @@ def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     character of the shuffle product and shuffle nodes only form the crown
     at the root, so the series is exact at every breakpoint.
     """
+    if not is_valid_mixed(tree):
+        raise ValueError("shuffle nodes must be connected to the root")
+    return _discrete_area_tree(tree, x)
+
+
+def _discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     if is_leaf(tree):
         return x.coordinate(tree)
     kind, left, right = tree
-    if kind == AREA and any(not is_leaf(t) and t[0] == SHUFFLE for t in (left, right)):
-        raise ValueError("shuffle nodes must be connected to the root")
-    a, b = discrete_area_tree(left, x), discrete_area_tree(right, x)
+    a, b = _discrete_area_tree(left, x), _discrete_area_tree(right, x)
     if kind == SHUFFLE:
         return ScalarSeries([u * v for u, v in zip(a.values, b.values)])
     return discrete_area(a, b)

@@ -1,6 +1,6 @@
 """Lyndon and Hall word bases of the free Lie algebra with dual elements.
 
-A HallBasis carries, per level, the ordered Hall trees together with three
+A HallBasis carries, per level, the ordered Hall words together with three
 derived families: the bracketings p(h), the dual elements s(h) of the
 Poincare-Birkhoff-Witt basis of decreasing Hall products, and the
 first-kind coordinates zeta(h) = pi1_transpose(s(h)).
@@ -13,9 +13,13 @@ orders here:
 - s(w) = s(h1)^{sh i1} sh ... sh s(hk)^{sh ik} / (i1! ... ik!) for the
   non-increasing Hall factorization w = h1^i1 ... hk^ik of any other word.
 
+Each Hall word carries its area tree, in the format of areasig.trees, and
+its bracketing p(h) is that tree evaluated with the Lie bracket by
+trees.lie_eval, whose process-wide memo is the bracketings' one cache.
 Instances are immutable after construction and can be shared for
-concurrent reads; the derived families are memoised per instance through
-areasig.memo.memo_per_owner, so their tables are freed with the basis.
+concurrent reads; the other derived families are memoised per instance
+through areasig.memo.memo_per_owner, so their tables are freed with the
+basis.
 """
 
 from __future__ import annotations
@@ -37,54 +41,51 @@ from .tensor import (
     shuffle,
     words_of_length,
 )
-
-# Hall trees are nested tuples: a letter int, or a pair (left, right).
-
-
-def tree_word(tree):
-    if isinstance(tree, int):
-        return (tree,)
-    return tree_word(tree[0]) + tree_word(tree[1])
+from .trees import AREA, is_leaf, lie_eval
 
 
 def tree_brackets(tree) -> str:
-    if isinstance(tree, int):
+    """The [x,y] text of an area tree, read as a Lie bracketing."""
+    if is_leaf(tree):
         return str(tree)
-    return "[%s,%s]" % (tree_brackets(tree[0]), tree_brackets(tree[1]))
+    return "[%s,%s]" % (tree_brackets(tree[1]), tree_brackets(tree[2]))
 
 
 def _less_lyndon(a, b):
-    return tree_word(a) < tree_word(b)
+    return a.word < b.word
 
 
 def _less_standard_hall(a, b):
     # Longer factorizations come first; ties recurse into the factors,
     # letters ordered naturally.  This comparison reproduces the classical
     # left-normed Hall family (121 -> [[1,2],1] and so on).
-    wa, wb = tree_word(a), tree_word(b)
-    if len(wa) != len(wb):
-        return len(wb) < len(wa)
-    if isinstance(a, int):
-        return a < b
-    if a[0] == b[0]:
-        return _less_standard_hall(a[1], b[1])
-    return _less_standard_hall(a[0], b[0])
+    if len(a) != len(b):
+        return len(b) < len(a)
+    if a.is_letter:
+        return a.word < b.word
+    if a.left == b.left:
+        return _less_standard_hall(a.right, b.right)
+    return _less_standard_hall(a.left, b.left)
 
 
 _ORDERS = {"lyndon": _less_lyndon, "standard_hall": _less_standard_hall}
 
 
 class HallWord:
-    """One basis index: its word plus the standard factorization links."""
+    """One basis index: its word, its standard factorization links, and the
+    area tree bracketing those links out (the letter itself for a letter)."""
 
-    __slots__ = ("word", "left", "right", "dim", "_tree")
+    __slots__ = ("word", "left", "right", "dim", "tree")
 
-    def __init__(self, tree, dim, left=None, right=None):
-        self.word = tree_word(tree)
+    def __init__(self, dim, letter=None, left=None, right=None):
         self.dim = dim
         self.left = left
         self.right = right
-        self._tree = tree
+        if left is None:
+            self.word, self.tree = (letter,), letter
+        else:
+            self.word = left.word + right.word
+            self.tree = (AREA, left.tree, right.tree)
 
     @property
     def is_letter(self):
@@ -102,15 +103,13 @@ class HallWord:
     def __repr__(self):
         return "<HallWord %s = %s>" % (
             "".join(map(str, self.word)),
-            tree_brackets(self._tree),
+            tree_brackets(self.tree),
         )
 
 
 def hall_bracketing(h: HallWord) -> TensorElem:
     """The Lie element obtained by bracketing out the factorization of h."""
-    if h.is_letter:
-        return letter_elem(h.word[0], h.dim)
-    return lie_bracket(hall_bracketing(h.left), hall_bracketing(h.right))
+    return lie_eval(h.tree, h.dim)
 
 
 class HallBasis:
@@ -123,41 +122,30 @@ class HallBasis:
         self.max_level = max_level
         self.kind = kind
         self._less = _ORDERS[kind]
-        trees = [[letter for letter in range(1, dim + 1)]]
+        self.levels: list[list[HallWord]] = [
+            [HallWord(dim, letter) for letter in range(1, dim + 1)]
+        ]
         for level in range(2, max_level + 1):
-            found = []
-            for left_size in range(1, level):
-                for x in trees[left_size - 1]:
-                    for y in trees[level - left_size - 1]:
-                        if self._less(x, y) and (
-                            isinstance(x, int) or not self._less(x[1], y)
-                        ):
-                            found.append((x, y))
+            found = [
+                HallWord(dim, left=x, right=y)
+                for left_size in range(1, level)
+                for x in self.levels[left_size - 1]
+                for y in self.levels[level - left_size - 1]
+                if self._less(x, y) and (x.is_letter or not self._less(x.right, y))
+            ]
             found.sort(key=self._sort_key)
-            trees.append(found)
-        by_tree = {}
-        self.levels: list[list[HallWord]] = []
-        for level_trees in trees:
-            row = []
-            for tree in level_trees:
-                if isinstance(tree, int):
-                    hw = HallWord(tree, dim)
-                else:
-                    hw = HallWord(tree, dim, by_tree[tree[0]], by_tree[tree[1]])
-                by_tree[tree] = hw
-                row.append(hw)
-            self.levels.append(row)
+            self.levels.append(found)
         self._by_word = {h.word: h for row in self.levels for h in row}
 
-    def _tree_cmp(self, a, b):
+    def _cmp(self, a, b):
         if self._less(a, b):
             return -1
         if self._less(b, a):
             return 1
         return 0
 
-    def _sort_key(self, tree):
-        return functools.cmp_to_key(self._tree_cmp)(tree)
+    def _sort_key(self, h):
+        return functools.cmp_to_key(self._cmp)(h)
 
     # -- lookup ----------------------------------------------------------
 
@@ -178,11 +166,10 @@ class HallBasis:
         return tuple(word) in self._by_word
 
     def less(self, a: HallWord, b: HallWord) -> bool:
-        return self._less(a._tree, b._tree)
+        return self._less(a, b)
 
     # -- derived families --------------------------------------------------
 
-    @memo_per_owner
     def bracketing(self, h: HallWord) -> TensorElem:
         return hall_bracketing(h)
 
@@ -193,13 +180,18 @@ class HallBasis:
         c = <S_h, [P_h1, P_h2]> nonzero, in level order of h1, then h2."""
         level = self.level(n)
         table = {h: [] for h in level}
+        # <S_h, [P_h1, P_h2]> vanishes unless h and h1 h2 are anagrams
+        by_content = {}
+        for h in level:
+            by_content.setdefault(tuple(sorted(h.word)), []).append(h)
         for n1 in range(1, n):
             for h1 in self.levels[n1 - 1]:
                 for h2 in self.levels[n - n1 - 1]:
-                    if not self.less(h1, h2):
+                    content = tuple(sorted(h1.word + h2.word))
+                    if content not in by_content or not self.less(h1, h2):
                         continue
                     bracket = lie_bracket(self.bracketing(h1), self.bracketing(h2))
-                    for h in level:
+                    for h in by_content[content]:
                         c = pairing(self.dual_pbw(h), bracket)
                         if c:
                             table[h].append((h1, h2, c))
@@ -208,7 +200,7 @@ class HallBasis:
     def _decreasing_products(self, n: int):
         """All non-increasing Hall sequences of total length n."""
         hall = list(self.all_hall_words(min(n, self.max_level)))
-        hall.sort(key=lambda h: self._sort_key(h._tree))
+        hall.sort(key=self._sort_key)
         hall.reverse()  # largest first, so sequences read non-increasingly
         sequences = []
 
@@ -279,7 +271,7 @@ class HallBasis:
             for h in level:
                 yield {
                     "hall_word": "".join(map(str, h.word)),
-                    "bracketing": tree_brackets(h._tree),
+                    "bracketing": tree_brackets(h.tree),
                     "p": self.bracketing(h),
                     "s": self.dual_pbw(h),
                     "zeta": self.zeta(h),

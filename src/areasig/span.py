@@ -100,17 +100,20 @@ def membership_to_elem(d: int, decomposition) -> TensorElem:
 
 # -- left bracketing ----------------------------------------------------------
 
+def _left_comb(letters):
+    """The area tree (((l1, l2), l3), ...) on the letters, left to right."""
+    tree = letters[0]
+    for letter in letters[1:]:
+        tree = (AREA, tree, letter)
+    return tree
+
+
 def arealb_word(w, dim: int) -> TensorElem:
-    return _arealb_tuple(tuple(w), dim)
-
-
-@memo
-def _arealb_tuple(w, dim):
+    """Left-bracketed area of a word: area_eval of its left comb."""
+    w = tuple(w)
     if not w:
         return TensorElem(dim, {})
-    if len(w) == 1:
-        return letter_elem(w[0], dim)
-    return area(_arealb_tuple(w[:-1], dim), letter_elem(w[-1], dim))
+    return area_eval(_left_comb(w), dim)
 
 
 def arealb(x: TensorElem) -> TensorElem:
@@ -230,18 +233,13 @@ def tortkara_check(a, b, c, d_elem=None) -> bool:
     """
     if d_elem is None:
         return area(area(a, b), area(c, b)) == area(vol(a, b, c), b)
-    lhs = area(area(a, b), area(c, d_elem)) + area(area(a, d_elem), area(c, b))
-    rhs = area(vol(a, b, c), d_elem) + area(vol(a, d_elem, c), b)
-    if lhs != rhs:
+    ab_cd = area(area(a, b), area(c, d_elem))
+    abc_d = area(vol(a, b, c), d_elem)
+    adc_b = area(vol(a, d_elem, c), b)
+    if ab_cd + area(area(a, d_elem), area(c, b)) != abc_d + adc_b:
         return False
-    lhs2 = area(area(a, b), area(c, d_elem)) * 2
-    rhs2 = (
-        area(vol(a, b, c), d_elem)
-        + area(vol(a, d_elem, c), b)
-        + area(vol(b, a, d_elem), c)
-        + area(vol(b, c, d_elem), a)
-    )
-    return lhs2 == rhs2
+    rhs2 = abc_d + adc_b + area(vol(b, a, d_elem), c) + area(vol(b, c, d_elem), a)
+    return ab_cd * 2 == rhs2
 
 
 # -- rank reports -----------------------------------------------------------------
@@ -377,14 +375,7 @@ def special_tree(n: int):
     """
     if n < 4:
         raise ValueError("need n >= 4")
-
-    def left_tree(k):
-        t = 1
-        for _ in range(k - 1):
-            t = (AREA, t, 1)
-        return t
-
-    return (AREA, left_tree(n - 2), (AREA, 1, 1))
+    return (AREA, _left_comb((1,) * (n - 2)), (AREA, 1, 1))
 
 
 def special_tree_reduction(n: int, d: int) -> SpanReport:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .double_tensor import DoubleTensor, tensor_pair, zero_double
 from .errors import ExpressionSyntaxError
 from .guard import check_term_budget
-from .hall import HallBasis, HallWord
 from .memo import memo, memo_per_owner
 from .tensor import (
     TensorElem,
@@ -24,6 +24,9 @@ from .tensor import (
     pairing,
     shuffle,
 )
+
+if TYPE_CHECKING:
+    from .hall import HallBasis, HallWord
 
 AREA = "a"
 SHUFFLE = "s"
@@ -356,10 +359,3 @@ def _q_coefficient(basis: HallBasis, tree, h: HallWord) -> Fraction:
             q1 = _q_coefficient(basis, left, h1)
             result += q1 * _q_coefficient(basis, right, h2) * c
     return result
-
-
-def hall_tree_of(h: HallWord):
-    """The plain area tree mirroring the standard factorization of h."""
-    if h.is_letter:
-        return h.word[0]
-    return (AREA, hall_tree_of(h.left), hall_tree_of(h.right))

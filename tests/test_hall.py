@@ -8,6 +8,7 @@ from areasig import (
     hall_bracketing,
     hall_set,
     lie_bracket,
+    lie_eval,
     lyndon_words,
     pairing,
     pi1_transpose,
@@ -19,6 +20,7 @@ from areasig import (
 )
 from areasig import linalg
 from areasig.tensor import parse_word
+from areasig.trees import foliage
 
 from conftest import dual_pbw_oracle, pbw_product, random_elem
 from reference_tables import LYNDON_D2_TABLE, bracket_elem, el
@@ -255,3 +257,23 @@ def test_table_rows_shape():
     rows = list(basis.table_rows())
     assert [row["hall_word"] for row in rows] == ["1", "2", "12", "112", "122"]
     assert rows[3]["bracketing"] == "[1,[1,2]]"
+    rows = list(hall_set(2, 4, "standard_hall").table_rows())
+    assert [row["bracketing"] for row in rows] == [
+        "1",
+        "2",
+        "[1,2]",
+        "[[1,2],1]",
+        "[[1,2],2]",
+        "[[[1,2],1],1]",
+        "[[[1,2],2],1]",
+        "[[[1,2],2],2]",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
+def test_hall_word_carries_its_area_tree(kind):
+    # the tree reads the word at its leaves and its Lie image is P_h
+    basis = hall_set(3, 4, kind)
+    for h in basis.all_hall_words():
+        assert foliage(h.tree) == h.word
+        assert hall_bracketing(h) == lie_eval(h.tree, 3)

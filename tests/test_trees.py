@@ -29,7 +29,7 @@ from areasig import (
     zeta_via_trees,
 )
 from areasig.errors import ExpressionSyntaxError
-from areasig.trees import foliage, hall_tree_of, is_valid_mixed, leaf_count
+from areasig.trees import foliage, is_valid_mixed, leaf_count
 
 F = Fraction
 
@@ -151,7 +151,7 @@ def test_hall_tree_delta_property():
     for h in basis.all_hall_words():
         if len(h) > 4:
             continue
-        tree = hall_tree_of(h)
+        tree = h.tree
         assert foliage(tree) == h.word
         for h0 in basis.level(len(h)):
             expected = F(1 if h0 == h else 0)
