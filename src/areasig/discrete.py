@@ -175,8 +175,9 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     k_1! ... k_m! (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!,
     hence L!.  The words of acc_j z are distinct (u a has one last
     letter), so each is divided on its own.  Only letters with a nonzero
-    increment enter z, so an axis-aligned path stays sparse.  The
-    coefficients become Fractions once, at the end.
+    increment enter z, so an axis-aligned path stays sparse.  The levels
+    go to the tensor store as int numerators over their one denominator
+    L! D^L.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -200,11 +201,11 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
                     nxt[w] = nxt.get(w, 0) + c
                 acc = nxt
             levels[n] = acc
-    return TensorElem(dim, {
-        w: Fraction(c, scale * den ** n)
+    return TensorElem._over(dim, {
+        w: c * den ** (level - n)
         for n, terms in enumerate(levels)
         for w, c in terms.items()
-    })
+    }, scale * den ** level)
 
 
 def signature_pairing(phi: TensorElem, x: TimeSeries):

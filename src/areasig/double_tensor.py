@@ -34,7 +34,8 @@ from .tensor import (
 
 
 class DoubleTensor(_Terms):
-    """Finite map (left word, right word) -> Fraction, graded by the right word."""
+    """Finite map (left word, right word) -> rational, held as int numerators
+    over one denominator and graded by the right word."""
 
     __slots__ = ()
 
@@ -184,7 +185,7 @@ def s_element(d: int, level: int) -> DoubleTensor:
     terms = {}
     for n in range(level + 1):
         for w in words_of_length(d, n):
-            terms[(w, w)] = Fraction(1)
+            terms[(w, w)] = 1
     return DoubleTensor(d, terms)
 
 

@@ -5,9 +5,16 @@ combinations of words, for the tensor algebra and its level-truncated
 completion), CoproductTerms here and double_tensor.DoubleTensor are its
 subclasses.  Only this module reads a value's coefficient map: other
 modules go through coeff, terms() and the lifts below (one bilinear, one
-linear, one contraction).  Coefficients are fractions.Fraction
-throughout; floats are rejected so that every identity in this package
-can be checked with exact equality.
+linear, one contraction).
+
+A value is held as nonzero integer numerators over one positive integer
+denominator, in lowest terms: the gcd of the denominator and every
+numerator is 1, and the zero value has denominator 1.  So every loop here
+runs on ints, and == and hash compare plain dicts and ints.  A
+fractions.Fraction is made only where a coefficient leaves the store
+(coeff, terms(), JSON, pairing) and where a scalar enters it; floats are
+rejected so that every identity in this package can be checked with
+exact equality.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -19,7 +26,7 @@ import json
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import AlphabetMismatch, EmptyWordOperand
 from .guard import check_term_budget
@@ -38,6 +45,15 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError("expected an exact rational, got %r" % (value,))
+
+
+def _ratio(value):
+    """(numerator, denominator) of an exact rational scalar, without making
+    a Fraction for an int."""
+    if isinstance(value, int):
+        return value, 1
+    value = as_scalar(value)
+    return value.numerator, value.denominator
 
 
 def parse_word(text) -> Word:
@@ -78,31 +94,39 @@ def _word(word, dim) -> Word:
 
 
 class _Terms:
-    """Immutable finite map key -> nonzero Fraction over the alphabet 1..dim.
+    """Immutable finite map key -> nonzero rational over the alphabet 1..dim.
 
     The one coefficient store behind TensorElem, DoubleTensor and
     CoproductTerms: construction and the term budget, immutability, the
     linear structure, equality, the alphabet check, the grading, lookup
-    and ordered iteration live here.  Keys are pairs of words unless a
-    subclass overrides _key; _grade maps a key to its degree (the total
-    length of a pair unless a subclass says otherwise) and _order to its
-    place in terms() (left word, then right word, each by length and then
-    lexicographically).  Values of different kinds never combine: + and -
-    raise TypeError and == is False.
+    and ordered iteration live here.  _terms maps each key to a nonzero
+    int numerator over the one positive int denominator _den, in lowest
+    terms (see the module docstring); coeff and terms() give Fractions.
+    Keys are pairs of words unless a subclass overrides _key; _grade maps
+    a key to its degree (the total length of a pair unless a subclass
+    says otherwise) and _order to its place in terms() (left word, then
+    right word, each by length and then lexicographically).  Values of
+    different kinds never combine: + and - raise TypeError and == is
+    False.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_den")
 
     def __init__(self, dim: int, terms=None):
         if dim < 1:
             raise ValueError("alphabet size must be >= 1")
         clean = {}
         for key, coeff in (terms or {}).items():
-            coeff = as_scalar(coeff)
+            if not isinstance(coeff, int):
+                coeff = as_scalar(coeff)
             key = self._key(key, dim)
             if coeff:
                 clean[key] = coeff
-        self._store(dim, clean)
+        # over the lcm of the reduced denominators, the numerators share no
+        # factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._store(dim, clean, den)
 
     @staticmethod
     def _key(key, dim):
@@ -117,25 +141,42 @@ class _Terms:
     def _order(key):
         return (word_sort_key(key[0]), word_sort_key(key[1]))
 
-    def _store(self, dim, clean_terms):
-        check_term_budget(len(clean_terms))
+    def _store(self, dim, numerators, den):
+        check_term_budget(len(numerators))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean_terms)
+        object.__setattr__(self, "_terms", numerators)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _raw(cls, dim, clean_terms):
-        # Internal fast path: keys canonical, coefficients nonzero Fractions.
+    def _raw(cls, dim, numerators, den=1):
+        # Internal fast path: keys canonical, numerators nonzero ints in
+        # lowest terms over den.
         self = object.__new__(cls)
-        self._store(dim, clean_terms)
+        self._store(dim, numerators, den)
         return self
 
-    def _like(self, clean_terms):
-        """This kind over this alphabet holding `clean_terms`."""
-        return self._raw(self.dim, clean_terms)
+    @classmethod
+    def _over(cls, dim, numerators, den=1):
+        """The value with int `numerators` (zeros allowed) over the positive
+        int `den`, brought to lowest terms; keys must be canonical."""
+        if 0 in numerators.values():
+            numerators = {k: c for k, c in numerators.items() if c}
+        if den != 1:
+            common = gcd(den, *numerators.values())
+            if common != 1:
+                den //= common
+                numerators = {k: c // common for k, c in numerators.items()}
+        return cls._raw(dim, numerators, den)
+
+    def _like(self, numerators, den=1):
+        """This kind over this alphabet holding `numerators` over `den`."""
+        return self._over(self.dim, numerators, den)
 
     def _select(self, keep):
         grade = self._grade
-        return self._like({k: c for k, c in self._terms.items() if keep(grade(k))})
+        return self._like(
+            {k: c for k, c in self._terms.items() if keep(grade(k))}, self._den
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -152,14 +193,17 @@ class _Terms:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _coeff(self, key) -> Fraction:
+        return Fraction(self._terms.get(key, 0), self._den)
+
     def coeff(self, left, right) -> Fraction:
-        return self._terms.get((tuple(left), tuple(right)), Fraction(0))
+        return self._coeff((tuple(left), tuple(right)))
 
     def terms(self):
         """Yield (key, coefficient) pairs in canonical order."""
-        terms = self._terms
+        terms, den = self._terms, self._den
         for key in sorted(terms, key=self._order):
-            yield key, terms[key]
+            yield key, Fraction(terms[key], den)
 
     def __repr__(self):
         inner = " + ".join(
@@ -174,10 +218,17 @@ class _Terms:
         if type(other) is not type(self):
             return NotImplemented
         self._same_alphabet(other)
-        out = dict(self._terms)
+        den = lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        if mine == 1:
+            out = dict(self._terms)
+        else:
+            out = {k: c * mine for k, c in self._terms.items()}
+        if negate:
+            theirs = -theirs
         for key, c in other._terms.items():
-            _bump(out, key, -c if negate else c)
-        return self._like(out)
+            _bump(out, key, c * theirs)
+        return self._like(out, den)
 
     def __add__(self, other):
         return self._plus(other, False)
@@ -186,28 +237,34 @@ class _Terms:
         return self._plus(other, True)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self._raw(self.dim, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        if not s:
-            return self._like({})
-        return self._like({k: c * s for k, c in self._terms.items()})
+        num, den = _ratio(scalar)
+        if not num:
+            return self._raw(self.dim, {})
+        return self._like({k: c * num for k, c in self._terms.items()}, self._den * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (Fraction(1) / as_scalar(scalar))
+        num, den = _ratio(scalar)
+        if not num:
+            raise ZeroDivisionError("division of a %s by zero" % type(self).__name__)
+        if num < 0:
+            num, den = -num, -den
+        return self._like({k: c * den for k, c in self._terms.items()}, self._den * num)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.dim == other.dim
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, self._den, frozenset(self._terms.items())))
 
     # -- grading ---------------------------------------------------------
 
@@ -224,7 +281,8 @@ class _Terms:
 
 
 class TensorElem(_Terms):
-    """Finite map word -> Fraction over a fixed alphabet size.
+    """Finite map word -> rational over a fixed alphabet size, held as int
+    numerators over one denominator.
 
     Invariants: no zero coefficients are stored; iteration through terms()
     follows the canonical (length, lexicographic) order.
@@ -239,7 +297,7 @@ class TensorElem(_Terms):
     # -- inspection ------------------------------------------------------
 
     def coeff(self, word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+        return self._coeff(tuple(word))
 
     def words(self):
         return sorted(self._terms, key=word_sort_key)
@@ -252,7 +310,7 @@ class TensorElem(_Terms):
         return min((len(w) for w in self._terms), default=0)
 
     def empty_coeff(self) -> Fraction:
-        return self._terms.get(EMPTY_WORD, Fraction(0))
+        return self._coeff(EMPTY_WORD)
 
     # -- presentation ----------------------------------------------------
 
@@ -468,33 +526,68 @@ def _convolution_power(w: Word, k: int, coproduct, product) -> dict:
     return out
 
 
+def _log_den(n: int) -> int:
+    """lcm(1, ..., n): the denominator of log(id) on words of length n."""
+    return lcm(*range(1, n + 1))
+
+
 def _log_id(w: Word, coproduct, product) -> dict:
-    """log(id) at w in the convolution algebra of `coproduct` and `product`:
-    the sum over k of (-1)^(k-1)/k times the k-th convolution power."""
+    """log(id) at w in the convolution algebra of `coproduct` and `product`,
+    times _log_den(|w|): the sum over k of (-1)^(k-1) _log_den(|w|)/k times
+    the k-th convolution power, so every value is an int."""
+    den = _log_den(len(w))
     out: dict = {}
     for k in range(1, len(w) + 1):
-        weight = Fraction((-1) ** (k - 1), k)
+        weight = (-1) ** (k - 1) * (den // k)
         for t, c in _convolution_power(w, k, coproduct, product).items():
             _bump(out, t, weight * c)
     return out
 
 
 @memo
+def _pi1_numerators(u: Word) -> dict:
+    return _log_id(u, unshuffle_word, _concat_words)
+
+
+@memo
+def _pi1_transpose_numerators(w: Word) -> dict:
+    return _log_id(w, _deconcat_word, shuffle_words)
+
+
 def pi1_word(u: Word) -> dict:
     """Eulerian idempotent: log(id) for unshuffle and concatenation.
 
     Its restriction to grouplike elements is the concatenation logarithm.
     """
-    return _log_id(u, unshuffle_word, _concat_words)
+    den = _log_den(len(u))
+    return {t: Fraction(c, den) for t, c in _pi1_numerators(u).items()}
 
 
-@memo
 def pi1_transpose_word(w: Word) -> dict:
     """Transpose of pi1: log(id) for deconcatenation and shuffle."""
-    return _log_id(w, _deconcat_word, shuffle_words)
+    den = _log_den(len(w))
+    return {t: Fraction(c, den) for t, c in _pi1_transpose_numerators(w).items()}
 
 
 # -- bilinear and linear lifts --------------------------------------------
+
+
+def _pairs(x, y, level):
+    """Each term (u, cu) of x with the list of y's terms (v, cv) that its
+    products keep: all of them, or with a `level` only those with
+    grade(u) + grade(v) <= level.  Then y is sorted by the grade hook once
+    and each u runs over a bisect_right prefix, rather than testing every
+    pair."""
+    if level is None:
+        terms = list(y._terms.items())
+        for u, cu in x._terms.items():
+            yield u, cu, terms
+        return
+    grade = x._grade
+    ordered = sorted(y._terms.items(), key=lambda term: grade(term[0]))
+    grades = [grade(v) for v, _ in ordered]
+    for u, cu in x._terms.items():
+        yield u, cu, ordered[:bisect_right(grades, level - grade(u))]
 
 
 def _bilinear(x, y, key_op, level=None, kind=None):
@@ -504,27 +597,26 @@ def _bilinear(x, y, key_op, level=None, kind=None):
     double-tensor products.
     """
     x._same_alphabet(y)
-    grade = x._grade
     acc: dict = {}
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            if level is not None and grade(u) + grade(v) > level:
-                continue
+    for u, cu, terms in _pairs(x, y, level):
+        for v, cv in terms:
             c = cu * cv
             for w, k in key_op(u, v).items():
-                # most multiplicities are 1; skip the Fraction product then
-                _bump(acc, w, c if k == 1 else c * k)
-    return (kind or type(x))._raw(x.dim, acc)
+                _bump(acc, w, c * k)
+    return (kind or type(x))._over(x.dim, acc, x._den * y._den)
 
 
-def _linear(x, key_op, kind=None):
+def _linear(x, key_op, kind=None, key_den=None):
     """The linear map sending each key u of x to key_op(u), as a `kind`
-    (x's own unless given)."""
+    (x's own unless given).  key_op gives ints, over key_den(u) if given."""
+    common = 1 if key_den is None else lcm(*(key_den(u) for u in x._terms))
     acc: dict = {}
     for u, cu in x._terms.items():
+        if key_den is not None:
+            cu *= common // key_den(u)
         for w, k in key_op(u).items():
             _bump(acc, w, cu * k)
-    return (kind or type(x))._raw(x.dim, acc)
+    return (kind or type(x))._over(x.dim, acc, x._den * common)
 
 
 def _contract(f, x, side):
@@ -537,11 +629,11 @@ def _contract(f, x, side):
         cx = against.get(key[side])
         if cx is not None:
             _bump(acc, key[1 - side], c * cx)
-    return TensorElem._raw(f.dim, acc)
+    return TensorElem._over(f.dim, acc, f._den * x._den)
 
 
 def _reject_empty(x: TensorElem, role: str):
-    if x.empty_coeff():
+    if EMPTY_WORD in x._terms:
         raise EmptyWordOperand("%s must have no empty-word component" % role)
 
 
@@ -549,25 +641,13 @@ def _reject_empty(x: TensorElem, role: str):
 
 
 def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
-    """Concatenation product; levels above `level` are dropped if given.
-
-    With a level, y's terms are sorted by word length once, and each u
-    runs over the prefix of length at most level - |u| only, rather than
-    testing every pair.
-    """
+    """Concatenation product; levels above `level` are dropped if given."""
     x._same_alphabet(y)
-    if level is not None:
-        ordered = sorted(y._terms.items(), key=lambda term: len(term[0]))
-        lengths = [len(v) for v, _ in ordered]
     acc: dict = {}
-    for u, cu in x._terms.items():
-        if level is None:
-            terms = y._terms.items()
-        else:
-            terms = ordered[:bisect_right(lengths, level - len(u))]
+    for u, cu, terms in _pairs(x, y, level):
         for v, cv in terms:
             _bump(acc, u + v, cu * cv)
-    return TensorElem._raw(x.dim, acc)
+    return TensorElem._over(x.dim, acc, x._den * y._den)
 
 
 def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
@@ -595,12 +675,12 @@ def pairing(x: TensorElem, y: TensorElem) -> Fraction:
     """Dual pairing with words as an orthonormal pair of bases."""
     x._same_alphabet(y)
     small, big = (x._terms, y._terms) if len(x) <= len(y) else (y._terms, x._terms)
-    total = Fraction(0)
+    total = 0
     for w, c in small.items():
         other = big.get(w)
         if other is not None:
             total += c * other
-    return total
+    return Fraction(total, x._den * y._den)
 
 
 def dynkin_r(x: TensorElem) -> TensorElem:
@@ -617,36 +697,46 @@ def grading_d(x):
     """Each term times its degree: the word length of a TensorElem, the
     right-word length of a DoubleTensor."""
     grade = x._grade
-    return x._like({k: c * grade(k) for k, c in x._terms.items() if grade(k)})
+    return x._like(
+        {k: c * grade(k) for k, c in x._terms.items() if grade(k)}, x._den
+    )
 
 
 def grading_d_inv(x):
     """Divide each term by its degree; undefined on terms of degree zero."""
     grade = x._grade
-    try:
-        return x._like({k: c / grade(k) for k, c in x._terms.items()})
-    except ZeroDivisionError:
-        raise EmptyWordOperand("grading inverse is undefined in degree zero") from None
+    # the lcm of the grades, 0 if any grade is 0
+    common = lcm(*(grade(k) for k in x._terms))
+    if not common:
+        raise EmptyWordOperand("grading inverse is undefined in degree zero")
+    return x._like(
+        {k: c * (common // grade(k)) for k, c in x._terms.items()}, x._den * common
+    )
 
 
 def antipode(x: TensorElem) -> TensorElem:
     """w -> (-1)^|w| times w reversed; an involution."""
     return TensorElem._raw(
         x.dim,
-        {w[::-1]: c * (-1) ** len(w) for w, c in x._terms.items()},
+        {w[::-1]: -c if len(w) % 2 else c for w, c in x._terms.items()},
+        x._den,
     )
 
 
+def _word_log_den(u: Word) -> int:
+    return _log_den(len(u))
+
+
 def pi1(x: TensorElem) -> TensorElem:
-    return _linear(x, pi1_word)
+    return _linear(x, _pi1_numerators, key_den=_word_log_den)
 
 
 def pi1_transpose(x: TensorElem) -> TensorElem:
-    return _linear(x, pi1_transpose_word)
+    return _linear(x, _pi1_transpose_numerators, key_den=_word_log_den)
 
 
 class CoproductTerms(_Terms):
-    """Finite map (word, word) -> Fraction produced by unshuffling."""
+    """Finite map (word, word) -> rational produced by unshuffling."""
 
     __slots__ = ()
 
@@ -686,8 +776,7 @@ def _series(x, one, product, level, log=False):
         power = product(power, x, level)
         if power.is_zero():
             break
-        weight = Fraction((-1) ** (n - 1), n) if log else Fraction(1, factorial(n))
-        result = result + power * weight
+        result = result + power / ((n if n % 2 else -n) if log else factorial(n))
     return result
 
 

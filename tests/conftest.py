@@ -7,16 +7,19 @@ positions onto blocks and its transpose by cutting into blocks, brackets
 by a tiny standalone expansion on dicts, ranks, span membership and inverses
 by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
 decreasing Hall products, path signatures by a chain of sparse Fraction
-concatenation products, discrete areas by a plain Fraction sum.
+concatenation products, discrete areas by a plain Fraction sum, and the
+bilinear, linear and contraction lifts and the exp/log series by plain
+pair loops on dicts of Fractions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial, gcd
 
 import random
 
-from areasig import ScalarSeries, TensorElem, concat, exp_conc, unit
+from areasig import DoubleTensor, ScalarSeries, TensorElem, concat, exp_conc, unit
 
 
 def shuffle_oracle(u, v):
@@ -169,13 +172,98 @@ def solve_oracle(vectors, target):
     return solution
 
 
-def random_elem(rng: random.Random, d, max_deg, min_deg=0, terms=4):
+def random_elem(rng: random.Random, d, max_deg, min_deg=0, terms=4, max_den=5):
     data = {}
     for _ in range(rng.randint(1, terms)):
         n = rng.randint(min_deg, max_deg)
         word = tuple(rng.randint(1, d) for _ in range(n))
-        data[word] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        data[word] = Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
     return TensorElem(d, data)
+
+
+def random_double(rng: random.Random, d, max_left, max_right, min_left=0,
+                  min_right=0, terms=4, max_den=12):
+    """Seeded DoubleTensor with word lengths in the given ranges."""
+    data = {}
+    for _ in range(rng.randint(1, terms)):
+        left = tuple(rng.randint(1, d) for _ in range(rng.randint(min_left, max_left)))
+        right = tuple(rng.randint(1, d) for _ in range(rng.randint(min_right, max_right)))
+        data[(left, right)] = Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
+    return DoubleTensor(d, data)
+
+
+def assert_canonical(x):
+    """x's store is in lowest terms: nonzero int numerators over a positive
+    denominator sharing no factor with all of them, and 1 for zero."""
+    numerators = list(x._terms.values())
+    assert all(type(c) is int and c for c in numerators)
+    assert x._den >= 1 and gcd(x._den, *numerators) == 1
+    assert numerators or x._den == 1
+
+
+# -- the lifts over Fraction coefficients --------------------------------------
+# The bodies the tensor module's lifts had while its store held Fractions,
+# on dicts key -> Fraction (fractions_of turns an element into one).
+
+
+def fractions_of(x) -> dict:
+    return dict(x.terms())
+
+
+def _nonzero(acc):
+    return {key: c for key, c in acc.items() if c}
+
+
+def bilinear_oracle(x: dict, y: dict, key_op, level=None, grade=len) -> dict:
+    """Sum of cu cv key_op(u, v) over the term pairs with grade(u) + grade(v)
+    at most `level`."""
+    acc = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            if level is not None and grade(u) + grade(v) > level:
+                continue
+            for w, k in key_op(u, v).items():
+                acc[w] = acc.get(w, 0) + cu * cv * k
+    return _nonzero(acc)
+
+
+def concat_oracle(x: dict, y: dict, level=None) -> dict:
+    return bilinear_oracle(x, y, lambda u, v: {u + v: 1}, level)
+
+
+def linear_oracle(x: dict, key_op) -> dict:
+    acc = {}
+    for u, cu in x.items():
+        for w, k in key_op(u).items():
+            acc[w] = acc.get(w, 0) + cu * k
+    return _nonzero(acc)
+
+
+def contract_oracle(f: dict, x: dict, side) -> dict:
+    """Side `side` of f's pair keys paired against x."""
+    acc = {}
+    for key, c in f.items():
+        cx = x.get(key[side])
+        if cx is not None:
+            acc[key[1 - side]] = acc.get(key[1 - side], 0) + c * cx
+    return _nonzero(acc)
+
+
+def pairing_oracle(x: dict, y: dict) -> Fraction:
+    return sum((c * y[w] for w, c in x.items() if w in y), Fraction(0))
+
+
+def series_oracle(x: dict, one: dict, product, level, log=False) -> dict:
+    """exp(x), or log(one + x), truncated: the powers product(power, x,
+    level) weighted by 1/n! or (-1)^(n-1)/n."""
+    result = {} if log else dict(one)
+    power = dict(one)
+    for n in range(1, level + 1):
+        power = product(power, x, level)
+        weight = Fraction((-1) ** (n - 1), n) if log else Fraction(1, factorial(n))
+        for w, c in power.items():
+            result[w] = result.get(w, 0) + c * weight
+    return _nonzero(result)
 
 
 def random_lie_elem(rng: random.Random, basis, max_level):

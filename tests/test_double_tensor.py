@@ -44,7 +44,16 @@ from areasig.double_tensor import r_hat, unit_double, zero_double
 from areasig.discrete import TimeSeries
 from areasig.tensor import words_of_length
 
-from conftest import random_elem
+from conftest import (
+    assert_canonical,
+    bilinear_oracle,
+    contract_oracle,
+    fractions_of,
+    random_double,
+    random_elem,
+    series_oracle,
+    shuffle_oracle,
+)
 
 F = Fraction
 
@@ -386,3 +395,85 @@ def test_removed_method_aliases_are_rejected():
         rho(word_elem("12", 2), "via_d")
     with pytest.raises(ValueError, match="unknown lambda_element method"):
         lambda_element(2, 2, "log_of_S")
+
+
+# -- int numerators against the Fraction lifts ----------------------------------
+
+
+def _right_grade(key):
+    return len(key[1])
+
+
+def _pair_op(left_op, right_op):
+    def op(p, q):
+        rights = right_op(p[1], q[1])
+        return {
+            (left, right): lk * rk
+            for left, lk in left_op(p[0], q[0]).items()
+            for right, rk in rights.items()
+        }
+
+    return op
+
+
+def _half_shuffle(u, v):
+    return {s + v[-1:]: k for s, k in shuffle_oracle(u, v[:-1]).items()}
+
+
+def _bracket(u, v):
+    return {} if u + v == v + u else {u + v: 1, v + u: -1}
+
+
+def _concat(u, v):
+    return {u + v: 1}
+
+
+BOX = _pair_op(shuffle_oracle, _concat)
+
+
+def _box_oracle(a, b, level):
+    return bilinear_oracle(a, b, BOX, level, _right_grade)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_double_products_match_the_fraction_lifts(seed):
+    rng = random.Random(seed)
+    a = random_double(rng, 2, 2, 2)
+    b = random_double(rng, 2, 2, 2, min_left=1)
+    fa, fb = fractions_of(a), fractions_of(b)
+    products = [
+        (box_mul, BOX),
+        (pre_lie, _pair_op(_half_shuffle, _bracket)),
+        (box_bracket, _pair_op(shuffle_oracle, _bracket)),
+    ]
+    for product, op in products:
+        for level in (None, 0, 1, 2, 3):
+            got = product(a, b, level)
+            assert_canonical(got)
+            assert fractions_of(got) == bilinear_oracle(fa, fb, op, level, _right_grade)
+    x = random_elem(rng, 2, 2, terms=4, max_den=12)
+    y = random_elem(rng, 2, 3, terms=4, max_den=12)
+    fx, fy = fractions_of(x), fractions_of(y)
+    for level in (None, 0, 1, 2):
+        got = tensor_pair(x, y, level)
+        assert_canonical(got)
+        low = {v: c for v, c in fy.items() if level is None or len(v) <= level}
+        assert fractions_of(got) == bilinear_oracle(fx, low, lambda u, v: {(u, v): 1})
+    for got, expected in [
+        (eval_at(x, a), contract_oracle(fa, fx, 0)),
+        (coeval_at(y, a), contract_oracle(fa, fy, 1)),
+    ]:
+        assert_canonical(got)
+        assert fractions_of(got) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_double_series_match_the_fraction_lifts(seed):
+    rng = random.Random(seed)
+    x = random_double(rng, 2, 1, 2, min_right=1, terms=3)
+    one = {((), ()): F(1)}
+    for level in (1, 2, 3):
+        low = {k: c for k, c in fractions_of(x).items() if len(k[1]) <= level}
+        for got, log in [(exp_box(x, level), False), (log_box(unit_double(2) + x, level), True)]:
+            assert_canonical(got)
+            assert fractions_of(got) == series_oracle(low, one, _box_oracle, level, log)

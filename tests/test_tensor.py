@@ -45,10 +45,19 @@ from areasig.tensor import (
 )
 
 from conftest import (
+    assert_canonical,
+    bilinear_oracle,
+    concat_oracle,
+    contract_oracle,
+    fractions_of,
+    linear_oracle,
+    pairing_oracle,
     pi1_transpose_oracle,
     pi1_word_oracle,
+    random_double,
     random_elem,
     right_bracketing_oracle,
+    series_oracle,
     shuffle_oracle,
     unshuffle_oracle,
 )
@@ -279,13 +288,16 @@ def test_grading_d():
     assert grading_d_inv(w("12", 2) * 2) == w("12", 2)
     e = letter_elem(1, 2) + w("12", 2)
     assert grading_d(e) == letter_elem(1, 2) + w("12", 2) * 2
-    with pytest.raises(EmptyWordOperand):
-        grading_d_inv(unit(2))
+    degree_zero = "^grading inverse is undefined in degree zero$"
+    for value in (unit(2), unit(2) * F(1, 2) + letter_elem(1, 2)):
+        with pytest.raises(EmptyWordOperand, match=degree_zero):
+            grading_d_inv(value)
     # a DoubleTensor is graded by the length of its right word
     r = r_element(2, 4)
     assert grading_d_inv(grading_d(r)) == r
-    with pytest.raises(EmptyWordOperand):
-        grading_d_inv(unit_double(2))
+    for value in (unit_double(2), unit_double(2) * F(2, 3) + r):
+        with pytest.raises(EmptyWordOperand, match=degree_zero):
+            grading_d_inv(value)
     assert len(s_element(2, 3).truncate(1)) == 3
 
 
@@ -519,6 +531,104 @@ def test_only_the_tensor_module_reads_coefficient_maps():
         for path in sorted(package.glob("*.py"))
         if path.name != "tensor.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if "._terms" in line or "._raw(" in line
+        if "._terms" in line or "._raw(" in line or "._den" in line
     ]
     assert readers == []
+
+
+# -- int numerators over one denominator -----------------------------------------
+
+
+def _half_shuffle_oracle(u, v):
+    return {s + v[-1:]: k for s, k in shuffle_oracle(u, v[:-1]).items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_products_match_the_fraction_lifts(seed):
+    rng = random.Random(seed)
+    x, y = (random_elem(rng, 2, 3, terms=6, max_den=12) for _ in range(2))
+    a, b = (random_elem(rng, 2, 3, min_deg=1, terms=6, max_den=12) for _ in range(2))
+    fx, fy, fa, fb = map(fractions_of, (x, y, a, b))
+    ab = bilinear_oracle(fa, fb, _half_shuffle_oracle)
+    ba = bilinear_oracle(fb, fa, _half_shuffle_oracle)
+    signed = {w: ab.get(w, 0) - ba.get(w, 0) for w in ab.keys() | ba.keys()}
+    checks = [
+        (shuffle(x, y), bilinear_oracle(fx, fy, shuffle_oracle)),
+        (half_shuffle(x, b), bilinear_oracle(fx, fb, _half_shuffle_oracle)),
+        (area(a, b), {w: c for w, c in signed.items() if c}),
+        (concat(x, y), concat_oracle(fx, fy)),
+    ]
+    checks += [(concat(x, y, level), concat_oracle(fx, fy, level)) for level in range(7)]
+    for got, expected in checks:
+        assert_canonical(got)
+        assert fractions_of(got) == expected
+    assert pairing(x, y) == pairing_oracle(fx, fy)
+    assert pairing(shuffle(x, y), concat(y, x)) == pairing_oracle(
+        bilinear_oracle(fx, fy, shuffle_oracle), concat_oracle(fy, fx)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_maps_and_series_match_the_fraction_lifts(seed):
+    rng = random.Random(seed)
+    x = random_elem(rng, 2, 4, terms=6, max_den=12)
+    a = random_elem(rng, 2, 3, min_deg=1, terms=4, max_den=12)
+    fx, fa = fractions_of(x), fractions_of(a)
+    checks = [
+        (dynkin_r(x), linear_oracle(fx, right_bracketing_oracle)),
+        (pi1(x), linear_oracle(fx, pi1_word_oracle)),
+        (pi1_transpose(x), linear_oracle(fx, pi1_transpose_oracle)),
+        (unshuffle(x), linear_oracle(fx, unshuffle_oracle)),
+        (grading_d(x), {u: c * len(u) for u, c in fx.items() if u}),
+        (grading_d_inv(a), {u: c / len(u) for u, c in fa.items()}),
+    ]
+    one = {(): Fraction(1)}
+    for level in range(1, 5):
+        low = {u: c for u, c in fa.items() if len(u) <= level}
+        checks.append((exp_conc(a, level), series_oracle(low, one, concat_oracle, level)))
+        checks.append((
+            log_conc(unit(2) + a, level),
+            series_oracle(low, one, concat_oracle, level, log=True),
+        ))
+    for got, expected in checks:
+        assert_canonical(got)
+        assert fractions_of(got) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coproduct_pairing_matches_the_fraction_lifts(seed):
+    rng = random.Random(seed)
+    g, a, b = (random_elem(rng, 2, 3, terms=5, max_den=12) for _ in range(3))
+    split = unshuffle(g)
+    fsplit, fa, fb = map(fractions_of, (split, a, b))
+    assert split.pair_with(a, b) == pairing_oracle(fa, contract_oracle(fsplit, fb, 1))
+    assert split.pair_with(a, b) == pairing(shuffle(a, b), g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_store_stays_in_lowest_terms(seed):
+    rng = random.Random(seed)
+    x, y = (random_elem(rng, 3, 3, terms=6, max_den=12) for _ in range(2))
+    for value in (x, y, x + y, x - y, -x, x * F(6, 5), x / 4, x * 0, x - x,
+                  x.truncate(1), x.proj(2), antipode(x), grading_d(x),
+                  grading_d_inv(x.proj_at_least(1)), TensorElem(3, {(1,): F(4, 6)})):
+        assert_canonical(value)
+    assert (x * 3 / 3, hash(x * 3 / 3)) == (x, hash(x))
+    assert (x * F(-7, 12) / F(-7, 12), hash(x * F(-7, 12) / F(-7, 12))) == (x, hash(x))
+    assert ((x + y) - y, hash((x + y) - y)) == (x, hash(x))
+    assert (x * 0).is_zero() and x * 0 == zero(3)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / F(0)
+
+
+def test_absent_keys_read_as_fraction_zero():
+    x = TensorElem(2, {(1,): F(1, 3)})
+    assert type(x.coeff((2,))) is Fraction and x.coeff((2,)) == 0
+    assert type(x.empty_coeff()) is Fraction and x.empty_coeff() == 0
+    assert type(x.coeff((1,))) is Fraction and x.coeff((1,)) == F(1, 3)
+    split = unshuffle(x)
+    assert type(split.coeff((2,), ())) is Fraction and split.coeff((2,), ()) == 0
+    pair = random_double(random.Random(0), 2, 2, 2)
+    assert type(pair.coeff((1, 1, 1), ())) is Fraction and pair.coeff((1, 1, 1), ()) == 0
