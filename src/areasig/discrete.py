@@ -1,11 +1,12 @@
 """Time series, discrete signed areas and exact signatures of linear splines.
 
 A TimeSeries is a breakpoint sequence anchored at the origin; there are no
-timestamps because the signature does not see the parametrization.  Every
-value is a Fraction (coerced by tensor.as_scalar, so a float is rejected
-with a TypeError) and all identities here hold with exact equality.  CSV
-input is read exactly: a token that is not a finite rational number (nan,
-inf, or text in a data row) is rejected with a ValueError naming it.
+timestamps because the signature does not see the parametrization.  Values
+are coerced by tensor.as_scalar (a float is rejected with a TypeError) and
+stored once, as int numerators over one denominator; every operation runs
+on those ints and all identities here hold with exact equality.  CSV input
+is read exactly: a token that is not a finite rational number (nan, inf,
+or text in a data row) is rejected with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import csv
 import io
 import json
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .guard import check_term_budget
 from .tensor import EMPTY_WORD, TensorElem, as_scalar, pairing
@@ -24,9 +27,10 @@ EXACT = "exact_rational"
 
 
 class ScalarSeries:
-    """Scalar breakpoint values v0 = 0, v1, ..., vn."""
+    """Scalar breakpoint values v0 = 0, v1, ..., vn, held as int _nums over one
+    positive int _divisor in lowest terms (an all-zero series is over 1)."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_nums", "_divisor")
 
     def __init__(self, values):
         values = list(values)
@@ -34,22 +38,32 @@ class ScalarSeries:
             raise ValueError("a series needs at least the starting value")
         if values[0] != 0:
             raise ValueError("series must start at zero")
-        self.values = [as_scalar(v) for v in values]
+        values = [as_scalar(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        self._nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        self._divisor = den
+
+    @property
+    def values(self):
+        return [Fraction(n, self._divisor) for n in self._nums]
 
     def __len__(self):
-        return len(self.values)
+        return len(self._nums)
 
     def __getitem__(self, i):
-        return self.values[i]
+        if isinstance(i, slice):
+            return self.values[i]
+        return Fraction(self._nums[i], self._divisor)
 
     def __eq__(self, other):
-        return isinstance(other, ScalarSeries) and self.values == other.values
+        return isinstance(other, ScalarSeries) and (
+            self._divisor, self._nums) == (other._divisor, other._nums)
 
     def __repr__(self):
         return "ScalarSeries(%r)" % (self.values,)
 
     def final(self):
-        return self.values[-1]
+        return Fraction(self._nums[-1], self._divisor)
 
     def to_json_obj(self):
         return {"mode": EXACT, "values": [str(v) for v in self.values]}
@@ -58,10 +72,19 @@ class ScalarSeries:
         return json.dumps(self.to_json_obj())
 
 
-class TimeSeries:
-    """Points x0 = 0, x1, ..., xn in ambient dimension d."""
+def _series(nums, den) -> ScalarSeries:
+    """int `nums` (starting at 0) over the positive int `den`, reduced by one gcd."""
+    nums = tuple(nums)
+    common = gcd(den, *nums)
+    series = object.__new__(ScalarSeries)
+    series._nums, series._divisor = tuple(n // common for n in nums), den // common
+    return series
 
-    __slots__ = ("dim", "points", "meta")
+
+class TimeSeries:
+    """Points x0 = 0, x1, ..., xn in ambient dimension d, one series per axis."""
+
+    __slots__ = ("dim", "_columns", "meta")
 
     def __init__(self, points, meta=None):
         points = [tuple(p) for p in points]
@@ -75,24 +98,21 @@ class TimeSeries:
             raise ValueError("need dimension >= 1")
         if any(v != 0 for v in points[0]):
             raise ValueError("time series must start at the origin")
-        self.points = [tuple(map(as_scalar, p)) for p in points]
+        self._columns = tuple(ScalarSeries(column) for column in zip(*points))
         self.meta = dict(meta or {})
 
     def __len__(self):
-        return len(self.points)
+        return len(self._columns[0])
+
+    @property
+    def points(self):
+        return list(zip(*(column.values for column in self._columns)))
 
     def coordinate(self, i: int) -> ScalarSeries:
         """The i-th coordinate (letters count from 1) as a scalar series."""
         if not 1 <= i <= self.dim:
             raise ValueError("coordinate %d outside 1..%d" % (i, self.dim))
-        return ScalarSeries([p[i - 1] for p in self.points])
-
-
-def _numerators(values):
-    """(D, [v * D for v in values]): integer numerators over the lcm D of
-    the denominators of the Fractions `values`."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+        return self._columns[i - 1]
 
 
 def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
@@ -100,20 +120,13 @@ def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
 
     The orientation is fixed so that the final value equals the pairing of
     the signed-area element with the signature of the linear interpolation,
-    exactly; see signature_pwl.  The sums run on integer numerators, with
-    one Fraction per breakpoint.
+    exactly; see signature_pwl.  It sums numerators over den_a den_b.
     """
     if len(a) != len(b):
         raise ValueError("series lengths differ")
-    den_a, p = _numerators(a.values)
-    den_b, q = _numerators(b.values)
-    den = den_a * den_b
-    out = [Fraction(0)]
-    acc = 0
-    for i in range(len(p) - 1):
-        acc += p[i] * q[i + 1] - p[i + 1] * q[i]
-        out.append(Fraction(acc, den))
-    return ScalarSeries(out)
+    p, q = a._nums, b._nums
+    steps = (p[i] * q[i + 1] - p[i + 1] * q[i] for i in range(len(p) - 1))
+    return _series(accumulate(steps, initial=0), a._divisor * b._divisor)
 
 
 def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
@@ -124,13 +137,9 @@ def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     """
     if len(a) != len(b):
         raise ValueError("series lengths differ")
-    half = Fraction(1, 2)
-    out = [a.values[0] * 0]
-    acc = out[0]
-    for i in range(len(a) - 1):
-        acc = acc + half * (a[i] + a[i + 1]) * (b[i + 1] - b[i])
-        out.append(acc)
-    return ScalarSeries(out)
+    p, q = a._nums, b._nums
+    steps = ((p[i] + p[i + 1]) * (q[i + 1] - q[i]) for i in range(len(p) - 1))
+    return _series(accumulate(steps, initial=0), 2 * a._divisor * b._divisor)
 
 
 def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
@@ -152,7 +161,7 @@ def _discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     kind, left, right = tree
     a, b = _discrete_area_tree(left, x), _discrete_area_tree(right, x)
     if kind == SHUFFLE:
-        return ScalarSeries([u * v for u, v in zip(a.values, b.values)])
+        return _series(map(mul, a._nums, b._nums), a._divisor * b._divisor)
     return discrete_area(a, b)
 
 
@@ -167,10 +176,10 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     each reads the S_i of before the segment.  The result is grouplike up
     to the level.
 
-    The arithmetic is on integers: with D the lcm of the denominators of
-    all increments and L = level, level n is held as a map word -> int
-    equal to its coefficient times L! D^n, and D z is an integer vector.
-    Every division is exact: a term of acc_j that comes from S_i and
+    The arithmetic is on integers: with D the lcm of the coordinates' stored
+    denominators and L = level, level n is held as a map word -> int equal
+    to its coefficient times L! D^n, and D z is an integer vector.  Every
+    division is exact: a term of acc_j that comes from S_i and
     segments taken k_1, ..., k_m times is an integer divided by
     k_1! ... k_m! (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!,
     hence L!.  The words of acc_j z are distinct (u a has one last
@@ -181,14 +190,12 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    dim = x.dim
-    den, scaled = _numerators([
-        e - s for start, end in zip(x.points, x.points[1:]) for s, e in zip(start, end)
-    ])
+    den = lcm(*(c._divisor for c in x._columns))
+    rows = list(zip(*([n * (den // c._divisor) for n in c._nums] for c in x._columns)))
     scale = factorial(level)
     levels = [{EMPTY_WORD: scale}] + [{} for _ in range(level)]
-    for at in range(0, len(scaled), dim):
-        step = [((i + 1,), k) for i, k in enumerate(scaled[at:at + dim]) if k]
+    for start, end in zip(rows, rows[1:]):
+        step = [((i + 1,), e - s) for i, (s, e) in enumerate(zip(start, end)) if e != s]
         if not step:
             continue
         for n in range(level, 0, -1):
@@ -201,7 +208,7 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
                     nxt[w] = nxt.get(w, 0) + c
                 acc = nxt
             levels[n] = acc
-    return TensorElem._over(dim, {
+    return TensorElem._over(x.dim, {
         w: c * den ** (level - n)
         for n, terms in enumerate(levels)
         for w, c in terms.items()

@@ -9,7 +9,7 @@ every ancestor is a shuffle node, so they form a crown containing the root.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import TYPE_CHECKING
 
 from .double_tensor import DoubleTensor, tensor_pair, zero_double
@@ -42,16 +42,12 @@ def leaf_count(tree) -> int:
     return leaf_count(tree[1]) + leaf_count(tree[2])
 
 
-def foliage(tree) -> tuple:
-    if is_leaf(tree):
-        return (tree,)
-    return foliage(tree[1]) + foliage(tree[2])
-
-
 def is_valid_mixed(tree, under_area=False) -> bool:
     if is_leaf(tree):
         return True
     kind, left, right = tree
+    if kind not in (AREA, SHUFFLE):
+        raise ValueError("unknown node kind %r" % (kind,))
     if kind == SHUFFLE and under_area:
         return False
     below = under_area or kind == AREA
@@ -292,21 +288,22 @@ def lambda_via_trees(d: int, n: int) -> DoubleTensor:
 
 
 def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
-    """First-kind coordinate as shuffles of iterated areas, anagram-restricted."""
+    """First-kind coordinate as shuffles of iterated areas, anagram-labeled."""
     d = basis.dim
-    n = len(h)
-    target = tuple(sorted(h.word))
     s_h = basis.dual_pbw(h)
+    shapes = _mixed_shapes(len(h))
+    labelings = sorted(set(permutations(h.word)))
+    check_term_budget(len(shapes) * len(labelings))
     total = TensorElem(d, {})
-    for tree in enumerate_mixed(d, n):
-        if tuple(sorted(foliage(tree))) != target:
-            continue
-        weight = coeff_e(tree)
+    for shape in shapes:
+        weight = coeff_e(shape)  # the weight does not depend on the labels
         if not weight:
             continue
-        factor = pairing(s_h, lie_eval(tree, d))
-        if factor:
-            total = total + mixed_eval(tree, d) * (weight * factor)
+        for letters in labelings:
+            tree = _label(shape, iter(letters))
+            factor = pairing(s_h, lie_eval(tree, d))
+            if factor:
+                total = total + mixed_eval(tree, d) * (weight * factor)
     return total
 
 

@@ -7,9 +7,10 @@ positions onto blocks and its transpose by cutting into blocks, brackets
 by a tiny standalone expansion on dicts, ranks, span membership and inverses
 by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
 decreasing Hall products, path signatures by a chain of sparse Fraction
-concatenation products, discrete areas by a plain Fraction sum, and the
-bilinear, linear and contraction lifts and the exp/log series by plain
-pair loops on dicts of Fractions.
+concatenation products, discrete areas, the trapezoid rule and the tree
+walk by plain Fraction sums and products, and the bilinear, linear and
+contraction lifts and the exp/log series by plain pair loops on dicts of
+Fractions.
 """
 
 from fractions import Fraction
@@ -340,3 +341,32 @@ def discrete_area_oracle(a, b):
     for i in range(len(a) - 1):
         out.append(out[-1] + a[i] * b[i + 1] - a[i + 1] * b[i])
     return ScalarSeries(out)
+
+
+def discrete_integral_oracle(a, b):
+    """Trapezoid rule of a against the increments of b, summed in Fractions."""
+    out = [Fraction(0)]
+    for i in range(len(a) - 1):
+        out.append(out[-1] + (a[i] + a[i + 1]) * (b[i + 1] - b[i]) / 2)
+    return ScalarSeries(out)
+
+
+def discrete_area_tree_oracle(tree, x):
+    """Walk a mixed tree in Fractions: a leaf is its coordinate read off the
+    points, a shuffle node the pointwise product of its children's values
+    and an area node discrete_area_oracle of them."""
+    if isinstance(tree, int):
+        return ScalarSeries([p[tree - 1] for p in x.points])
+    kind, left, right = tree
+    a = discrete_area_tree_oracle(left, x)
+    b = discrete_area_tree_oracle(right, x)
+    if kind == "s":
+        return ScalarSeries([u * v for u, v in zip(a.values, b.values)])
+    return discrete_area_oracle(a, b)
+
+
+def foliage(tree):
+    """The leaf labels of a tree, left to right."""
+    if isinstance(tree, int):
+        return (tree,)
+    return foliage(tree[1]) + foliage(tree[2])

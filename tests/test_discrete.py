@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -27,7 +28,13 @@ from areasig.discrete import EXACT, signature_pairing
 from areasig.errors import TermBudgetExceeded
 from areasig.tensor import concat, exp_conc, unit
 
-from conftest import discrete_area_oracle, signature_oracle, solve_oracle
+from conftest import (
+    discrete_area_oracle,
+    discrete_area_tree_oracle,
+    discrete_integral_oracle,
+    signature_oracle,
+    solve_oracle,
+)
 
 F = Fraction
 
@@ -106,6 +113,14 @@ def test_tree_iteration_example():
 def test_tree_labels_validated():
     with pytest.raises(ValueError):
         discrete_area_tree(3, L_PATH)
+
+
+def test_unknown_node_kind_is_rejected():
+    # an unknown kind is not iterated as an area
+    with pytest.raises(ValueError, match="unknown node kind 'x'"):
+        discrete_area_tree(("x", 1, 2), L_PATH)
+    with pytest.raises(ValueError, match="unknown node kind 'x'"):
+        discrete_area_tree(("s", 1, ("a", 2, ("x", 1, 2))), L_PATH)
 
 
 def test_discrete_area_matches_signature_exactly():
@@ -314,3 +329,70 @@ def test_load_rejects_bad_input():
 def test_series_json():
     series = ScalarSeries([0, F(1, 2)])
     assert series.to_json_obj() == {"mode": EXACT, "values": ["0", "1/2"]}
+
+
+# -- one integer form ------------------------------------------------------------
+
+
+def _in_lowest_terms(series):
+    nums, den = series._nums, series._divisor
+    return den > 0 and gcd(den, *nums) == 1 and (any(nums) or den == 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_tree_walk_matches_the_fraction_oracle(d):
+    rng = random.Random(140 + d)
+    trees = [tree for n in range(1, 5) for tree in enumerate_mixed(d, n)]
+    paths = [
+        _seeded_path(rng, d, rng.randint(1, 4), dens=range(1, 13)) for _ in range(3)
+    ]
+    # an all-zero coordinate: its series, and every product with it, is over 1
+    paths.append(TimeSeries([(0,) * d, (0,) * (d - 1) + (F(1, 6),)]))
+    for ts in paths:
+        for tree in trees:
+            got = discrete_area_tree(tree, ts)
+            assert got.values == discrete_area_tree_oracle(tree, ts).values
+            assert _in_lowest_terms(got)
+
+
+def test_discrete_integral_matches_the_trapezoid_oracle():
+    rng = random.Random(150)
+    for _ in range(6):
+        ts = _seeded_path(rng, 3, rng.randint(1, 5), dens=range(1, 13))
+        for i in range(1, 4):
+            for j in range(1, 4):
+                a, b = ts.coordinate(i), ts.coordinate(j)
+                got = discrete_integral(a, b)
+                assert got.values == discrete_integral_oracle(a, b).values
+                assert _in_lowest_terms(got)
+                nested = discrete_integral(got, ts.coordinate(i))
+                oracle = discrete_integral_oracle(got, ts.coordinate(i))
+                assert nested.values == oracle.values
+
+
+def test_every_series_is_in_lowest_terms():
+    zero = ScalarSeries([0, 0, F(0, 7)])
+    assert zero._nums == (0, 0, 0) and zero._divisor == 1
+    assert ScalarSeries([0, F(2, 4), F(3, 9)])._divisor == 6
+    flat = TimeSeries([(0, 0), (F(1, 3), 0), (F(2, 3), 0)])
+    x, y = flat.coordinate(1), flat.coordinate(2)
+    results = [
+        x, y, discrete_area(x, y), discrete_area(x, x), discrete_integral(x, y),
+        discrete_integral(x, x), discrete_area_tree(("s", 1, 1), flat),
+        discrete_area_tree(("s", 1, 2), flat),
+    ]
+    assert all(_in_lowest_terms(series) for series in results)
+    assert [series._divisor for series in results] == [3, 1, 1, 1, 1, 18, 9, 1]
+
+
+def test_points_round_trip_as_fractions():
+    rng = random.Random(160)
+    for d in (1, 2, 3):
+        ts = _seeded_path(rng, d, 4, dens=range(1, 13))
+        again = TimeSeries(ts.points)
+        assert again.points == ts.points
+        assert all(type(v) is Fraction for p in again.points for v in p)
+        assert all(again.coordinate(i) == ts.coordinate(i) for i in range(1, d + 1))
+        column = again.coordinate(d)
+        assert column[1:] == column.values[1:] == [p[-1] for p in ts.points[1:]]
+        assert column[-1] == column.final() == ts.points[-1][-1]

@@ -20,9 +20,8 @@ from areasig import (
 )
 from areasig import linalg
 from areasig.tensor import parse_word
-from areasig.trees import foliage
 
-from conftest import dual_pbw_oracle, pbw_product, random_elem
+from conftest import dual_pbw_oracle, foliage, pbw_product, random_elem
 from reference_tables import LYNDON_D2_TABLE, bracket_elem, el
 
 

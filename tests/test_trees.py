@@ -29,7 +29,9 @@ from areasig import (
     zeta_via_trees,
 )
 from areasig.errors import ExpressionSyntaxError
-from areasig.trees import foliage, is_valid_mixed, leaf_count
+from areasig.trees import is_valid_mixed, leaf_count
+
+from conftest import foliage
 
 F = Fraction
 
@@ -60,6 +62,8 @@ def test_enumeration_is_duplicate_free():
 def test_shuffle_crown_constraint():
     assert is_valid_mixed(("s", ("s", 1, 2), ("a", 1, 2)))
     assert not is_valid_mixed(("a", ("s", 1, 2), 1))
+    with pytest.raises(ValueError, match="unknown node kind 'x'"):
+        is_valid_mixed(("a", 1, ("x", 1, 2)))
     with pytest.raises(ExpressionSyntaxError):
         parse_tree("a(s(1,2),1)")
 
