@@ -49,6 +49,7 @@ from .tensor import (
     half_shuffle,
     is_grouplike,
     letter_elem,
+    linear_combination,
     log_conc,
     pairing,
     rho,
@@ -132,9 +133,10 @@ def grading_identity(d, top) -> bool:
     """D(w) = sum over splits w = u v, u nonempty, of rho(u) shuffled with v."""
     for n in range(1, top + 1):
         for w in words_of_length(d, n):
-            total = TensorElem(d, {})
-            for cut in range(1, n + 1):
-                total = total + shuffle(rho(word_elem(w[:cut], d)), word_elem(w[cut:], d))
+            total = linear_combination(TensorElem(d, {}), (
+                (shuffle(rho(word_elem(w[:cut], d)), word_elem(w[cut:], d)), 1)
+                for cut in range(1, n + 1)
+            ))
             if total != grading_d(word_elem(w, d)):
                 return False
     return True
@@ -183,10 +185,10 @@ def lambda_tree_expansion(lam, top) -> bool:
 
 def coordinate_element(basis, level):
     """Sum over Hall words h of zeta_h (x) P_h."""
-    combined = zero_double(basis.dim)
-    for h in basis.all_hall_words():
-        combined = combined + tensor_pair(basis.zeta(h), basis.bracketing(h), level)
-    return combined
+    return linear_combination(zero_double(basis.dim), (
+        (tensor_pair(basis.zeta(h), basis.bracketing(h), level), 1)
+        for h in basis.all_hall_words()
+    ))
 
 
 def exp_reproduces_diagonal(combined, level) -> bool:

@@ -221,21 +221,20 @@ def signature_pairing(phi: TensorElem, x: TimeSeries):
 
 
 def _parse_token(token: str):
-    token = token.strip()
+    """(numerator, denominator) of a finite rational token, else None."""
     try:
-        return Fraction(token)
+        value = Fraction(token.strip())
     except (ValueError, ZeroDivisionError):
         return None
+    return value.numerator, value.denominator
 
 
 def _is_numeric(cell: str) -> bool:
     """Whether a cell reads as a number, finite or not (a header has none)."""
-    if _parse_token(cell) is not None:
-        return True
     try:
         float(cell)
     except ValueError:
-        return False
+        return _parse_token(cell) is not None
     return True
 
 
@@ -269,15 +268,19 @@ def load_timeseries(source) -> TimeSeries:
         raise ValueError("ragged csv rows: widths %s" % sorted(widths))
     parsed = []
     for row in rows[start:]:
-        values = []
-        for cell in row:
-            value = _parse_token(cell)
-            if value is None:
-                raise ValueError("csv token %r is not a finite rational number" % cell)
-            values.append(value)
-        parsed.append(tuple(values))
-    anchored = all(v == 0 for v in parsed[0])
+        ratios = [_parse_token(cell) for cell in row]
+        if None in ratios:
+            bad = row[ratios.index(None)]
+            raise ValueError("csv token %r is not a finite rational number" % bad)
+        parsed.append(ratios)
+    anchored = not any(num for num, _ in parsed[0])
     if not anchored:
-        parsed.insert(0, tuple(Fraction(0) for _ in parsed[0]))
-    meta = {"zero_row_prepended": not anchored, "header_skipped": header_skipped}
-    return TimeSeries(parsed, meta)
+        parsed.insert(0, [(0, 1)] * len(parsed[0]))
+    columns = []
+    for column in zip(*parsed):
+        den = lcm(*(d for _, d in column))
+        columns.append(_series([n * (den // d) for n, d in column], den))
+    series = object.__new__(TimeSeries)
+    series.dim, series._columns = len(columns), tuple(columns)
+    series.meta = {"zero_row_prepended": not anchored, "header_skipped": header_skipped}
+    return series

@@ -13,6 +13,7 @@ bilinear lift, and eval_at / coeval_at are its contraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import EmptyWordOperand
 from .tensor import (
@@ -27,6 +28,7 @@ from .tensor import (
     _Terms,
     format_word,
     half_shuffle_words,
+    linear_combination,
     r_word,
     shuffle_words,
     words_of_length,
@@ -198,11 +200,12 @@ def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
     if method == "recursion":
         parts = [r_level_one(d)]
         for n in range(2, level + 1):
-            total = zero_double(d)
-            for split in range(1, n):
-                total = total + pre_lie_sym(parts[split - 1], parts[n - split - 1])
-            parts.append(total * Fraction(1, 2 * (n - 1)))
-        return sum(parts, zero_double(d))
+            weight = Fraction(1, 2 * (n - 1))
+            parts.append(linear_combination(zero_double(d), (
+                (pre_lie_sym(parts[split - 1], parts[n - split - 1]), weight)
+                for split in range(1, n)
+            )))
+        return linear_combination(zero_double(d), ((part, 1) for part in parts))
     raise ValueError("unknown r_element method %r" % method)
 
 
@@ -247,20 +250,12 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
         parts = [r_level_one(d)]
         r_full = r_element(d, level)
         for n in range(2, level + 1):
-            total = r_full.proj(n) * Fraction(1, n)
-            for i in range(2, n + 1):
-                weight = Fraction(1)
-                for j in range(2, i + 1):
-                    weight /= j
-                for comp in _compositions(n, i):
-                    bracket = nested_box_bracket(
-                        [parts[m - 1] for m in comp]
-                    )
-                    if bracket.is_zero():
-                        continue
-                    total = total - bracket * (
-                        Fraction(comp[-1], n) * weight
-                    )
-            parts.append(total)
-        return sum(parts, zero_double(d))
+            brackets = (
+                (nested_box_bracket([parts[m - 1] for m in comp]),
+                 Fraction(-comp[-1], n * factorial(i)))
+                for i in range(2, n + 1)
+                for comp in _compositions(n, i)
+            )
+            parts.append(linear_combination(r_full.proj(n) * Fraction(1, n), brackets))
+        return linear_combination(zero_double(d), ((part, 1) for part in parts))
     raise ValueError("unknown lambda_element method %r" % method)

@@ -15,6 +15,7 @@ parse(format(e)) == e.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ExpressionSyntaxError
 from .span import arealb, vol
@@ -27,6 +28,7 @@ from .tensor import (
     grading_d_inv,
     half_shuffle,
     lie_bracket,
+    linear_combination,
     pi1_transpose,
     rho,
     shuffle,
@@ -34,20 +36,13 @@ from .tensor import (
 )
 
 
-def _fold(op, args):
-    out = args[0]
-    for nxt in args[1:]:
-        out = op(out, nxt)
-    return out
-
-
 # name: (min arity, max arity or None for unbounded, operation on the list
 # of evaluated arguments).  Each operation looks its function up in this
 # module's globals when it runs, not when the table is built.
 FUNCTIONS = {
-    "sh": (2, None, lambda a: _fold(shuffle, a)),
+    "sh": (2, None, lambda a: reduce(shuffle, a)),
     "hs": (2, 2, lambda a: half_shuffle(*a)),
-    "cc": (2, None, lambda a: _fold(concat, a)),
+    "cc": (2, None, lambda a: reduce(concat, a)),
     "area": (2, 2, lambda a: area(*a)),
     "lie": (2, 2, lambda a: lie_bracket(*a)),
     "r": (1, 1, lambda a: dynkin_r(*a)),
@@ -222,12 +217,8 @@ def format_expression(node) -> str:
             return str(word[0])
         return "w(%s)" % "".join(str(i) for i in word)
     if kind == "scaled":
-        value, atom = node[1], node[2]
-        if value.denominator == 1:
-            prefix = str(value.numerator)
-        else:
-            prefix = "%d/%d" % (value.numerator, value.denominator)
-        return "%s*%s" % (prefix, format_expression(atom))
+        # a Fraction prints as n or n/d
+        return "%s*%s" % (node[1], format_expression(node[2]))
     if kind == "sum":
         out = format_expression(node[1][0][1])
         for sign, term in node[1][1:]:
@@ -248,11 +239,8 @@ def evaluate(node, dim: int) -> TensorElem:
     if kind == "scaled":
         return evaluate(node[2], dim) * node[1]
     if kind == "sum":
-        total = None
-        for sign, term in node[1]:
-            value = evaluate(term, dim) * sign
-            total = value if total is None else total + value
-        return total
+        terms = ((evaluate(term, dim), sign) for sign, term in node[1])
+        return linear_combination(TensorElem(dim, {}), terms)
     if kind == "call" and node[1] in FUNCTIONS:
         return FUNCTIONS[node[1]][2]([evaluate(arg, dim) for arg in node[2]])
     raise ValueError("bad expression node %r" % (node,))

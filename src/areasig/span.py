@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import reduce
+from itertools import chain, permutations
 import json
 
 from . import linalg
@@ -22,6 +23,7 @@ from .tensor import (
     area,
     half_shuffle,
     letter_elem,
+    linear_combination,
     pairing,
     rho,
     shuffle,
@@ -90,12 +92,11 @@ def area_span_membership(x: TensorElem):
 
 
 def membership_to_elem(d: int, decomposition) -> TensorElem:
-    total = TensorElem(d, {})
-    for i, c in decomposition["letters"].items():
-        total = total + letter_elem(i, d) * c
-    for (w, i, j), c in decomposition["pairs"].items():
-        total = total + TensorElem(d, {w + (i, j): c, w + (j, i): -c})
-    return total
+    pairs = decomposition["pairs"].items()
+    return linear_combination(TensorElem(d, {}), chain(
+        ((letter_elem(i, d), c) for i, c in decomposition["letters"].items()),
+        ((TensorElem(d, {w + (i, j): 1, w + (j, i): -1}), c) for (w, i, j), c in pairs),
+    ))
 
 
 # -- left bracketing ----------------------------------------------------------
@@ -118,10 +119,9 @@ def arealb_word(w, dim: int) -> TensorElem:
 
 def arealb(x: TensorElem) -> TensorElem:
     """Strict left-bracketing of the area operation along each word."""
-    total = TensorElem(x.dim, {})
-    for w, c in x.terms():
-        total = total + arealb_word(w, x.dim) * c
-    return total
+    return linear_combination(
+        TensorElem(x.dim, {}), ((arealb_word(w, x.dim), c) for w, c in x.terms())
+    )
 
 
 # -- permutation expansions -----------------------------------------------------
@@ -195,14 +195,10 @@ def vol_n(args) -> TensorElem:
     if n < 2:
         raise ValueError("need at least two arguments")
     dim = args[0].dim
-    total = TensorElem(dim, {})
-    for sigma in permutations(range(n)):
-        sign = _perm_sign(sigma)
-        cur = args[sigma[0]]
-        for idx in sigma[1:]:
-            cur = half_shuffle(cur, args[idx])
-        total = total + cur * sign
-    return total
+    return linear_combination(TensorElem(dim, {}), (
+        (reduce(half_shuffle, (args[i] for i in sigma)), _perm_sign(sigma))
+        for sigma in permutations(range(n))
+    ))
 
 
 def _perm_sign(sigma) -> int:
@@ -350,13 +346,10 @@ def _rho_shuffle_terms(w):
 
 
 def eval_rho_shuffle_expansion(w, dim: int) -> TensorElem:
-    total = TensorElem(dim, {})
-    for blocks, coefficient in words_as_rho_shuffles(w):
-        cur = rho(word_elem(blocks[0], dim))
-        for block in blocks[1:]:
-            cur = shuffle(cur, rho(word_elem(block, dim)))
-        total = total + cur * coefficient
-    return total
+    return linear_combination(TensorElem(dim, {}), (
+        (reduce(shuffle, (rho(word_elem(block, dim)) for block in blocks)), coefficient)
+        for blocks, coefficient in words_as_rho_shuffles(w)
+    ))
 
 
 def rho_image_in_area_span(w, dim: int) -> bool:

@@ -214,27 +214,11 @@ class _Terms:
 
     # -- linear structure ------------------------------------------------
 
-    def _plus(self, other, negate):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._same_alphabet(other)
-        den = lcm(self._den, other._den)
-        mine, theirs = den // self._den, den // other._den
-        if mine == 1:
-            out = dict(self._terms)
-        else:
-            out = {k: c * mine for k, c in self._terms.items()}
-        if negate:
-            theirs = -theirs
-        for key, c in other._terms.items():
-            _bump(out, key, c * theirs)
-        return self._like(out, den)
-
     def __add__(self, other):
-        return self._plus(other, False)
+        return linear_combination(self, ((other, 1),))
 
     def __sub__(self, other):
-        return self._plus(other, True)
+        return linear_combination(self, ((other, -1),))
 
     def __neg__(self):
         return self._raw(self.dim, {k: -c for k, c in self._terms.items()}, self._den)
@@ -318,20 +302,17 @@ class TensorElem(_Terms):
         return "<TensorElem d=%d %s>" % (self.dim, str(self))
 
     def __str__(self):
-        if not self._terms:
-            return "0"
+        """Terms as "12 - 1/2*21 + ...", or "0"."""
         chunks = []
         for w, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            word = format_word(w, self.dim)
-            body = word if mag == 1 else "%s*%s" % (mag, word)
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            body = format_word(w, self.dim)
+            if abs(c) != 1:
+                body = "%s*%s" % (abs(c), body)
+            chunks += ["-" if c < 0 else "+", body]
+        if not chunks:
+            return "0"
+        text = " ".join(chunks)  # "+ 12 - 21 ...": the first sign sticks or goes
+        return text[2:] if chunks[0] == "+" else "-" + text[2:]
 
     def to_json_obj(self):
         return [
@@ -526,16 +507,16 @@ def _convolution_power(w: Word, k: int, coproduct, product) -> dict:
     return out
 
 
-def _log_den(n: int) -> int:
-    """lcm(1, ..., n): the denominator of log(id) on words of length n."""
-    return lcm(*range(1, n + 1))
+def _log_den(w: Word) -> int:
+    """lcm(1, ..., |w|): the denominator of log(id) at the word w."""
+    return lcm(*range(1, len(w) + 1))
 
 
 def _log_id(w: Word, coproduct, product) -> dict:
     """log(id) at w in the convolution algebra of `coproduct` and `product`,
-    times _log_den(|w|): the sum over k of (-1)^(k-1) _log_den(|w|)/k times
+    times _log_den(w): the sum over k of (-1)^(k-1) _log_den(w)/k times
     the k-th convolution power, so every value is an int."""
-    den = _log_den(len(w))
+    den = _log_den(w)
     out: dict = {}
     for k in range(1, len(w) + 1):
         weight = (-1) ** (k - 1) * (den // k)
@@ -559,13 +540,13 @@ def pi1_word(u: Word) -> dict:
 
     Its restriction to grouplike elements is the concatenation logarithm.
     """
-    den = _log_den(len(u))
+    den = _log_den(u)
     return {t: Fraction(c, den) for t, c in _pi1_numerators(u).items()}
 
 
 def pi1_transpose_word(w: Word) -> dict:
     """Transpose of pi1: log(id) for deconcatenation and shuffle."""
-    den = _log_den(len(w))
+    den = _log_den(w)
     return {t: Fraction(c, den) for t, c in _pi1_transpose_numerators(w).items()}
 
 
@@ -593,8 +574,8 @@ def _pairs(x, y, level):
 def _bilinear(x, y, key_op, level=None, kind=None):
     """The bilinear map sending each key pair (u, v) to key_op(u, v), as a
     `kind` (x's own unless given).  Pairs whose grades add up to more than
-    `level` are skipped.  Backs shuffle, half_shuffle, tensor_pair and the
-    double-tensor products.
+    `level` are skipped.  Backs shuffle, tensor_pair and the double-tensor
+    products.
     """
     x._same_alphabet(y)
     acc: dict = {}
@@ -632,6 +613,37 @@ def _contract(f, x, side):
     return TensorElem._over(f.dim, acc, f._den * x._den)
 
 
+def linear_combination(start, pairs):
+    """`start` plus the sum of scalar * x over the (x, scalar) pairs, each x
+    of start's kind and alphabet.
+
+    The pairs stream into one int accumulator, rescaled only when the lcm
+    of the denominators grows, so a fold of n terms copies no partial sum.
+    Backs + and -.  An x of another kind raises TypeError and one over
+    another alphabet AlphabetMismatch; zero scalars add nothing.
+    """
+    kind = type(start)
+    acc, den = dict(start._terms), start._den
+    for x, scalar in pairs:
+        if type(x) is not kind:
+            raise TypeError("cannot add %s to %s" % (type(x).__name__, kind.__name__))
+        start._same_alphabet(x)
+        num, scalar_den = _ratio(scalar)
+        if not num:
+            continue
+        x_den = x._den * scalar_den
+        common = lcm(den, x_den)
+        if common != den:
+            scale, den = common // den, common
+            for key in acc:
+                acc[key] *= scale
+        num *= common // x_den
+        for key, c in x._terms.items():
+            _bump(acc, key, c * num)
+        check_term_budget(len(acc))
+    return kind._over(start.dim, acc, den)
+
+
 def _reject_empty(x: TensorElem, role: str):
     if EMPTY_WORD in x._terms:
         raise EmptyWordOperand("%s must have no empty-word component" % role)
@@ -654,17 +666,35 @@ def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     return _bilinear(x, y, shuffle_words)
 
 
+def _half_shuffles(x, y, orders):
+    """The sum of sign * (a > b) over the (a, b, sign) in `orders`, each a
+    pair of x and y, in one accumulator over x._den * y._den.  A word pair
+    (u, v) runs over the shuffles of u with v minus its last letter and
+    appends that letter, with no half_shuffle_words dict in between."""
+    x._same_alphabet(y)
+    acc: dict = {}
+    for a, b, sign in orders:
+        right = [(v[:-1], v[-1:], cv * sign) for v, cv in b._terms.items()]
+        for u, cu in a._terms.items():
+            for head, last, cv in right:
+                c = cu * cv
+                for w, k in shuffle_words(u, head).items():
+                    _bump(acc, w + last, c * k)
+    return TensorElem._over(x.dim, acc, x._den * y._den)
+
+
 def half_shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     """x > y: shuffles of x and y ending with the final letter of y."""
     _reject_empty(y, "right half-shuffle factor")
-    return _bilinear(x, y, half_shuffle_words)
+    return _half_shuffles(x, y, ((x, y, 1),))
 
 
 def area(x: TensorElem, y: TensorElem) -> TensorElem:
-    """Antisymmetrized half-shuffle, the signed-area operation."""
+    """Antisymmetrized half-shuffle x > y - y > x, the signed-area operation,
+    both orders in one pass."""
     _reject_empty(x, "area operand")
     _reject_empty(y, "area operand")
-    return half_shuffle(x, y) - half_shuffle(y, x)
+    return _half_shuffles(x, y, ((x, y, 1), (y, x, -1)))
 
 
 def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:
@@ -723,16 +753,12 @@ def antipode(x: TensorElem) -> TensorElem:
     )
 
 
-def _word_log_den(u: Word) -> int:
-    return _log_den(len(u))
-
-
 def pi1(x: TensorElem) -> TensorElem:
-    return _linear(x, _pi1_numerators, key_den=_word_log_den)
+    return _linear(x, _pi1_numerators, key_den=_log_den)
 
 
 def pi1_transpose(x: TensorElem) -> TensorElem:
-    return _linear(x, _pi1_transpose_numerators, key_den=_word_log_den)
+    return _linear(x, _pi1_transpose_numerators, key_den=_log_den)
 
 
 class CoproductTerms(_Terms):

@@ -21,6 +21,7 @@ from .tensor import (
     area,
     letter_elem,
     lie_bracket,
+    linear_combination,
     pairing,
     shuffle,
 )
@@ -270,21 +271,19 @@ def parse_tree(text: str):
 
 def r_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the right-bracketing element as a sum over area trees."""
-    total = zero_double(d)
-    for tree in enumerate_trees(d, n):
-        weight = Fraction(1, coeff_c(tree))
-        total = total + tensor_pair(area_eval(tree, d), lie_eval(tree, d)) * weight
-    return total
+    return linear_combination(zero_double(d), (
+        (tensor_pair(area_eval(tree, d), lie_eval(tree, d)), Fraction(1, coeff_c(tree)))
+        for tree in enumerate_trees(d, n)
+    ))
 
 
 def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the logarithm element as a sum over mixed trees."""
-    total = zero_double(d)
-    for tree in enumerate_mixed(d, n):
-        weight = coeff_e(tree)
-        if weight:
-            total = total + tensor_pair(mixed_eval(tree, d), lie_eval(tree, d)) * weight
-    return total
+    return linear_combination(zero_double(d), (
+        (tensor_pair(mixed_eval(tree, d), lie_eval(tree, d)), weight)
+        for tree in enumerate_mixed(d, n)
+        if (weight := coeff_e(tree))
+    ))
 
 
 def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
@@ -294,17 +293,13 @@ def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
     shapes = _mixed_shapes(len(h))
     labelings = sorted(set(permutations(h.word)))
     check_term_budget(len(shapes) * len(labelings))
-    total = TensorElem(d, {})
-    for shape in shapes:
-        weight = coeff_e(shape)  # the weight does not depend on the labels
-        if not weight:
-            continue
-        for letters in labelings:
-            tree = _label(shape, iter(letters))
-            factor = pairing(s_h, lie_eval(tree, d))
-            if factor:
-                total = total + mixed_eval(tree, d) * (weight * factor)
-    return total
+    return linear_combination(TensorElem(d, {}), (
+        (mixed_eval(tree, d), weight * factor)
+        for shape in shapes
+        if (weight := coeff_e(shape))  # the weight does not depend on the labels
+        for tree in (_label(shape, iter(letters)) for letters in labelings)
+        if (factor := pairing(s_h, lie_eval(tree, d)))
+    ))
 
 
 def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
@@ -312,20 +307,18 @@ def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> Tensor
     if method == "recursion":
         return _rho_hall_recursive(basis, h)
     if method == "q_trees":
-        total = TensorElem(basis.dim, {})
-        for tree in enumerate_trees(basis.dim, len(h)):
-            q = _q_coefficient(basis, tree, h)
-            if q:
-                total = total + area_eval(tree, basis.dim) * Fraction(q, coeff_b(tree))
-        return total
+        return linear_combination(TensorElem(basis.dim, {}), (
+            (area_eval(tree, basis.dim), Fraction(q, coeff_b(tree)))
+            for tree in enumerate_trees(basis.dim, len(h))
+            if (q := _q_coefficient(basis, tree, h))
+        ))
     if method == "p_trees":
         s_h = basis.dual_pbw(h)
-        total = TensorElem(basis.dim, {})
-        for tree in enumerate_trees(basis.dim, len(h)):
-            p = pairing(s_h, lie_eval(tree, basis.dim))
-            if p:
-                total = total + area_eval(tree, basis.dim) * (p / coeff_c(tree))
-        return total
+        return linear_combination(TensorElem(basis.dim, {}), (
+            (area_eval(tree, basis.dim), p / coeff_c(tree))
+            for tree in enumerate_trees(basis.dim, len(h))
+            if (p := pairing(s_h, lie_eval(tree, basis.dim)))
+        ))
     raise ValueError("unknown rho_hall method %r" % method)
 
 
@@ -334,12 +327,10 @@ def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
     n = len(h)
     if n == 1:
         return letter_elem(h.word[0], basis.dim)
-    result = TensorElem(basis.dim, {})
-    for h1, h2, c in basis._bracket_terms(n)[h]:
-        result = result + area(
-            _rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2)
-        ) * (c / (n - 1))
-    return result
+    return linear_combination(TensorElem(basis.dim, {}), (
+        (area(_rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2)), c / (n - 1))
+        for h1, h2, c in basis._bracket_terms(n)[h]
+    ))
 
 
 @memo_per_owner

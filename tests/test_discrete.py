@@ -291,6 +291,15 @@ def test_load_prepends_origin():
     assert ts.meta["zero_row_prepended"]
 
 
+def test_load_reads_each_token_exactly_into_the_point_form():
+    loaded = load_timeseries("0,0\n0.25,-3/6\n1e-3,2\n")
+    points = [(F(0), F(0)), (F(1, 4), F(-1, 2)), (F(1, 1000), F(2))]
+    assert loaded.points == TimeSeries(points).points
+    assert loaded.coordinate(1) == TimeSeries(points).coordinate(1)
+    assert loaded.coordinate(2) == TimeSeries(points).coordinate(2)
+    assert not loaded.meta["zero_row_prepended"]
+
+
 def test_load_decimals_exactly():
     ts = load_timeseries("0.5,0.25")
     assert ts.points == [(0, 0), (F(1, 2), F(1, 4))]

@@ -36,8 +36,9 @@ from areasig import (
     word_elem,
     zero,
 )
-from areasig.double_tensor import unit_double
+from areasig.double_tensor import tensor_pair, unit_double, zero_double
 from areasig.tensor import (
+    linear_combination,
     pi1_transpose_word,
     pi1_word,
     unshuffle_word,
@@ -566,6 +567,125 @@ def test_products_match_the_fraction_lifts(seed):
     assert pairing(shuffle(x, y), concat(y, x)) == pairing_oracle(
         bilinear_oracle(fx, fy, shuffle_oracle), concat_oracle(fy, fx)
     )
+
+
+def _denominators_1_to_12(rng, d):
+    """A TensorElem with one term over each denominator 1..12 (words of
+    length 1..3, so it can stand on either side of an area)."""
+    return TensorElem(d, {
+        tuple(rng.randint(1, d) for _ in range(rng.randint(1, 3))):
+            F(rng.choice((-3, -2, -1, 1, 2, 3)), den)
+        for den in range(1, 13)
+    })
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_area_and_half_shuffle_match_the_oracle_over_denominators_1_to_12(d, seed):
+    rng = random.Random(seed)
+    a, b = _denominators_1_to_12(rng, d), _denominators_1_to_12(rng, d)
+    x = random_elem(rng, d, 2, terms=5, max_den=12)  # may hold the empty word
+    fa, fb, fx = map(fractions_of, (a, b, x))
+    ab = bilinear_oracle(fa, fb, _half_shuffle_oracle)
+    ba = bilinear_oracle(fb, fa, _half_shuffle_oracle)
+    signed = {w: ab.get(w, 0) - ba.get(w, 0) for w in ab.keys() | ba.keys()}
+    for got, expected in [
+        (half_shuffle(a, b), ab),
+        (half_shuffle(b, a), ba),
+        (half_shuffle(x, b), bilinear_oracle(fx, fb, _half_shuffle_oracle)),
+        (area(a, b), {w: c for w, c in signed.items() if c}),
+        (area(b, a), {w: -c for w, c in signed.items() if c}),
+    ]:
+        assert_canonical(got)
+        assert fractions_of(got) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_area_of_an_element_with_itself_is_zero(seed):
+    rng = random.Random(seed)
+    for x in (random_elem(rng, 3, 3, min_deg=1, terms=6, max_den=12),
+              _denominators_1_to_12(rng, 2)):
+        value = area(x, x)
+        assert value.is_zero() and value == zero(x.dim)
+        assert_canonical(value)
+
+
+def test_area_and_half_shuffle_errors_name_the_operand():
+    one, two = letter_elem(1, 2), letter_elem(2, 2)
+    with_empty = unit(2) + one
+    for x, y in ((with_empty, two), (two, with_empty), (with_empty, letter_elem(1, 3))):
+        with pytest.raises(EmptyWordOperand) as info:
+            area(x, y)
+        assert str(info.value) == "area operand must have no empty-word component"
+    for x, y in ((one, with_empty), (letter_elem(1, 3), with_empty)):
+        with pytest.raises(EmptyWordOperand) as info:
+            half_shuffle(x, y)
+        assert str(info.value) == (
+            "right half-shuffle factor must have no empty-word component"
+        )
+    assert half_shuffle(with_empty, two) == w("12", 2) + two
+    for op in (area, half_shuffle):
+        for x, y in ((one, letter_elem(1, 3)), (letter_elem(1, 3), one)):
+            with pytest.raises(AlphabetMismatch) as info:
+                op(x, y)
+            assert str(info.value) == "alphabet sizes differ: %d vs %d" % (x.dim, y.dim)
+
+
+# -- one accumulator for linear combinations --------------------------------------
+
+
+def _left_fold(start, pairs):
+    total = start
+    for x, scalar in pairs:
+        total = total + x * scalar
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_combination_equals_the_left_fold_of_plus(seed):
+    rng = random.Random(seed)
+    scalars = [F(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(7)]
+    scalars[rng.randrange(7)] = 0
+    scalars[rng.randrange(7)] = rng.randint(-3, 3)
+    for values, start in (
+        ([random_elem(rng, 3, 3, terms=5, max_den=12) for _ in range(7)], zero(3)),
+        ([random_double(rng, 2, 2, 2, terms=5, max_den=12) for _ in range(7)],
+         zero_double(2)),
+    ):
+        pairs = list(zip(values, scalars))
+        for begin in (start, values[0] * F(5, 7)):
+            got, expected = linear_combination(begin, iter(pairs)), _left_fold(begin, pairs)
+            assert_canonical(got)
+            assert (got, hash(got)) == (expected, hash(expected))
+        negated = [(x, -c) for x, c in pairs]
+        assert linear_combination(start, pairs) + linear_combination(start, negated) == start
+
+
+def test_linear_combination_of_nothing_or_zero_scalars_is_zero():
+    rng = random.Random(3)
+    x = random_elem(rng, 2, 3, terms=5, max_den=12)
+    f = random_double(rng, 2, 2, 2, terms=5, max_den=12)
+    for start, value in ((zero(2), x), (zero_double(2), f)):
+        for pairs in ([], [(value, 0), (value, F(0)), (value, "0")]):
+            got = linear_combination(start, pairs)
+            assert got == start and got.is_zero()
+            assert_canonical(got)
+    assert linear_combination(x, []) == x and linear_combination(x, [(x, 0)]) == x
+
+
+def test_linear_combination_keeps_the_kind_and_alphabet_checks():
+    x, y = letter_elem(1, 2), letter_elem(2, 2)
+    pair = tensor_pair(x, y)
+    for start, other in ((zero(2), pair), (zero_double(2), x), (x, pair)):
+        for scalar in (1, 0):
+            with pytest.raises(TypeError):
+                linear_combination(start, [(other, scalar)])
+    with pytest.raises(TypeError):
+        linear_combination(zero(2), [(x, 1), (pair, 1)])
+    for start, other in ((zero(2), letter_elem(1, 3)), (zero_double(3), pair)):
+        for scalar in (1, 0):
+            with pytest.raises(AlphabetMismatch):
+                linear_combination(start, [(other, scalar)])
 
 
 @pytest.mark.parametrize("seed", range(6))
