@@ -118,14 +118,14 @@ def dynkin_criterion(basis) -> bool:
 
 
 def rho_adjoint_to_r(d, top) -> bool:
-    """<rho(u), v> = <u, r(v)> for all words u, v of equal length <= top."""
+    """<rho(u), v> = <u, r(v)> for all words u, v of equal length <= top:
+    per length, rho's (u, v) -> coefficient map is the transpose of r's."""
     for n in range(1, top + 1):
-        for u in words_of_length(d, n):
-            ue = word_elem(u, d)
-            for v in words_of_length(d, n):
-                ve = word_elem(v, d)
-                if pairing(rho(ue), ve) != pairing(ue, dynkin_r(ve)):
-                    return False
+        words = list(words_of_length(d, n))
+        rho_map = {(u, v): c for u in words for v, c in rho(word_elem(u, d)).terms()}
+        r_map = {(u, v): c for v in words for u, c in dynkin_r(word_elem(v, d)).terms()}
+        if rho_map != r_map:
+            return False
     return True
 
 

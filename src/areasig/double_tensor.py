@@ -5,9 +5,9 @@ truncate, grading_d and grading_d_inv of the tensor module act on the right
 side only.  Products truncate at their `level` argument alone; left factors
 grow without bound, exactly as the product rules require.
 
-This module holds word-pair rules and builders only: each product hands a
-rule on left words and a rule on right words to the tensor module's
-bilinear lift, and eval_at / coeval_at are its contraction.
+This module holds word-pair rules and builders only: each product names a
+rule on left words and a rule on right words for the tensor module's
+pair-key bilinear lift, and eval_at / coeval_at are its contraction.
 """
 
 from __future__ import annotations
@@ -20,17 +20,15 @@ from .tensor import (
     EMPTY_WORD,
     TensorElem,
     _bilinear,
-    _bump,
-    _concat_words,
     _contract,
     _linear,
+    _outer,
     _series,
     _Terms,
     format_word,
-    half_shuffle_words,
     linear_combination,
     r_word,
-    shuffle_words,
+    shuffle_words,  # unused here; bench/test_bench.py checks this re-import
     words_of_length,
 )
 
@@ -75,37 +73,15 @@ def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor
     """Outer product of a left-side and a right-side element."""
     if level is not None:
         right = right.truncate(level)
-    return _bilinear(left, right, lambda u, v: {(u, v): 1}, kind=DoubleTensor)
+    return _outer(left, right, DoubleTensor)
 
 
 # -- products ---------------------------------------------------------------
 
 
-def _combine(a, b, left_op, right_op, level=None):
-    """The product of a and b that applies left_op to their left words and
-    right_op to their right words, dropping right degrees above `level`."""
-
-    def pair_op(p, q):
-        rights = right_op(p[1], q[1])
-        return {
-            (left_word, right_word): lk * rk
-            for left_word, lk in left_op(p[0], q[0]).items()
-            for right_word, rk in rights.items()
-        }
-
-    return _bilinear(a, b, pair_op, level)
-
-
-def _bracket_words(u, v):
-    out: dict = {}
-    _bump(out, u + v, 1)
-    _bump(out, v + u, -1)
-    return out
-
-
 def box_mul(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Shuffle the left components, concatenate the right ones."""
-    return _combine(a, b, shuffle_words, _concat_words, level)
+    return _bilinear(a, b, level=level)
 
 
 def _check_left_nonempty(x: DoubleTensor, role):
@@ -122,19 +98,17 @@ def dendriform(a: DoubleTensor, b: DoubleTensor, which: str, level=None) -> Doub
     """
     if which == "succ":
         _check_left_nonempty(b, "succ right operand")
-        return _combine(a, b, half_shuffle_words, _concat_words, level)
+        return _bilinear(a, b, cut=1, level=level)
     if which == "prec":
         _check_left_nonempty(a, "prec left operand")
-        return _combine(
-            a, b, lambda u, v: half_shuffle_words(v, u), _concat_words, level
-        )
+        return _bilinear(a, b, cut=0, level=level)
     raise ValueError("which must be 'succ' or 'prec'")
 
 
 def pre_lie(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Half-shuffle on the left, commutator on the right."""
     _check_left_nonempty(b, "pre-Lie right operand")
-    return _combine(a, b, half_shuffle_words, _bracket_words, level)
+    return _bilinear(a, b, cut=1, bracket=True, level=level)
 
 
 def pre_lie_sym(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
@@ -144,7 +118,7 @@ def pre_lie_sym(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
 
 def box_bracket(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Commutator of box_mul: shuffle left, bracket right."""
-    return _combine(a, b, shuffle_words, _bracket_words, level)
+    return _bilinear(a, b, bracket=True, level=level)
 
 
 def nested_box_bracket(items) -> DoubleTensor:

@@ -382,21 +382,15 @@ def all_words(dim: int, max_len: int):
 # -- word-level kernels (integer coefficients, memoized) ------------------
 
 
-def shuffle_words(u: Word, v: Word) -> dict:
-    """All interleavings of u and v with multiplicity, as word -> int."""
-    if word_sort_key(u) > word_sort_key(v):
-        u, v = v, u
-    return _shuffle_sorted(u, v)
-
-
 @memo
-def _shuffle_sorted(u: Word, v: Word) -> dict:
-    # Called with u <= v in (length, lex) order, so the table holds each
-    # unordered pair once.
+def shuffle_words(u: Word, v: Word) -> dict:
+    """All interleavings of u and v with multiplicity, as word -> int.  A
+    call is one memo lookup: the pair is put in (length, lexicographic)
+    order inline, and both orders of a pair share one dict object."""
+    if len(u) > len(v) or (len(u) == len(v) and u > v):
+        return shuffle_words(v, u)
     if not u:
         return {v: 1}
-    if not v:
-        return {u: 1}
     out: dict = {}
     for w, c in shuffle_words(u[:-1], v).items():
         _bump(out, w + u[-1:], c)
@@ -406,7 +400,8 @@ def _shuffle_sorted(u: Word, v: Word) -> dict:
 
 
 def half_shuffle_words(u: Word, v: Word) -> dict:
-    """Interleavings of u and v that end with the last letter of v."""
+    """Interleavings of u and v that end with the last letter of v; the
+    lifts stream these inline (see _split) and do not call this."""
     if not v:
         raise EmptyWordOperand("half-shuffle needs a nonempty right factor")
     return {w + v[-1:]: c for w, c in shuffle_words(u, v[:-1]).items()}
@@ -553,38 +548,63 @@ def pi1_transpose_word(w: Word) -> dict:
 # -- bilinear and linear lifts --------------------------------------------
 
 
-def _pairs(x, y, level):
-    """Each term (u, cu) of x with the list of y's terms (v, cv) that its
-    products keep: all of them, or with a `level` only those with
-    grade(u) + grade(v) <= level.  Then y is sorted by the grade hook once
-    and each u runs over a bisect_right prefix, rather than testing every
-    pair."""
+def _pairs(x, entries, level):
+    """Each term (u, cu) of x with the list of `entries`, tuples led by a key
+    of x's kind, that its products keep: all of them, or with a `level`
+    only those with grade(u) + grade(key) <= level.  Then the entries are
+    sorted by the grade hook once and each u runs over a bisect_right
+    prefix, rather than testing every pair."""
     if level is None:
-        terms = list(y._terms.items())
         for u, cu in x._terms.items():
-            yield u, cu, terms
+            yield u, cu, entries
         return
     grade = x._grade
-    ordered = sorted(y._terms.items(), key=lambda term: grade(term[0]))
-    grades = [grade(v) for v, _ in ordered]
+    ordered = sorted(entries, key=lambda entry: grade(entry[0]))
+    grades = [grade(entry[0]) for entry in ordered]
     for u, cu in x._terms.items():
         yield u, cu, ordered[:bisect_right(grades, level - grade(u))]
 
 
-def _bilinear(x, y, key_op, level=None, kind=None):
-    """The bilinear map sending each key pair (u, v) to key_op(u, v), as a
-    `kind` (x's own unless given).  Pairs whose grades add up to more than
-    `level` are skipped.  Backs shuffle, tensor_pair and the double-tensor
-    products.
-    """
-    x._same_alphabet(y)
+def _split(word, cut):
+    """(head, last): the word and no letter, or if `cut` the word without
+    its last letter and that letter.  A product shuffles the heads of its
+    two factors and appends the lasts, so a cut makes it a half-shuffle."""
+    return (word[:-1], word[-1:]) if cut else (word, EMPTY_WORD)
+
+
+def _bilinear(a, b, cut=None, bracket=False, level=None):
+    """The product of the pair-keyed a and b, as a's kind, that shuffles the
+    left words and concatenates the right words s, t, skipping pairs whose
+    grades add up to more than `level`: cut=0 or 1 half-shuffles into the
+    last letter of a's or b's left word, and bracket makes s t - t s.  The
+    shuffle of each pair's left heads streams times its right words into
+    one int accumulator, with no dict per pair.  Backs the box products."""
+    a._same_alphabet(b)
+    entries = [(key, c) + _split(key[0], cut == 1) for key, c in b._terms.items()]
     acc: dict = {}
-    for u, cu, terms in _pairs(x, y, level):
-        for v, cv in terms:
-            c = cu * cv
-            for w, k in key_op(u, v).items():
-                _bump(acc, w, c * k)
-    return (kind or type(x))._over(x.dim, acc, x._den * y._den)
+    for (p, s), cp, terms in _pairs(a, entries, level):
+        p_head, p_last = _split(p, cut == 0)
+        for (_, t), cq, q_head, q_last in terms:
+            c = cp * cq
+            st, ts = s + t, t + s
+            if bracket and st == ts:
+                continue
+            rights = ((st, c), (ts, -c)) if bracket else ((st, c),)
+            last = p_last + q_last
+            for w, k in shuffle_words(p_head, q_head).items():
+                w += last
+                for r, rc in rights:
+                    _bump(acc, (w, r), rc * k)
+    return type(a)._over(a.dim, acc, a._den * b._den)
+
+
+def _outer(x, y, kind):
+    """x (x) y as the pair-keyed `kind`: its key pairs are all distinct, so
+    one dict holds the products, with no accumulator."""
+    x._same_alphabet(y)
+    right = y._terms.items()
+    pairs = {(u, v): cu * cv for u, cu in x._terms.items() for v, cv in right}
+    return kind._over(x.dim, pairs, x._den * y._den)
 
 
 def _linear(x, key_op, kind=None, key_den=None):
@@ -656,25 +676,25 @@ def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
     """Concatenation product; levels above `level` are dropped if given."""
     x._same_alphabet(y)
     acc: dict = {}
-    for u, cu, terms in _pairs(x, y, level):
+    for u, cu, terms in _pairs(x, list(y._terms.items()), level):
         for v, cv in terms:
             _bump(acc, u + v, cu * cv)
     return TensorElem._over(x.dim, acc, x._den * y._den)
 
 
 def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
-    return _bilinear(x, y, shuffle_words)
+    return _shuffles(x, y, ((x, y, 1, False),))
 
 
-def _half_shuffles(x, y, orders):
-    """The sum of sign * (a > b) over the (a, b, sign) in `orders`, each a
-    pair of x and y, in one accumulator over x._den * y._den.  A word pair
-    (u, v) runs over the shuffles of u with v minus its last letter and
-    appends that letter, with no half_shuffle_words dict in between."""
+def _shuffles(x, y, orders):
+    """The sum of sign * (a shuffled with b, cut as _split says) over the
+    (a, b, sign, cut) in `orders`, each a pair of x and y, in one
+    accumulator over x._den * y._den.  A word pair (u, v) walks the
+    memoised shuffle of u with v's head and appends v's last letter."""
     x._same_alphabet(y)
     acc: dict = {}
-    for a, b, sign in orders:
-        right = [(v[:-1], v[-1:], cv * sign) for v, cv in b._terms.items()]
+    for a, b, sign, cut in orders:
+        right = [_split(v, cut) + (cv * sign,) for v, cv in b._terms.items()]
         for u, cu in a._terms.items():
             for head, last, cv in right:
                 c = cu * cv
@@ -686,7 +706,7 @@ def _half_shuffles(x, y, orders):
 def half_shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     """x > y: shuffles of x and y ending with the final letter of y."""
     _reject_empty(y, "right half-shuffle factor")
-    return _half_shuffles(x, y, ((x, y, 1),))
+    return _shuffles(x, y, ((x, y, 1, True),))
 
 
 def area(x: TensorElem, y: TensorElem) -> TensorElem:
@@ -694,7 +714,7 @@ def area(x: TensorElem, y: TensorElem) -> TensorElem:
     both orders in one pass."""
     _reject_empty(x, "area operand")
     _reject_empty(y, "area operand")
-    return _half_shuffles(x, y, ((x, y, 1), (y, x, -1)))
+    return _shuffles(x, y, ((x, y, 1, True), (y, x, -1, True)))
 
 
 def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:

@@ -286,18 +286,25 @@ def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     ))
 
 
+def _anagram_trees(shapes, word):
+    """(shape, tree) for each shape labeled by each anagram of `word`: the
+    dual s(h) of a Hall word h pairs to zero with a tree of other letter
+    content, and so does _q_coefficient, as bracket terms keep content."""
+    labelings = sorted(set(permutations(word)))
+    check_term_budget(len(shapes) * len(labelings))
+    for shape in shapes:
+        for letters in labelings:
+            yield shape, _label(shape, iter(letters))
+
+
 def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
     """First-kind coordinate as shuffles of iterated areas, anagram-labeled."""
     d = basis.dim
     s_h = basis.dual_pbw(h)
-    shapes = _mixed_shapes(len(h))
-    labelings = sorted(set(permutations(h.word)))
-    check_term_budget(len(shapes) * len(labelings))
     return linear_combination(TensorElem(d, {}), (
         (mixed_eval(tree, d), weight * factor)
-        for shape in shapes
+        for shape, tree in _anagram_trees(_mixed_shapes(len(h)), h.word)
         if (weight := coeff_e(shape))  # the weight does not depend on the labels
-        for tree in (_label(shape, iter(letters)) for letters in labelings)
         if (factor := pairing(s_h, lie_eval(tree, d)))
     ))
 
@@ -309,14 +316,14 @@ def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> Tensor
     if method == "q_trees":
         return linear_combination(TensorElem(basis.dim, {}), (
             (area_eval(tree, basis.dim), Fraction(q, coeff_b(tree)))
-            for tree in enumerate_trees(basis.dim, len(h))
+            for _, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
             if (q := _q_coefficient(basis, tree, h))
         ))
     if method == "p_trees":
         s_h = basis.dual_pbw(h)
         return linear_combination(TensorElem(basis.dim, {}), (
             (area_eval(tree, basis.dim), p / coeff_c(tree))
-            for tree in enumerate_trees(basis.dim, len(h))
+            for _, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
             if (p := pairing(s_h, lie_eval(tree, basis.dim)))
         ))
     raise ValueError("unknown rho_hall method %r" % method)
@@ -337,11 +344,10 @@ def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
 def _q_coefficient(basis: HallBasis, tree, h: HallWord) -> Fraction:
     if is_leaf(tree):
         return Fraction(int(h.word == (tree,)))
+    # h has as many letters as the tree has leaves, so h2 as many as right
     result = Fraction(0)
     _, left, right = tree
     n_left = leaf_count(left)
-    if len(h) != n_left + leaf_count(right):
-        return result
     for h1, h2, c in basis._bracket_terms(len(h))[h]:
         if len(h1) == n_left:
             q1 = _q_coefficient(basis, left, h1)

@@ -435,24 +435,40 @@ def _box_oracle(a, b, level):
     return bilinear_oracle(a, b, BOX, level, _right_grade)
 
 
+def _area(u, v):
+    ab, ba = _half_shuffle(u, v), _half_shuffle(v, u)
+    return {w: ab.get(w, 0) - ba.get(w, 0) for w in ab.keys() | ba.keys()}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_double_products_match_the_fraction_lifts(seed):
-    rng = random.Random(seed)
-    a = random_double(rng, 2, 2, 2)
-    b = random_double(rng, 2, 2, 2, min_left=1)
-    fa, fb = fractions_of(a), fractions_of(b)
+    for d in (2, 3):
+        _check_double_products_against_the_fraction_lifts(random.Random(seed), d)
+
+
+def _check_double_products_against_the_fraction_lifts(rng, d):
+    a = random_double(rng, d, 2, 2)
+    b = random_double(rng, d, 2, 2, min_left=1)
+    c = random_double(rng, d, 2, 2, min_left=1)
+    fa = fractions_of(a)
     products = [
-        (box_mul, BOX),
-        (pre_lie, _pair_op(_half_shuffle, _bracket)),
-        (box_bracket, _pair_op(shuffle_oracle, _bracket)),
+        (a, b, box_mul, BOX),
+        (a, b, lambda x, y, level: dendriform(x, y, "succ", level),
+         _pair_op(_half_shuffle, _concat)),
+        (c, a, lambda x, y, level: dendriform(x, y, "prec", level),
+         _pair_op(lambda u, v: _half_shuffle(v, u), _concat)),
+        (a, b, pre_lie, _pair_op(_half_shuffle, _bracket)),
+        (c, b, pre_lie_sym, _pair_op(_area, _bracket)),
+        (a, b, box_bracket, _pair_op(shuffle_oracle, _bracket)),
     ]
-    for product, op in products:
+    for x, y, product, op in products:
+        fx, fy = fractions_of(x), fractions_of(y)
         for level in (None, 0, 1, 2, 3):
-            got = product(a, b, level)
+            got = product(x, y, level)
             assert_canonical(got)
-            assert fractions_of(got) == bilinear_oracle(fa, fb, op, level, _right_grade)
-    x = random_elem(rng, 2, 2, terms=4, max_den=12)
-    y = random_elem(rng, 2, 3, terms=4, max_den=12)
+            assert fractions_of(got) == bilinear_oracle(fx, fy, op, level, _right_grade)
+    x = random_elem(rng, d, 2, terms=4, max_den=12)
+    y = random_elem(rng, d, 3, terms=4, max_den=12)
     fx, fy = fractions_of(x), fractions_of(y)
     for level in (None, 0, 1, 2):
         got = tensor_pair(x, y, level)
@@ -465,6 +481,29 @@ def test_double_products_match_the_fraction_lifts(seed):
     ]:
         assert_canonical(got)
         assert fractions_of(got) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_double_products_that_cancel_are_canonical(seed):
+    rng = random.Random(seed)
+    a = random_double(rng, 3, 2, 2, min_left=1, terms=6)
+    b = random_double(rng, 3, 2, 2, min_left=1, terms=6)
+    # a pair's own commutator cancels term by term inside the accumulator
+    for got in (box_bracket(a, a), box_bracket(a, a, 2)):
+        assert_canonical(got)
+        assert got.is_zero() and got._den == 1
+    # so does a's part of a + b, leaving the (a, b) terms in lowest terms
+    for level in (None, 2):
+        got = box_bracket(a, a + b * 6, level)
+        assert_canonical(got)
+        assert got == box_bracket(a, b, level) * 6
+    # equal right words bracket to zero whatever the denominators
+    p = DoubleTensor(2, {((1,), (1,)): F(1, 6), ((2, 1), (1,)): F(5, 4)})
+    q = DoubleTensor(2, {((2,), (1,)): F(2, 3)})
+    for got in (pre_lie(p, q), pre_lie_sym(p, q), box_bracket(p, q)):
+        assert_canonical(got)
+        assert got.is_zero() and got._den == 1
+    assert dendriform(a, b, "succ") + dendriform(a, b, "prec") == box_mul(a, b)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -37,10 +38,12 @@ from areasig import (
     zero,
 )
 from areasig.double_tensor import tensor_pair, unit_double, zero_double
+from areasig import tensor
 from areasig.tensor import (
     linear_combination,
     pi1_transpose_word,
     pi1_word,
+    shuffle_words,
     unshuffle_word,
     words_of_length,
 )
@@ -278,6 +281,23 @@ def test_rho_dual_to_r():
                 assert pairing(rho(w(u, 2)), w(v, 2)) == pairing(
                     w(u, 2), dynkin_r(w(v, 2))
                 )
+
+
+def test_rho_adjoint_check_catches_a_broken_rho(monkeypatch):
+    assert checks.rho_adjoint_to_r(2, 5) and checks.rho_adjoint_to_r(3, 3)
+    real = tensor.rho_word
+
+    def broken(word):
+        # one sign flipped at length 3; lengths up to 3 only are asked for,
+        # so the real kernel's memo holds no value built from this one
+        out = real(word)
+        return {t: -c for t, c in out.items()} if len(word) == 3 else out
+
+    monkeypatch.setattr(tensor, "rho_word", broken)
+    assert checks.rho_adjoint_to_r(2, 2)
+    assert not checks.rho_adjoint_to_r(2, 3)
+    monkeypatch.setattr(tensor, "rho_word", lambda word: {word: 1})
+    assert not checks.rho_adjoint_to_r(3, 2)
 
 
 def test_grading_identity_through_level_six():
@@ -546,9 +566,13 @@ def _half_shuffle_oracle(u, v):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_products_match_the_fraction_lifts(seed):
-    rng = random.Random(seed)
-    x, y = (random_elem(rng, 2, 3, terms=6, max_den=12) for _ in range(2))
-    a, b = (random_elem(rng, 2, 3, min_deg=1, terms=6, max_den=12) for _ in range(2))
+    for d in (2, 3):
+        _check_products_against_the_fraction_lifts(random.Random(seed), d)
+
+
+def _check_products_against_the_fraction_lifts(rng, d):
+    x, y = (random_elem(rng, d, 3, terms=6, max_den=12) for _ in range(2))
+    a, b = (random_elem(rng, d, 3, min_deg=1, terms=6, max_den=12) for _ in range(2))
     fx, fy, fa, fb = map(fractions_of, (x, y, a, b))
     ab = bilinear_oracle(fa, fb, _half_shuffle_oracle)
     ba = bilinear_oracle(fb, fa, _half_shuffle_oracle)
@@ -567,6 +591,41 @@ def test_products_match_the_fraction_lifts(seed):
     assert pairing(shuffle(x, y), concat(y, x)) == pairing_oracle(
         bilinear_oracle(fx, fy, shuffle_oracle), concat_oracle(fy, fx)
     )
+
+
+def test_shuffle_words_shares_one_dict_between_both_orders():
+    for d, top in ((2, 4), (3, 3)):
+        words = list(tensor.all_words(d, top))
+        for u in words:
+            for v in words:
+                got = shuffle_words(u, v)
+                assert got is shuffle_words(v, u)
+                assert got == shuffle_oracle(u, v)
+
+
+# The names bench/tracing.py fetches from areasig.tensor with getattr (its
+# KERNEL_NAMES and LIFT_NAMES): each must stay defined, even one that no
+# library code calls any more, or the traced benchmark cannot start.
+TRACED_TENSOR_NAMES = (
+    "shuffle_words", "half_shuffle_words", "r_word", "rho_word", "rho_word_via_d",
+    "pi1_word", "pi1_transpose_word", "unshuffle_word",
+    "concat", "shuffle", "half_shuffle", "area", "lie_bracket", "pairing",
+    "dynkin_r", "rho", "pi1", "pi1_transpose", "exp_conc", "log_conc", "unshuffle",
+)
+
+
+def test_the_names_the_bench_tracer_fetches_still_exist():
+    for name in TRACED_TENSOR_NAMES:
+        assert callable(getattr(tensor, name)), name
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    if not tracing.exists():
+        pytest.skip("no bench/ next to the tests")
+    fetched = set()
+    for node in ast.parse(tracing.read_text()).body:
+        names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if set(names) & {"KERNEL_NAMES", "LIFT_NAMES"}:
+            fetched |= set(ast.literal_eval(node.value))
+    assert fetched and fetched <= set(TRACED_TENSOR_NAMES)
 
 
 def _denominators_1_to_12(rng, d):
