@@ -20,7 +20,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .guard import check_term_budget
-from .tensor import EMPTY_WORD, TensorElem, as_scalar, pairing
+from .tensor import EMPTY_WORD, TensorElem, _code, _extend_by_letters, as_scalar, pairing
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
 EXACT = "exact_rational"
@@ -184,26 +184,26 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     k_1! ... k_m! (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!,
     hence L!.  The words of acc_j z are distinct (u a has one last
     letter), so each is divided on its own.  Only letters with a nonzero
-    increment enter z, so an axis-aligned path stays sparse.  The levels
-    go to the tensor store as int numerators over their one denominator
-    L! D^L.
+    increment enter z, so an axis-aligned path stays sparse.  Words are
+    the tensor store's codes, and acc_(j-1) z / (n-j+1) is
+    tensor._extend_by_letters; the levels go to the store as int
+    numerators over their one denominator L! D^L.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     den = lcm(*(c._divisor for c in x._columns))
     rows = list(zip(*([n * (den // c._divisor) for n in c._nums] for c in x._columns)))
     scale = factorial(level)
-    levels = [{EMPTY_WORD: scale}] + [{} for _ in range(level)]
+    levels = [{_code(EMPTY_WORD, x.dim): scale}] + [{} for _ in range(level)]
     for start, end in zip(rows, rows[1:]):
-        step = [((i + 1,), e - s) for i, (s, e) in enumerate(zip(start, end)) if e != s]
+        step = [(i + 1, e - s) for i, (s, e) in enumerate(zip(start, end)) if e != s]
         if not step:
             continue
         for n in range(level, 0, -1):
             acc = levels[0]
             for j in range(1, n + 1):
                 check_term_budget(len(acc) * len(step))
-                div = n - j + 1
-                nxt = {u + a: c * k // div for u, c in acc.items() for a, k in step}
+                nxt = _extend_by_letters(acc, step, n - j + 1, x.dim)
                 for w, c in levels[j].items():
                     nxt[w] = nxt.get(w, 0) + c
                 acc = nxt

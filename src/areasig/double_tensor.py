@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from .errors import EmptyWordOperand
 from .tensor import (
@@ -21,13 +22,15 @@ from .tensor import (
     TensorElem,
     _bilinear,
     _contract,
-    _linear,
+    _empty_left,
+    _length,
+    _map_right,
     _outer,
+    _r_codes,
     _series,
     _Terms,
     format_word,
     linear_combination,
-    r_word,
     shuffle_words,  # unused here; bench/test_bench.py checks this re-import
     words_of_length,
 )
@@ -40,14 +43,12 @@ class DoubleTensor(_Terms):
     __slots__ = ()
 
     @staticmethod
-    def _grade(key):
-        return len(key[1])
+    def _grade(key, k):
+        return _length(key[1], k)
 
-    @staticmethod
-    def _order(key):
-        """terms() runs in (right length, right word, left word) order."""
-        left, right = key
-        return (len(right), right, left)
+    # terms() runs in (right word, left word) order, each word by length and
+    # then lexicographically, as the codes compare
+    _order = staticmethod(itemgetter(1, 0))
 
     def to_json_obj(self):
         return [
@@ -85,7 +86,7 @@ def box_mul(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
 
 
 def _check_left_nonempty(x: DoubleTensor, role):
-    if any(not left for (left, _right), _c in x.terms()):
+    if _empty_left(x):
         raise EmptyWordOperand("%s must have empty-word-free left factors" % role)
 
 
@@ -112,8 +113,11 @@ def pre_lie(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
 
 
 def pre_lie_sym(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
-    """Symmetrized pre-Lie product: area on the left, commutator on the right."""
-    return pre_lie(a, b, level) + pre_lie(b, a, level)
+    """Symmetrized pre-Lie product: area on the left, commutator on the right.
+    pre_lie(a, b) + pre_lie(b, a), both orders in one accumulator."""
+    _check_left_nonempty(b, "pre-Lie right operand")
+    _check_left_nonempty(a, "pre-Lie right operand")
+    return _bilinear(a, b, cut=1, bracket=True, level=level, both=True)
 
 
 def box_bracket(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
@@ -137,7 +141,7 @@ def nested_box_bracket(items) -> DoubleTensor:
 
 def r_hat(a: DoubleTensor) -> DoubleTensor:
     """Apply the right-bracketing operator to every right word."""
-    return _linear(a, lambda key: {(key[0], t): k for t, k in r_word(key[1]).items()})
+    return _map_right(a, _r_codes)
 
 
 # -- evaluation ---------------------------------------------------------------

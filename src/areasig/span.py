@@ -380,7 +380,7 @@ def special_tree_reduction(n: int, d: int) -> SpanReport:
     against it.
     """
     _check_alphabet(d)
-    trees = _labeled([special_tree(n)], d, n)
+    trees = [tree for _, tree in _labeled([special_tree(n)], d, n)]
     rows = linalg.echelon(
         dict(arealb_word(w, d).terms()) for w in words_of_length(d, n)
     )

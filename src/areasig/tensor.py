@@ -16,6 +16,20 @@ fractions.Fraction is made only where a coefficient leaves the store
 rejected so that every identity in this package can be checked with
 exact equality.
 
+Inside the store a word is one packed int, its code.  With k =
+dim.bit_length() bits per letter, the word (l1, ..., ln) is the sum of
+li << k(n-i), and the empty word is 0.  Letters are nonzero k-bit digits,
+so the length of a code is (code.bit_length() + k - 1) // k, and the
+numeric order of codes is the word_sort_key order (by length, then
+lexicographic): terms() sorts plain ints.  Appending the letter a to u is
+(u << k) | a, the head and last letter of u are u >> k and u & mask, and
+u v is (u << k|v|) | v.  A TensorElem key is one code; a DoubleTensor or
+CoproductTerms key is a pair of codes.  The word kernels run on codes and
+take k as an argument, so one memo table serves every alphabet with the
+same k; the tuple-level kernels (shuffle_words, r_word, ...) are
+encode/decode adapters over them.  Words are tuples at every public
+boundary: the constructors, coeff, terms(), words(), str and JSON.
+
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
 """
@@ -93,6 +107,68 @@ def _word(word, dim) -> Word:
     return word
 
 
+# -- packed words ------------------------------------------------------------
+
+
+def _encode(word, k) -> int:
+    """The code of a word of positive letters below 2**k."""
+    code = 0
+    for letter in word:
+        code = (code << k) | letter
+    return code
+
+
+def _decode(code, k) -> Word:
+    mask = (1 << k) - 1
+    letters = []
+    while code:
+        letters.append(code & mask)
+        code >>= k
+    return tuple(reversed(letters))
+
+
+def _length(code, k) -> int:
+    return (code.bit_length() + k - 1) // k
+
+
+def _code(word, dim) -> int:
+    """The code of `word`, checked to use only the letters 1..dim."""
+    return _encode(_word(word, dim), dim.bit_length())
+
+
+def _find(word, dim) -> int:
+    """The code of `word`, or -1, which is no key, if a letter lies outside
+    1..dim."""
+    word = tuple(word)
+    if all(isinstance(letter, int) and 1 <= letter <= dim for letter in word):
+        return _encode(word, dim.bit_length())
+    return -1
+
+
+def _encode_words(*words):
+    """The codes of tuple words at the fewest bits per letter that hold all
+    their letters, and that width; every letter must be positive."""
+    letters = [letter for word in words for letter in word]
+    if letters and min(letters) < 1:
+        shown = ", ".join(format_word(word, 10) for word in words)
+        raise ValueError("words %s use letters below 1" % shown)
+    k = max(letters, default=1).bit_length()
+    return [_encode(word, k) for word in words], k
+
+
+def _decoded(table, k) -> dict:
+    return {_decode(w, k): c for w, c in table.items()}
+
+
+def _extend_by_letters(acc, step, div, dim) -> dict:
+    """{u a: c z // div} over the codes u -> c of acc and the (letter a,
+    int z) of step: acc times the letter combination step, every product
+    divided by div, which the caller knows to be exact.  The words u a are
+    distinct.  Backs discrete.signature_pwl."""
+    k = dim.bit_length()
+    return {(u << k) | a: c * z // div for u, c in acc.items() for a, z in step}
+
+
 class _Terms:
     """Immutable finite map key -> nonzero rational over the alphabet 1..dim.
 
@@ -102,15 +178,18 @@ class _Terms:
     and ordered iteration live here.  _terms maps each key to a nonzero
     int numerator over the one positive int denominator _den, in lowest
     terms (see the module docstring); coeff and terms() give Fractions.
-    Keys are pairs of words unless a subclass overrides _key; _grade maps
-    a key to its degree (the total length of a pair unless a subclass
-    says otherwise) and _order to its place in terms() (left word, then
-    right word, each by length and then lexicographically).  Values of
-    different kinds never combine: + and - raise TypeError and == is
-    False.
+    Keys are pairs of word codes unless a subclass overrides _key (public
+    key to stored key) and _public (back); _grade(key, k) maps a key to
+    its degree (the total length of a pair unless a subclass says
+    otherwise) and _order to its sort key in terms(), None for the keys
+    themselves (left word, then right word, each by length and then
+    lexicographically).  Values of different kinds never combine: + and -
+    raise TypeError and == is False.
     """
 
     __slots__ = ("dim", "_terms", "_den")
+
+    _order = None
 
     def __init__(self, dim: int, terms=None):
         if dim < 1:
@@ -131,15 +210,15 @@ class _Terms:
     @staticmethod
     def _key(key, dim):
         left, right = key
-        return (_word(left, dim), _word(right, dim))
+        return (_code(left, dim), _code(right, dim))
 
     @staticmethod
-    def _grade(key):
-        return len(key[0]) + len(key[1])
+    def _public(key, k):
+        return (_decode(key[0], k), _decode(key[1], k))
 
     @staticmethod
-    def _order(key):
-        return (word_sort_key(key[0]), word_sort_key(key[1]))
+    def _grade(key, k):
+        return _length(key[0], k) + _length(key[1], k)
 
     def _store(self, dim, numerators, den):
         check_term_budget(len(numerators))
@@ -159,8 +238,7 @@ class _Terms:
     def _over(cls, dim, numerators, den=1):
         """The value with int `numerators` (zeros allowed) over the positive
         int `den`, brought to lowest terms; keys must be canonical."""
-        if 0 in numerators.values():
-            numerators = {k: c for k, c in numerators.items() if c}
+        numerators = _nonzero(numerators)
         if den != 1:
             common = gcd(den, *numerators.values())
             if common != 1:
@@ -173,9 +251,10 @@ class _Terms:
         return self._over(self.dim, numerators, den)
 
     def _select(self, keep):
-        grade = self._grade
+        grade, k = self._grade, self.dim.bit_length()
         return self._like(
-            {k: c for k, c in self._terms.items() if keep(grade(k))}, self._den
+            {key: c for key, c in self._terms.items() if keep(grade(key, k))},
+            self._den,
         )
 
     def __setattr__(self, name, value):
@@ -197,13 +276,13 @@ class _Terms:
         return Fraction(self._terms.get(key, 0), self._den)
 
     def coeff(self, left, right) -> Fraction:
-        return self._coeff((tuple(left), tuple(right)))
+        return self._coeff((_find(left, self.dim), _find(right, self.dim)))
 
     def terms(self):
         """Yield (key, coefficient) pairs in canonical order."""
-        terms, den = self._terms, self._den
+        terms, den, k, public = self._terms, self._den, self.dim.bit_length(), self._public
         for key in sorted(terms, key=self._order):
-            yield key, Fraction(terms[key], den)
+            yield public(key, k), Fraction(terms[key], den)
 
     def __repr__(self):
         inner = " + ".join(
@@ -266,7 +345,7 @@ class _Terms:
 
 class TensorElem(_Terms):
     """Finite map word -> rational over a fixed alphabet size, held as int
-    numerators over one denominator.
+    numerators over one denominator and keyed by word codes.
 
     Invariants: no zero coefficients are stored; iteration through terms()
     follows the canonical (length, lexicographic) order.
@@ -274,27 +353,28 @@ class TensorElem(_Terms):
 
     __slots__ = ()
 
-    _key = staticmethod(_word)
-    _grade = staticmethod(len)
-    _order = staticmethod(word_sort_key)
+    _key = staticmethod(_code)
+    _public = staticmethod(_decode)
+    _grade = staticmethod(_length)
 
     # -- inspection ------------------------------------------------------
 
     def coeff(self, word) -> Fraction:
-        return self._coeff(tuple(word))
+        return self._coeff(_find(word, self.dim))
 
     def words(self):
-        return sorted(self._terms, key=word_sort_key)
+        k = self.dim.bit_length()
+        return [_decode(w, k) for w in sorted(self._terms)]
 
     def degree(self) -> int:
         """Maximal word length present; 0 for the zero element."""
-        return max((len(w) for w in self._terms), default=0)
+        return _length(max(self._terms, default=0), self.dim.bit_length())
 
     def min_degree(self) -> int:
-        return min((len(w) for w in self._terms), default=0)
+        return _length(min(self._terms, default=0), self.dim.bit_length())
 
     def empty_coeff(self) -> Fraction:
-        return self._coeff(EMPTY_WORD)
+        return self._coeff(0)
 
     # -- presentation ----------------------------------------------------
 
@@ -336,17 +416,11 @@ class TensorElem(_Terms):
         return cls(dim, terms)
 
 
-def _bump(acc, key, value):
-    cur = acc.get(key)
-    if cur is None:
-        if value:
-            acc[key] = value
-    else:
-        cur = cur + value
-        if cur:
-            acc[key] = cur
-        else:
-            del acc[key]
+def _nonzero(acc: dict) -> dict:
+    """acc without its zero values (acc itself if it has none)."""
+    if 0 in acc.values():
+        return {key: c for key, c in acc.items() if c}
+    return acc
 
 
 # -- constructors ---------------------------------------------------------
@@ -379,155 +453,210 @@ def all_words(dim: int, max_len: int):
         yield from words_of_length(dim, n)
 
 
-# -- word-level kernels (integer coefficients, memoized) ------------------
+# -- word-level kernels on codes (integer coefficients, memoized) ----------
+
+
+@memo
+def _shuffle_codes(u: int, v: int, k: int) -> dict:
+    """All interleavings of the words with codes u <= v, as code -> int.
+    Callers go through _shuffled, which puts the pair in order with one int
+    comparison, so the memo holds each unordered pair once."""
+    if not u:
+        return {v: 1}
+    mask = (1 << k) - 1
+    out: dict = {}
+    get = out.get
+    for first, second, last in ((u >> k, v, u & mask), (u, v >> k, v & mask)):
+        for w, c in _shuffled(first, second, k).items():
+            w = (w << k) | last
+            out[w] = get(w, 0) + c
+    return out
+
+
+def _shuffled(u: int, v: int, k: int) -> dict:
+    """The shuffle of the codes u and v in either order."""
+    return _shuffle_codes(u, v, k) if u <= v else _shuffle_codes(v, u, k)
+
+
+@memo
+def _r_codes(w: int, k: int) -> dict:
+    """Right-nested bracketing at the code of w = l w': l r(w') - r(w') l."""
+    if not w:
+        return {}
+    shift = k * (_length(w, k) - 1)
+    if not shift:
+        return {w: 1}
+    head = w >> shift
+    out: dict = {}
+    get = out.get
+    for t, c in _r_codes(w & ((1 << shift) - 1), k).items():
+        front, back = (head << shift) | t, (t << k) | head
+        out[front] = get(front, 0) + c
+        out[back] = get(back, 0) - c
+    return _nonzero(out)
+
+
+@memo
+def _rho_codes(w: int, k: int) -> dict:
+    """Adjoint of r at the code of w = i m j: i rho(m j) - j rho(i m)."""
+    if not w:
+        return {}
+    shift = k * (_length(w, k) - 1)
+    if not shift:
+        return {w: 1}
+    first, last = (w >> shift) << shift, (w & ((1 << k) - 1)) << shift
+    out: dict = {}
+    get = out.get
+    for t, c in _rho_codes(w & ((1 << shift) - 1), k).items():
+        t |= first
+        out[t] = get(t, 0) + c
+    for t, c in _rho_codes(w >> k, k).items():
+        t |= last
+        out[t] = get(t, 0) - c
+    return _nonzero(out)
+
+
+@memo
+def _unshuffle_codes(w: int, k: int) -> dict:
+    """All splittings of the positions of the word with code w into two
+    complementary subsequences, as (u, v) -> int, by its last letter a:
+    unshuffle(w a) = unshuffle(w) (a (x) e + e (x) a)."""
+    if not w:
+        return {(0, 0): 1}
+    a = w & ((1 << k) - 1)
+    out: dict = {}
+    get = out.get
+    for (u, v), c in _unshuffle_codes(w >> k, k).items():
+        for key in (((u << k) | a, v), (u, (v << k) | a)):
+            out[key] = get(key, 0) + c
+    return out
+
+
+def _concat_codes(u: int, v: int, k: int) -> dict:
+    return {(u << (k * _length(v, k))) | v: 1}
+
+
+def _deconcat_codes(w: int, k: int) -> dict:
+    """Every splitting w = u v, empty factors included, as (u, v) -> 1."""
+    return {
+        (w >> cut, w & ((1 << cut) - 1)): 1
+        for cut in range(0, k * _length(w, k) + 1, k)
+    }
+
+
+@memo
+def _convolution_power(w: int, power: int, k: int, coproduct, product) -> dict:
+    """(id - unit counit)^{*power} at the nonempty code w, for the
+    convolution of `coproduct` and `product`: w itself at power 1, else
+    the sum over the coproduct terms (u, v) of w with u and v nonempty of
+    u times the (power-1)-st power at v."""
+    if power == 1:
+        return {w: 1}
+    out: dict = {}
+    get = out.get
+    for (u, v), m in coproduct(w, k).items():
+        if not (u and v) or _length(v, k) < power - 1:
+            continue
+        for t, c in _convolution_power(v, power - 1, k, coproduct, product).items():
+            for s, n in product(u, t, k).items():
+                out[s] = get(s, 0) + m * c * n
+    return _nonzero(out)
+
+
+def _log_den(w: int, k: int) -> int:
+    """lcm(1, ..., |w|): the denominator of log(id) at the code w."""
+    return lcm(*range(1, _length(w, k) + 1))
+
+
+def _log_id(w: int, k: int, coproduct, product) -> dict:
+    """log(id) at the code w in the convolution algebra of `coproduct` and
+    `product`, times _log_den(w, k): the sum over powers p of (-1)^(p-1)
+    _log_den(w, k)/p times the p-th convolution power, so every value is
+    an int."""
+    den = _log_den(w, k)
+    out: dict = {}
+    get = out.get
+    for power in range(1, _length(w, k) + 1):
+        weight = (-1) ** (power - 1) * (den // power)
+        for t, c in _convolution_power(w, power, k, coproduct, product).items():
+            out[t] = get(t, 0) + weight * c
+    return _nonzero(out)
+
+
+@memo
+def _pi1_numerators(u: int, k: int) -> dict:
+    return _log_id(u, k, _unshuffle_codes, _concat_codes)
+
+
+@memo
+def _pi1_transpose_numerators(w: int, k: int) -> dict:
+    return _log_id(w, k, _deconcat_codes, _shuffled)
+
+
+# -- word-level kernels on tuples: adapters over the code kernels ----------
 
 
 @memo
 def shuffle_words(u: Word, v: Word) -> dict:
-    """All interleavings of u and v with multiplicity, as word -> int.  A
-    call is one memo lookup: the pair is put in (length, lexicographic)
-    order inline, and both orders of a pair share one dict object."""
+    """All interleavings of u and v with multiplicity, as word -> int; both
+    orders of a pair share one dict object."""
     if len(u) > len(v) or (len(u) == len(v) and u > v):
         return shuffle_words(v, u)
-    if not u:
-        return {v: 1}
-    out: dict = {}
-    for w, c in shuffle_words(u[:-1], v).items():
-        _bump(out, w + u[-1:], c)
-    for w, c in shuffle_words(u, v[:-1]).items():
-        _bump(out, w + v[-1:], c)
-    return out
+    (cu, cv), k = _encode_words(u, v)
+    return _decoded(_shuffle_codes(cu, cv, k), k)
 
 
 def half_shuffle_words(u: Word, v: Word) -> dict:
     """Interleavings of u and v that end with the last letter of v; the
-    lifts stream these inline (see _split) and do not call this."""
+    lifts stream these inline (see _shuffles) and do not call this."""
     if not v:
         raise EmptyWordOperand("half-shuffle needs a nonempty right factor")
     return {w + v[-1:]: c for w, c in shuffle_words(u, v[:-1]).items()}
 
 
-@memo
+def _on_word(kernel, w: Word, den=None) -> dict:
+    """The code kernel at the tuple word w, decoded, its values over
+    den(code, k) if given."""
+    (code,), k = _encode_words(w)
+    if den is None:
+        return _decoded(kernel(code, k), k)
+    den = den(code, k)
+    return {_decode(t, k): Fraction(c, den) for t, c in kernel(code, k).items()}
+
+
 def r_word(w: Word) -> dict:
     """Right-nested bracketing [l1,[l2,...[l_{n-1},ln]]] of a word."""
-    n = len(w)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {w: 1}
-    head = w[:1]
-    out: dict = {}
-    for t, c in r_word(w[1:]).items():
-        _bump(out, head + t, c)
-        _bump(out, t + head, -c)
-    return out
+    return _on_word(_r_codes, w)
 
 
-@memo
 def rho_word(w: Word) -> dict:
     """Adjoint of the right-bracketing operator, via its two-sided recursion."""
-    n = len(w)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {w: 1}
-    i, j, mid = w[:1], w[-1:], w[1:-1]
-    out: dict = {}
-    for t, c in rho_word(mid + j).items():
-        _bump(out, i + t, c)
-    for t, c in rho_word(i + mid).items():
-        _bump(out, j + t, -c)
-    return out
+    return _on_word(_rho_codes, w)
 
 
 @memo
 def rho_word_via_d(w: Word) -> dict:
-    """Same map, computed from the grading identity instead; kept as the
-    cross-check of rho_word (areasig.checks.rho_three_ways).
+    """Same map, computed from the grading identity on tuple words instead;
+    kept as the cross-check of rho_word (areasig.checks.rho_three_ways).
 
     rho(w) = |w| w - sum over proper splits w = u v of rho(u) shuffled with v.
     """
-    n = len(w)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {w: 1}
-    out = {w: n}
-    for cut in range(1, n):
-        u, v = w[:cut], w[cut:]
-        for t, c in rho_word_via_d(u).items():
-            for s, k in shuffle_words(t, v).items():
-                _bump(out, s, -c * k)
-    return out
+    out = {w: len(w)} if w else {}
+    for cut in range(1, len(w)):
+        for t, c in rho_word_via_d(w[:cut]).items():
+            for s, m in shuffle_words(t, w[cut:]).items():
+                out[s] = out.get(s, 0) - c * m
+    return _nonzero(out)
 
 
-def _concat_words(u: Word, v: Word) -> dict:
-    return {u + v: 1}
-
-
-def _deconcat_word(w: Word) -> dict:
-    """Every splitting w = u v, empty factors included, as (u, v) -> 1."""
-    return {(w[:cut], w[cut:]): 1 for cut in range(len(w) + 1)}
-
-
-@memo
 def unshuffle_word(w: Word) -> dict:
     """All splittings of w's positions into two complementary subsequences,
     by the last letter a: unshuffle(w a) = unshuffle(w) (a (x) e + e (x) a)."""
-    if not w:
-        return {(EMPTY_WORD, EMPTY_WORD): 1}
-    a = w[-1:]
-    out: dict = {}
-    for (u, v), c in unshuffle_word(w[:-1]).items():
-        _bump(out, (u + a, v), c)
-        _bump(out, (u, v + a), c)
-    return out
-
-
-@memo
-def _convolution_power(w: Word, k: int, coproduct, product) -> dict:
-    """(id - unit counit)^{*k} at the nonempty word w, for the convolution
-    of `coproduct` and `product`: w itself at k = 1, else the sum over the
-    coproduct terms (u, v) of w with u and v nonempty of u times the
-    (k-1)-st power at v."""
-    if k == 1:
-        return {w: 1}
-    out: dict = {}
-    for (u, v), m in coproduct(w).items():
-        if not (u and v) or len(v) < k - 1:
-            continue
-        for t, c in _convolution_power(v, k - 1, coproduct, product).items():
-            for s, n in product(u, t).items():
-                _bump(out, s, m * c * n)
-    return out
-
-
-def _log_den(w: Word) -> int:
-    """lcm(1, ..., |w|): the denominator of log(id) at the word w."""
-    return lcm(*range(1, len(w) + 1))
-
-
-def _log_id(w: Word, coproduct, product) -> dict:
-    """log(id) at w in the convolution algebra of `coproduct` and `product`,
-    times _log_den(w): the sum over k of (-1)^(k-1) _log_den(w)/k times
-    the k-th convolution power, so every value is an int."""
-    den = _log_den(w)
-    out: dict = {}
-    for k in range(1, len(w) + 1):
-        weight = (-1) ** (k - 1) * (den // k)
-        for t, c in _convolution_power(w, k, coproduct, product).items():
-            _bump(out, t, weight * c)
-    return out
-
-
-@memo
-def _pi1_numerators(u: Word) -> dict:
-    return _log_id(u, unshuffle_word, _concat_words)
-
-
-@memo
-def _pi1_transpose_numerators(w: Word) -> dict:
-    return _log_id(w, _deconcat_word, shuffle_words)
+    (code,), k = _encode_words(w)
+    return {
+        (_decode(u, k), _decode(v, k)): c
+        for (u, v), c in _unshuffle_codes(code, k).items()
+    }
 
 
 def pi1_word(u: Word) -> dict:
@@ -535,14 +664,12 @@ def pi1_word(u: Word) -> dict:
 
     Its restriction to grouplike elements is the concatenation logarithm.
     """
-    den = _log_den(u)
-    return {t: Fraction(c, den) for t, c in _pi1_numerators(u).items()}
+    return _on_word(_pi1_numerators, u, _log_den)
 
 
 def pi1_transpose_word(w: Word) -> dict:
     """Transpose of pi1: log(id) for deconcatenation and shuffle."""
-    den = _log_den(w)
-    return {t: Fraction(c, den) for t, c in _pi1_transpose_numerators(w).items()}
+    return _on_word(_pi1_transpose_numerators, w, _log_den)
 
 
 # -- bilinear and linear lifts --------------------------------------------
@@ -558,43 +685,57 @@ def _pairs(x, entries, level):
         for u, cu in x._terms.items():
             yield u, cu, entries
         return
-    grade = x._grade
-    ordered = sorted(entries, key=lambda entry: grade(entry[0]))
-    grades = [grade(entry[0]) for entry in ordered]
+    grade, k = x._grade, x.dim.bit_length()
+    ordered = sorted(entries, key=lambda entry: grade(entry[0], k))
+    grades = [grade(entry[0], k) for entry in ordered]
     for u, cu in x._terms.items():
-        yield u, cu, ordered[:bisect_right(grades, level - grade(u))]
+        yield u, cu, ordered[:bisect_right(grades, level - grade(u, k))]
 
 
-def _split(word, cut):
-    """(head, last): the word and no letter, or if `cut` the word without
-    its last letter and that letter.  A product shuffles the heads of its
-    two factors and appends the lasts, so a cut makes it a half-shuffle."""
-    return (word[:-1], word[-1:]) if cut else (word, EMPTY_WORD)
+def _split(code, cut, k):
+    """(head, last): the code and 0, or if `cut` the code without its last
+    letter and that letter.  A product shuffles the heads of its two
+    factors and appends the lasts, so a cut makes it a half-shuffle."""
+    return (code >> k, code & ((1 << k) - 1)) if cut else (code, 0)
 
 
-def _bilinear(a, b, cut=None, bracket=False, level=None):
+def _bilinear(a, b, cut=None, bracket=False, level=None, both=False):
     """The product of the pair-keyed a and b, as a's kind, that shuffles the
     left words and concatenates the right words s, t, skipping pairs whose
     grades add up to more than `level`: cut=0 or 1 half-shuffles into the
-    last letter of a's or b's left word, and bracket makes s t - t s.  The
-    shuffle of each pair's left heads streams times its right words into
-    one int accumulator, with no dict per pair.  Backs the box products."""
+    last letter of the first or the second factor's left word, and bracket
+    makes s t - t s.  With `both`, the product of b and a goes into the
+    same accumulator.  The shuffle of each pair's left heads streams times
+    its right words into one int accumulator, with no dict per pair.
+    Backs the box products."""
     a._same_alphabet(b)
-    entries = [(key, c) + _split(key[0], cut == 1) for key, c in b._terms.items()]
+    k = a.dim.bit_length()
+    shift = 0 if cut is None else k  # room for the one cut letter
     acc: dict = {}
-    for (p, s), cp, terms in _pairs(a, entries, level):
-        p_head, p_last = _split(p, cut == 0)
-        for (_, t), cq, q_head, q_last in terms:
-            c = cp * cq
-            st, ts = s + t, t + s
-            if bracket and st == ts:
-                continue
-            rights = ((st, c), (ts, -c)) if bracket else ((st, c),)
-            last = p_last + q_last
-            for w, k in shuffle_words(p_head, q_head).items():
-                w += last
-                for r, rc in rights:
-                    _bump(acc, (w, r), rc * k)
+    get = acc.get
+    for x, y in ((a, b), (b, a)) if both else ((a, b),):
+        entries = [
+            (key, c) + _split(key[0], cut == 1, k) + (k * _length(key[1], k),)
+            for key, c in y._terms.items()
+        ]
+        for (p, s), cp, terms in _pairs(x, entries, level):
+            p_head, p_last = _split(p, cut == 0, k)
+            s_len = k * _length(s, k)
+            for (_, t), cq, q_head, q_last, t_len in terms:
+                c = cp * cq
+                st = (s << t_len) | t
+                if bracket:
+                    ts = (t << s_len) | s
+                    if st == ts:
+                        continue
+                last = p_last | q_last
+                for w, m in _shuffled(p_head, q_head, k).items():
+                    w = (w << shift) | last
+                    key = (w, st)
+                    acc[key] = get(key, 0) + c * m
+                    if bracket:
+                        key = (w, ts)
+                        acc[key] = get(key, 0) - c * m
     return type(a)._over(a.dim, acc, a._den * b._den)
 
 
@@ -608,15 +749,18 @@ def _outer(x, y, kind):
 
 
 def _linear(x, key_op, kind=None, key_den=None):
-    """The linear map sending each key u of x to key_op(u), as a `kind`
-    (x's own unless given).  key_op gives ints, over key_den(u) if given."""
-    common = 1 if key_den is None else lcm(*(key_den(u) for u in x._terms))
+    """The linear map sending each key u of x to key_op(u, k), as a `kind`
+    (x's own unless given), for k bits per letter.  key_op gives ints,
+    over key_den(u, k) if given."""
+    k = x.dim.bit_length()
+    common = 1 if key_den is None else lcm(*(key_den(u, k) for u in x._terms))
     acc: dict = {}
+    get = acc.get
     for u, cu in x._terms.items():
         if key_den is not None:
-            cu *= common // key_den(u)
-        for w, k in key_op(u).items():
-            _bump(acc, w, cu * k)
+            cu *= common // key_den(u, k)
+        for w, m in key_op(u, k).items():
+            acc[w] = get(w, 0) + cu * m
     return (kind or type(x))._over(x.dim, acc, x._den * common)
 
 
@@ -626,11 +770,24 @@ def _contract(f, x, side):
     f._same_alphabet(x)
     against = x._terms
     acc: dict = {}
+    get = acc.get
     for key, c in f._terms.items():
         cx = against.get(key[side])
         if cx is not None:
-            _bump(acc, key[1 - side], c * cx)
+            rest = key[1 - side]
+            acc[rest] = get(rest, 0) + c * cx
     return TensorElem._over(f.dim, acc, f._den * x._den)
+
+
+def _map_right(x, kernel):
+    """The pair-keyed x with each right word t replaced by the code kernel's
+    kernel(t, k), linearly.  Backs double_tensor.r_hat."""
+    return _linear(x, lambda key, k: {(key[0], t): c for t, c in kernel(key[1], k).items()})
+
+
+def _empty_left(x) -> bool:
+    """Whether a key of the pair-keyed x has the empty left word."""
+    return any(not key[0] for key in x._terms)
 
 
 def linear_combination(start, pairs):
@@ -644,6 +801,7 @@ def linear_combination(start, pairs):
     """
     kind = type(start)
     acc, den = dict(start._terms), start._den
+    get = acc.get
     for x, scalar in pairs:
         if type(x) is not kind:
             raise TypeError("cannot add %s to %s" % (type(x).__name__, kind.__name__))
@@ -659,13 +817,13 @@ def linear_combination(start, pairs):
                 acc[key] *= scale
         num *= common // x_den
         for key, c in x._terms.items():
-            _bump(acc, key, c * num)
+            acc[key] = get(key, 0) + c * num
         check_term_budget(len(acc))
     return kind._over(start.dim, acc, den)
 
 
 def _reject_empty(x: TensorElem, role: str):
-    if EMPTY_WORD in x._terms:
+    if 0 in x._terms:
         raise EmptyWordOperand("%s must have no empty-word component" % role)
 
 
@@ -675,10 +833,14 @@ def _reject_empty(x: TensorElem, role: str):
 def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
     """Concatenation product; levels above `level` are dropped if given."""
     x._same_alphabet(y)
+    k = x.dim.bit_length()
+    right = [(v, cv, k * _length(v, k)) for v, cv in y._terms.items()]
     acc: dict = {}
-    for u, cu, terms in _pairs(x, list(y._terms.items()), level):
-        for v, cv in terms:
-            _bump(acc, u + v, cu * cv)
+    get = acc.get
+    for u, cu, terms in _pairs(x, right, level):
+        for v, cv, v_len in terms:
+            w = (u << v_len) | v
+            acc[w] = get(w, 0) + cu * cv
     return TensorElem._over(x.dim, acc, x._den * y._den)
 
 
@@ -692,14 +854,18 @@ def _shuffles(x, y, orders):
     accumulator over x._den * y._den.  A word pair (u, v) walks the
     memoised shuffle of u with v's head and appends v's last letter."""
     x._same_alphabet(y)
+    k = x.dim.bit_length()
     acc: dict = {}
+    get = acc.get
     for a, b, sign, cut in orders:
-        right = [_split(v, cut) + (cv * sign,) for v, cv in b._terms.items()]
+        shift = k if cut else 0
+        right = [_split(v, cut, k) + (cv * sign,) for v, cv in b._terms.items()]
         for u, cu in a._terms.items():
             for head, last, cv in right:
                 c = cu * cv
-                for w, k in shuffle_words(u, head).items():
-                    _bump(acc, w + last, c * k)
+                for w, m in _shuffled(u, head, k).items():
+                    w = (w << shift) | last
+                    acc[w] = get(w, 0) + c * m
     return TensorElem._over(x.dim, acc, x._den * y._den)
 
 
@@ -735,42 +901,44 @@ def pairing(x: TensorElem, y: TensorElem) -> Fraction:
 
 def dynkin_r(x: TensorElem) -> TensorElem:
     """Right bracketing w -> [l1,[l2,...[l_{n-1},ln]]], linearly extended."""
-    return _linear(x, r_word)
+    return _linear(x, _r_codes)
 
 
 def rho(x: TensorElem) -> TensorElem:
     """Adjoint of dynkin_r under the word pairing."""
-    return _linear(x, rho_word)
+    return _linear(x, _rho_codes)
 
 
 def grading_d(x):
     """Each term times its degree: the word length of a TensorElem, the
     right-word length of a DoubleTensor."""
-    grade = x._grade
+    grade, k = x._grade, x.dim.bit_length()
     return x._like(
-        {k: c * grade(k) for k, c in x._terms.items() if grade(k)}, x._den
+        {key: c * g for key, c in x._terms.items() if (g := grade(key, k))}, x._den
     )
 
 
 def grading_d_inv(x):
     """Divide each term by its degree; undefined on terms of degree zero."""
-    grade = x._grade
+    grade, k = x._grade, x.dim.bit_length()
     # the lcm of the grades, 0 if any grade is 0
-    common = lcm(*(grade(k) for k in x._terms))
+    common = lcm(*(grade(key, k) for key in x._terms))
     if not common:
         raise EmptyWordOperand("grading inverse is undefined in degree zero")
     return x._like(
-        {k: c * (common // grade(k)) for k, c in x._terms.items()}, x._den * common
+        {key: c * (common // grade(key, k)) for key, c in x._terms.items()},
+        x._den * common,
     )
 
 
 def antipode(x: TensorElem) -> TensorElem:
     """w -> (-1)^|w| times w reversed; an involution."""
-    return TensorElem._raw(
-        x.dim,
-        {w[::-1]: -c if len(w) % 2 else c for w, c in x._terms.items()},
-        x._den,
-    )
+    k = x.dim.bit_length()
+    terms = {}
+    for w, c in x._terms.items():
+        word = _decode(w, k)
+        terms[_encode(reversed(word), k)] = -c if len(word) % 2 else c
+    return TensorElem._raw(x.dim, terms, x._den)
 
 
 def pi1(x: TensorElem) -> TensorElem:
@@ -793,7 +961,7 @@ class CoproductTerms(_Terms):
 
 def unshuffle(x: TensorElem) -> CoproductTerms:
     """Coproduct dual to the shuffle product."""
-    return _linear(x, unshuffle_word, CoproductTerms)
+    return _linear(x, _unshuffle_codes, CoproductTerms)
 
 
 def is_grouplike(g: TensorElem, level: int) -> bool:

@@ -93,25 +93,25 @@ def _label(shape, it):
 
 
 def _labeled(shapes, d, n):
+    """(shape, tree) for each shape labeled by each word of length n over
+    1..d, canonical order."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     check_term_budget(len(shapes) * d**n)
-    out = []
-    for shape in shapes:
-        for letters in product(range(1, d + 1), repeat=n):
-            out.append(_label(shape, iter(letters)))
-    return out
+    return [
+        (shape, _label(shape, iter(letters)))
+        for shape in shapes
+        for letters in product(range(1, d + 1), repeat=n)
+    ]
 
 
 def enumerate_trees(d: int, n: int):
     """All area trees with n leaves labeled from 1..d, canonical order."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _labeled(_plain_shapes(n), d, n)
+    return [tree for _, tree in _labeled(_plain_shapes(n), d, n)]
 
 
 def enumerate_mixed(d: int, n: int):
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _labeled(_mixed_shapes(n), d, n)
+    return [tree for _, tree in _labeled(_mixed_shapes(n), d, n)]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -269,20 +269,28 @@ def parse_tree(text: str):
 # -- tree-indexed expansions -----------------------------------------------------
 
 
+# The weights coeff_b, coeff_c and coeff_e depend on a tree's shape alone,
+# so the expansions below weigh each shape once and then label it.
+
+
 def r_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the right-bracketing element as a sum over area trees."""
+    trees = _labeled(_plain_shapes(n), d, n)
+    weights = {shape: Fraction(1, coeff_c(shape)) for shape in _plain_shapes(n)}
     return linear_combination(zero_double(d), (
-        (tensor_pair(area_eval(tree, d), lie_eval(tree, d)), Fraction(1, coeff_c(tree)))
-        for tree in enumerate_trees(d, n)
+        (tensor_pair(area_eval(tree, d), lie_eval(tree, d)), weights[shape])
+        for shape, tree in trees
     ))
 
 
 def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the logarithm element as a sum over mixed trees."""
+    trees = _labeled(_mixed_shapes(n), d, n)
+    weights = {shape: coeff_e(shape) for shape in _mixed_shapes(n)}
     return linear_combination(zero_double(d), (
         (tensor_pair(mixed_eval(tree, d), lie_eval(tree, d)), weight)
-        for tree in enumerate_mixed(d, n)
-        if (weight := coeff_e(tree))
+        for shape, tree in trees
+        if (weight := weights[shape])
     ))
 
 
@@ -315,15 +323,15 @@ def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> Tensor
         return _rho_hall_recursive(basis, h)
     if method == "q_trees":
         return linear_combination(TensorElem(basis.dim, {}), (
-            (area_eval(tree, basis.dim), Fraction(q, coeff_b(tree)))
-            for _, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
+            (area_eval(tree, basis.dim), Fraction(q, coeff_b(shape)))
+            for shape, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
             if (q := _q_coefficient(basis, tree, h))
         ))
     if method == "p_trees":
         s_h = basis.dual_pbw(h)
         return linear_combination(TensorElem(basis.dim, {}), (
-            (area_eval(tree, basis.dim), p / coeff_c(tree))
-            for _, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
+            (area_eval(tree, basis.dim), p / coeff_c(shape))
+            for shape, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
             if (p := pairing(s_h, lie_eval(tree, basis.dim)))
         ))
     raise ValueError("unknown rho_hall method %r" % method)

@@ -51,6 +51,7 @@ from conftest import (
     fractions_of,
     random_double,
     random_elem,
+    right_bracketing_oracle,
     series_oracle,
     shuffle_oracle,
 )
@@ -97,6 +98,13 @@ def test_dendriform_rejects_empty_left_factor():
         dendriform(a, e, "succ")
     with pytest.raises(EmptyWordOperand):
         dendriform(e, a, "prec")
+    # both orders of pre_lie_sym half-shuffle into a right operand's left word
+    for x, y in ((a, e), (e, a)):
+        with pytest.raises(EmptyWordOperand) as caught:
+            pre_lie_sym(x, y)
+        assert str(caught.value) == (
+            "pre-Lie right operand must have empty-word-free left factors"
+        )
 
 
 def test_pre_lie_examples():
@@ -444,6 +452,25 @@ def _area(u, v):
 def test_double_products_match_the_fraction_lifts(seed):
     for d in (2, 3):
         _check_double_products_against_the_fraction_lifts(random.Random(seed), d)
+
+
+@pytest.mark.parametrize("d", [1, 10, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_double_products_match_the_fraction_lifts_on_packed_alphabets(d, seed):
+    # one and four or five bits a letter; the letters 10..16 have two digits
+    _check_double_products_against_the_fraction_lifts(random.Random(seed), d)
+    level = 3 if d == 1 else 2
+    diagonal = s_element(d, level)
+    assert fractions_of(diagonal) == {
+        (u, u): 1 for n in range(level + 1) for u in words_of_length(d, n)
+    }
+    assert fractions_of(r_hat(diagonal)) == {
+        (u, v): Fraction(c)
+        for n in range(level + 1)
+        for u in words_of_length(d, n)
+        for v, c in right_bracketing_oracle(u).items()
+    }
+    assert r_element(d, level) == r_element(d, level, "recursion")
 
 
 def _check_double_products_against_the_fraction_lifts(rng, d):

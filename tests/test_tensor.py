@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -37,12 +38,24 @@ from areasig import (
     word_elem,
     zero,
 )
-from areasig.double_tensor import tensor_pair, unit_double, zero_double
+from areasig.double_tensor import (
+    DoubleTensor,
+    box_mul,
+    pre_lie_sym,
+    tensor_pair,
+    unit_double,
+    zero_double,
+)
 from areasig import tensor
 from areasig.tensor import (
+    CoproductTerms,
+    half_shuffle_words,
     linear_combination,
     pi1_transpose_word,
     pi1_word,
+    r_word,
+    rho_word,
+    rho_word_via_d,
     shuffle_words,
     unshuffle_word,
     words_of_length,
@@ -285,18 +298,18 @@ def test_rho_dual_to_r():
 
 def test_rho_adjoint_check_catches_a_broken_rho(monkeypatch):
     assert checks.rho_adjoint_to_r(2, 5) and checks.rho_adjoint_to_r(3, 3)
-    real = tensor.rho_word
+    real = tensor._rho_codes  # the code kernel behind the rho lift
 
-    def broken(word):
+    def broken(code, k):
         # one sign flipped at length 3; lengths up to 3 only are asked for,
         # so the real kernel's memo holds no value built from this one
-        out = real(word)
-        return {t: -c for t, c in out.items()} if len(word) == 3 else out
+        out = real(code, k)
+        return {t: -c for t, c in out.items()} if tensor._length(code, k) == 3 else out
 
-    monkeypatch.setattr(tensor, "rho_word", broken)
+    monkeypatch.setattr(tensor, "_rho_codes", broken)
     assert checks.rho_adjoint_to_r(2, 2)
     assert not checks.rho_adjoint_to_r(2, 3)
-    monkeypatch.setattr(tensor, "rho_word", lambda word: {word: 1})
+    monkeypatch.setattr(tensor, "_rho_codes", lambda code, k: {code: 1})
     assert not checks.rho_adjoint_to_r(3, 2)
 
 
@@ -811,3 +824,151 @@ def test_absent_keys_read_as_fraction_zero():
     assert type(split.coeff((2,), ())) is Fraction and split.coeff((2,), ()) == 0
     pair = random_double(random.Random(0), 2, 2, 2)
     assert type(pair.coeff((1, 1, 1), ())) is Fraction and pair.coeff((1, 1, 1), ()) == 0
+
+
+# -- packed words -------------------------------------------------------------------
+# Inside the store a word is one int: k = d.bit_length() bits per letter.
+
+
+def _some_words(rng, d):
+    """Every word of length <= 3 (<= 2 from d = 8 on), with seeded longer ones."""
+    top = 3 if d < 8 else 2
+    words = [u for n in range(top + 1) for u in words_of_length(d, n)]
+    words += [tuple(rng.randint(1, d) for _ in range(rng.randint(4, 9))) for _ in range(40)]
+    return words
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16, 17])
+def test_codes_round_trip_and_sort_as_words_do(d):
+    k = d.bit_length()
+    words = _some_words(random.Random(d), d)
+    codes = {u: tensor._encode(u, k) for u in words}
+    assert codes[()] == 0
+    for u, code in codes.items():
+        assert tensor._decode(code, k) == u
+        assert tensor._length(code, k) == len(u)
+    assert sorted(set(words), key=tensor.word_sort_key) == [
+        tensor._decode(code, k) for code in sorted(set(codes.values()))
+    ]
+    x = TensorElem(d, {u: i + 1 for i, u in enumerate(set(words))})
+    assert x.words() == sorted(set(words), key=tensor.word_sort_key)
+    assert [u for u, _ in x.terms()] == x.words()
+    assert x.degree() == max(map(len, words)) and x.min_degree() == 0
+    assert all(x.coeff(u) for u in words)
+
+
+@pytest.mark.parametrize(
+    "d, word, shown",
+    [(2, (5,), "5"), (2, (1, 4), "14"), (3, (0,), "0"), (16, (17,), "[17]"),
+     (16, (1, 32), "[1,32]"), (1, (2, 1), "21")],
+)
+def test_a_letter_beyond_the_packing_raises_the_same_error(d, word, shown):
+    message = "word %s uses letters outside 1..%d" % (shown, d)
+    for build in (
+        lambda: TensorElem(d, {word: 1}),
+        lambda: DoubleTensor(d, {(word, ()): 1}),
+        lambda: CoproductTerms(d, {((1,), word): 1}),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_a_letter_beyond_the_alphabet_reads_as_zero():
+    # at d = 2 (two bits a letter) the letter 5 = 0b101 packs like the word 11
+    x = TensorElem(2, {(1, 1): 1, (1,): 2})
+    assert x.coeff((5,)) == 0 and x.coeff((1, 1)) == 1
+    assert x.coeff((0, 1)) == 0 and x.coeff(("1",)) == 0
+    pair = DoubleTensor(2, {((1, 1), ()): 1})
+    assert pair.coeff((5,), ()) == 0 and pair.coeff((1, 1), ()) == 1
+
+
+def _rho_oracle(word):
+    """rho as the transpose of r: the coefficient of `word` in r(v) for
+    each anagram v of it."""
+    out = {}
+    for v in set(permutations(word)):
+        c = right_bracketing_oracle(v).get(tuple(word), 0)
+        if c:
+            out[v] = c
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 16])
+def test_public_kernels_match_their_oracles_on_packed_alphabets(d):
+    rng = random.Random(d)
+    words = [tuple(rng.randint(1, d) for _ in range(rng.randint(0, 5))) for _ in range(25)]
+    for u in words:
+        assert r_word(u) == _nonzero_oracle(right_bracketing_oracle(u)), u
+        assert rho_word(u) == rho_word_via_d(u) == _rho_oracle(u), u
+        assert unshuffle_word(u) == unshuffle_oracle(u), u
+        if len(u) <= 4:
+            assert pi1_word(u) == pi1_word_oracle(u), u
+            assert pi1_transpose_word(u) == pi1_transpose_oracle(u), u
+        for v in words[:8]:
+            assert shuffle_words(u, v) == shuffle_oracle(u, v), (u, v)
+            if v:
+                assert half_shuffle_words(u, v) == _half_shuffle_oracle(u, v), (u, v)
+
+
+def _nonzero_oracle(table):
+    return {u: c for u, c in table.items() if c}
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_lifts_match_the_fraction_lifts_on_packed_alphabets(d, seed):
+    rng = random.Random(seed)
+    _check_products_against_the_fraction_lifts(rng, d)
+    x = random_elem(rng, d, 4, terms=6, max_den=12)
+    a = random_elem(rng, d, 3, min_deg=1, terms=4, max_den=12)
+    fx, fa = fractions_of(x), fractions_of(a)
+    low = {u: c for u, c in fa.items() if len(u) <= 3}
+    one = {(): Fraction(1)}
+    checks = [
+        (dynkin_r(x), linear_oracle(fx, right_bracketing_oracle)),
+        (rho(x), linear_oracle(fx, _rho_oracle)),
+        (pi1(x), linear_oracle(fx, pi1_word_oracle)),
+        (pi1_transpose(x), linear_oracle(fx, pi1_transpose_oracle)),
+        (unshuffle(x), linear_oracle(fx, unshuffle_oracle)),
+        (antipode(x), {u[::-1]: c * (-1) ** len(u) for u, c in fx.items()}),
+        (grading_d(x), {u: c * len(u) for u, c in fx.items() if u}),
+        (grading_d_inv(a), {u: c / len(u) for u, c in fa.items()}),
+        (x.truncate(2), {u: c for u, c in fx.items() if len(u) <= 2}),
+        (exp_conc(a, 3), series_oracle(low, one, concat_oracle, 3)),
+        (log_conc(unit(d) + a, 3), series_oracle(low, one, concat_oracle, 3, log=True)),
+    ]
+    for got, expected in checks:
+        assert_canonical(got)
+        assert fractions_of(got) == expected
+    split = unshuffle(x)
+    assert split.pair_with(a, x) == pairing(shuffle(a, x), x)
+
+
+def test_memoised_code_kernels_store_no_zero():
+    assert r_word((1, 1)) == {} and tensor._r_codes(tensor._encode((1, 1), 2), 2) == {}
+    assert 0 not in rho_word_via_d((1, 2, 1, 2)).values()
+    for d in (1, 2, 3):
+        k = d.bit_length()
+        for u in tensor.all_words(d, 5):
+            code = tensor._encode(u, k)
+            for kernel in (tensor._r_codes, tensor._rho_codes,
+                           tensor._pi1_numerators, tensor._pi1_transpose_numerators):
+                assert 0 not in kernel(code, k).values(), (kernel.__name__, u)
+
+
+def test_lifts_call_the_shuffle_memo_with_the_pair_in_order(monkeypatch):
+    real, seen = tensor._shuffle_codes, []
+
+    def spy(u, v, k):
+        seen.append((u, v))
+        return real(u, v, k)
+
+    monkeypatch.setattr(tensor, "_shuffle_codes", spy)
+    rng = random.Random(5)
+    x, y = (random_elem(rng, 3, 4, min_deg=1, terms=6) for _ in range(2))
+    p, q = (random_double(rng, 3, 3, 2, min_left=1) for _ in range(2))
+    shuffle(x, y), area(y, x), half_shuffle(x, y), pi1_transpose(x)
+    box_mul(p, q), pre_lie_sym(q, p)
+    assert seen and all(u <= v for u, v in seen)
+
