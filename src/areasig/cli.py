@@ -16,6 +16,7 @@ from .errors import TermBudgetExceeded
 from .expr import evaluate_text
 from .hall import hall_set
 from .span import areas_generate_check, leftbracket_span_check, special_tree_reduction
+from .tensor import format_word
 from .trees import format_tree, parse_tree, rho_hall
 
 
@@ -64,7 +65,7 @@ def cmd_rho_table(args):
     rows = []
     for h in basis.all_hall_words():
         value = rho_hall(basis, h)
-        rows.append(("".join(map(str, h.word)), value))
+        rows.append((format_word(h.word, h.dim), value))
     if args.format == "json":
         print(
             json.dumps(

@@ -11,7 +11,15 @@ orders here:
 - s(a) = a for a letter a;
 - s(au) = a s(u) (concatenation) when au is a Hall word;
 - s(w) = s(h1)^{sh i1} sh ... sh s(hk)^{sh ik} / (i1! ... ik!) for the
-  non-increasing Hall factorization w = h1^i1 ... hk^ik of any other word.
+  non-increasing Hall factorization w = h1^i1 ... hk^ik of any other word,
+  found by rewriting: from the letters of w, merge the rightmost adjacent
+  pair h_i < h_(i+1) into the Hall word h_i h_(i+1) until none is left
+  (the standard sequences of Reutenauer, Ch. 4).
+
+Each order is one sort key per Hall word, computed once per basis from its
+factors' keys: the word itself for the Lyndon order, and (-length, key of
+the left factor, key of the right factor) for the standard Hall order.
+Words print through tensor.format_word, bracketed as [1,12] for d >= 10.
 
 Each Hall word carries its area tree, in the format of areasig.trees, and
 its bracketing p(h) is that tree evaluated with the Lie bracket by
@@ -25,8 +33,8 @@ basis.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from collections import Counter
 
 from .memo import memo_per_owner
 from .tensor import (
@@ -51,31 +59,23 @@ def tree_brackets(tree) -> str:
     return "[%s,%s]" % (tree_brackets(tree[1]), tree_brackets(tree[2]))
 
 
-def _less_lyndon(a, b):
-    return a.word < b.word
+def _standard_hall_key(h):
+    # Longer words come first, letters ordered naturally.  This order
+    # reproduces the classical left-normed Hall family (121 -> [[1,2],1]).
+    if h.is_letter:
+        return (-1, h.word[0])
+    return (-len(h), h.left.key, h.right.key)
 
 
-def _less_standard_hall(a, b):
-    # Longer factorizations come first; ties recurse into the factors,
-    # letters ordered naturally.  This comparison reproduces the classical
-    # left-normed Hall family (121 -> [[1,2],1] and so on).
-    if len(a) != len(b):
-        return len(b) < len(a)
-    if a.is_letter:
-        return a.word < b.word
-    if a.left == b.left:
-        return _less_standard_hall(a.right, b.right)
-    return _less_standard_hall(a.left, b.left)
-
-
-_ORDERS = {"lyndon": _less_lyndon, "standard_hall": _less_standard_hall}
+_ORDERS = {"lyndon": lambda h: h.word, "standard_hall": _standard_hall_key}
 
 
 class HallWord:
     """One basis index: its word, its standard factorization links, and the
-    area tree bracketing those links out (the letter itself for a letter)."""
+    area tree bracketing those links out (the letter itself for a letter).
+    Its basis sets `key`, its sort key in the basis order."""
 
-    __slots__ = ("word", "left", "right", "dim", "tree")
+    __slots__ = ("word", "left", "right", "dim", "tree", "key")
 
     def __init__(self, dim, letter=None, left=None, right=None):
         self.dim = dim
@@ -102,7 +102,7 @@ class HallWord:
 
     def __repr__(self):
         return "<HallWord %s = %s>" % (
-            "".join(map(str, self.word)),
+            format_word(self.word, self.dim),
             tree_brackets(self.tree),
         )
 
@@ -121,31 +121,25 @@ class HallBasis:
         self.dim = dim
         self.max_level = max_level
         self.kind = kind
-        self._less = _ORDERS[kind]
-        self.levels: list[list[HallWord]] = [
-            [HallWord(dim, letter) for letter in range(1, dim + 1)]
-        ]
+        order = _ORDERS[kind]
+
+        def hall_word(**links):
+            h = HallWord(dim, **links)
+            h.key = order(h)
+            return h
+
+        self.levels = [[hall_word(letter=a) for a in range(1, dim + 1)]]
         for level in range(2, max_level + 1):
             found = [
-                HallWord(dim, left=x, right=y)
+                hall_word(left=x, right=y)
                 for left_size in range(1, level)
                 for x in self.levels[left_size - 1]
                 for y in self.levels[level - left_size - 1]
-                if self._less(x, y) and (x.is_letter or not self._less(x.right, y))
+                if self.less(x, y) and (x.is_letter or not self.less(x.right, y))
             ]
-            found.sort(key=self._sort_key)
+            found.sort(key=lambda h: h.key)
             self.levels.append(found)
         self._by_word = {h.word: h for row in self.levels for h in row}
-
-    def _cmp(self, a, b):
-        if self._less(a, b):
-            return -1
-        if self._less(b, a):
-            return 1
-        return 0
-
-    def _sort_key(self, h):
-        return functools.cmp_to_key(self._cmp)(h)
 
     # -- lookup ----------------------------------------------------------
 
@@ -166,7 +160,8 @@ class HallBasis:
         return tuple(word) in self._by_word
 
     def less(self, a: HallWord, b: HallWord) -> bool:
-        return self._less(a, b)
+        """a < b in this basis's order, for Hall words of this basis."""
+        return a.key < b.key
 
     # -- derived families --------------------------------------------------
 
@@ -197,34 +192,18 @@ class HallBasis:
                             table[h].append((h1, h2, c))
         return {h: tuple(terms) for h, terms in table.items()}
 
-    def _decreasing_products(self, n: int):
-        """All non-increasing Hall sequences of total length n."""
-        hall = list(self.all_hall_words(min(n, self.max_level)))
-        hall.sort(key=self._sort_key)
-        hall.reverse()  # largest first, so sequences read non-increasingly
-        sequences = []
-
-        def grow(start, remaining, acc):
-            if remaining == 0:
-                sequences.append(tuple(acc))
-                return
-            for idx in range(start, len(hall)):
-                h = hall[idx]
-                if len(h) <= remaining:
-                    acc.append(h)
-                    grow(idx, remaining - len(h), acc)
-                    acc.pop()
-
-        grow(0, n, [])
-        return sequences
-
-    @memo_per_owner
-    def _factorizations(self, n: int) -> dict:
-        """Word of length n -> its non-increasing Hall factorization."""
-        return {
-            sum((h.word for h in seq), ()): seq
-            for seq in self._decreasing_products(n)
-        }
+    def _factorization(self, word) -> list[HallWord]:
+        """The non-increasing Hall factorization of a word, by rewriting
+        its letters as the module docstring says."""
+        seq = [self._by_word[(letter,)] for letter in word]
+        i = len(seq) - 2
+        while i >= 0:
+            if self.less(seq[i], seq[i + 1]):
+                seq[i : i + 2] = [self._by_word[seq[i].word + seq[i + 1].word]]
+                i = min(i, len(seq) - 2)
+            else:
+                i -= 1
+        return seq
 
     @memo_per_owner
     def _dual(self, word) -> TensorElem:
@@ -233,11 +212,9 @@ class HallBasis:
             return TensorElem(self.dim, {word: 1})
         if word in self._by_word:
             return concat(letter_elem(word[0], self.dim), self._dual(word[1:]))
-        seq = self._factorizations(len(word))[word]
+        seq = self._factorization(word)
         dual = functools.reduce(shuffle, [self._dual(h.word) for h in seq])
-        repeats = math.prod(
-            math.factorial(len(list(run))) for _, run in itertools.groupby(seq)
-        )
+        repeats = math.prod(map(math.factorial, Counter(seq).values()))
         return dual / repeats if repeats != 1 else dual
 
     def dual_pbw(self, h: HallWord) -> TensorElem:
@@ -270,7 +247,7 @@ class HallBasis:
         for level in self.levels:
             for h in level:
                 yield {
-                    "hall_word": "".join(map(str, h.word)),
+                    "hall_word": format_word(h.word, h.dim),
                     "bracketing": tree_brackets(h.tree),
                     "p": self.bracketing(h),
                     "s": self.dual_pbw(h),

@@ -92,16 +92,22 @@ def _label(shape, it):
     return (kind, _label(left, it), _label(right, it))
 
 
-def _labeled(shapes, d, n):
+def _labeled(shapes, d, n, word=None):
     """(shape, tree) for each shape labeled by each word of length n over
-    1..d, canonical order."""
+    1..d, canonical order; given a `word`, by its sorted anagrams alone.
+
+    The dual s(h) of a Hall word h pairs to zero with a tree of other
+    letter content, and so does _q_coefficient, as bracket terms keep
+    content: so the expansions at h label by the anagrams of h."""
     if n < 1:
         raise ValueError("need n >= 1")
-    check_term_budget(len(shapes) * d**n)
+    anagrams = None if word is None else sorted(set(permutations(word)))
+    check_term_budget(len(shapes) * (d**n if word is None else len(anagrams)))
+    labelings = anagrams or list(product(range(1, d + 1), repeat=n))
     return [
         (shape, _label(shape, iter(letters)))
         for shape in shapes
-        for letters in product(range(1, d + 1), repeat=n)
+        for letters in labelings
     ]
 
 
@@ -294,24 +300,13 @@ def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     ))
 
 
-def _anagram_trees(shapes, word):
-    """(shape, tree) for each shape labeled by each anagram of `word`: the
-    dual s(h) of a Hall word h pairs to zero with a tree of other letter
-    content, and so does _q_coefficient, as bracket terms keep content."""
-    labelings = sorted(set(permutations(word)))
-    check_term_budget(len(shapes) * len(labelings))
-    for shape in shapes:
-        for letters in labelings:
-            yield shape, _label(shape, iter(letters))
-
-
 def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
     """First-kind coordinate as shuffles of iterated areas, anagram-labeled."""
     d = basis.dim
     s_h = basis.dual_pbw(h)
     return linear_combination(TensorElem(d, {}), (
         (mixed_eval(tree, d), weight * factor)
-        for shape, tree in _anagram_trees(_mixed_shapes(len(h)), h.word)
+        for shape, tree in _labeled(_mixed_shapes(len(h)), d, len(h), h.word)
         if (weight := coeff_e(shape))  # the weight does not depend on the labels
         if (factor := pairing(s_h, lie_eval(tree, d)))
     ))
@@ -319,20 +314,21 @@ def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
 
 def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
     """The image of the dual element s(h) under rho, three computable ways."""
+    d, n = basis.dim, len(h)
     if method == "recursion":
         return _rho_hall_recursive(basis, h)
     if method == "q_trees":
-        return linear_combination(TensorElem(basis.dim, {}), (
-            (area_eval(tree, basis.dim), Fraction(q, coeff_b(shape)))
-            for shape, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
+        return linear_combination(TensorElem(d, {}), (
+            (area_eval(tree, d), Fraction(q, coeff_b(shape)))
+            for shape, tree in _labeled(_plain_shapes(n), d, n, h.word)
             if (q := _q_coefficient(basis, tree, h))
         ))
     if method == "p_trees":
         s_h = basis.dual_pbw(h)
-        return linear_combination(TensorElem(basis.dim, {}), (
-            (area_eval(tree, basis.dim), p / coeff_c(shape))
-            for shape, tree in _anagram_trees(_plain_shapes(len(h)), h.word)
-            if (p := pairing(s_h, lie_eval(tree, basis.dim)))
+        return linear_combination(TensorElem(d, {}), (
+            (area_eval(tree, d), p / coeff_c(shape))
+            for shape, tree in _labeled(_plain_shapes(n), d, n, h.word)
+            if (p := pairing(s_h, lie_eval(tree, d)))
         ))
     raise ValueError("unknown rho_hall method %r" % method)
 

@@ -5,8 +5,10 @@ they check: shuffles by brute-force position enumeration, unshuffles by
 choosing position subsets, the Eulerian idempotent pi1 by scattering
 positions onto blocks and its transpose by cutting into blocks, brackets
 by a tiny standalone expansion on dicts, ranks, span membership and inverses
-by one plain Fraction Gauss-Jordan, Hall duals by inverting the matrix of
-decreasing Hall products, path signatures by a chain of sparse Fraction
+by one plain Fraction Gauss-Jordan, the two Hall orders by the recursive
+comparator they were first defined by, the non-increasing Hall sequences by
+enumerating them all, Hall duals by inverting the matrix of decreasing Hall
+products, path signatures by a chain of sparse Fraction
 concatenation products, discrete areas, the trapezoid rule and the tree
 walk by plain Fraction sums and products, and the bilinear, linear and
 contraction lifts and the exp/log series by plain pair loops on dicts of
@@ -14,7 +16,7 @@ Fractions.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 from math import factorial, gcd
 
@@ -299,10 +301,58 @@ def invert_matrix_oracle(matrix):
     return [row[n:] for row in rows]
 
 
+def hall_less_oracle(kind, a, b):
+    """The Hall orders as recursive comparators: Lyndon words compare
+    lexicographically; in the standard Hall order longer words come first,
+    letters compare naturally, and other ties recurse into the left
+    factors, or into the right ones when the left factors agree."""
+    if kind == "lyndon":
+        return a.word < b.word
+    if len(a) != len(b):
+        return len(b) < len(a)
+    if a.is_letter:
+        return a.word < b.word
+    if a.left == b.left:
+        return hall_less_oracle(kind, a.right, b.right)
+    return hall_less_oracle(kind, a.left, b.left)
+
+
+def hall_sort_key_oracle(kind):
+    """A sort key for Hall words built from hall_less_oracle."""
+    def cmp(a, b):
+        return -1 if hall_less_oracle(kind, a, b) else int(hall_less_oracle(kind, b, a))
+    return cmp_to_key(cmp)
+
+
+def decreasing_products_oracle(basis, n):
+    """All non-increasing Hall sequences of total length n, by enumerating
+    them in the order of hall_less_oracle, largest first."""
+    hall = sorted(
+        basis.all_hall_words(min(n, basis.max_level)),
+        key=hall_sort_key_oracle(basis.kind),
+        reverse=True,
+    )
+    sequences = []
+
+    def grow(start, remaining, acc):
+        if remaining == 0:
+            sequences.append(tuple(acc))
+            return
+        for idx in range(start, len(hall)):
+            h = hall[idx]
+            if len(h) <= remaining:
+                acc.append(h)
+                grow(idx, remaining - len(h), acc)
+                acc.pop()
+
+    grow(0, n, [])
+    return sequences
+
+
 def dual_pbw_oracle(basis, n):
     """Word -> dual element at level n, by inverting the d^n x d^n matrix
     whose rows are the decreasing Hall products in word coordinates."""
-    sequences = basis._decreasing_products(n)
+    sequences = decreasing_products_oracle(basis, n)
     columns = list(product(range(1, basis.dim + 1), repeat=n))
     assert len(sequences) == len(columns)
     col_index = {w: i for i, w in enumerate(columns)}

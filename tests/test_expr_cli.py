@@ -121,6 +121,17 @@ def test_cli_rho_table():
     ]
 
 
+@pytest.mark.parametrize("command", ["tables", "rho-table"])
+def test_cli_hall_word_labels_distinct_past_nine_letters(command):
+    # d >= 10 brackets the labels: (1,12) and (1,1,2) must not both read 112
+    code, out = run_cli(command, "--d", "12", "--level", "3", "--format", "json")
+    assert code == 0
+    labels = [row["hall_word"] for row in json.loads(out)]
+    assert len(labels) == 12 + 66 + 572
+    assert len(set(labels)) == len(labels)
+    assert "[1,12]" in labels and "[1,1,2]" in labels
+
+
 def test_cli_verify_ok():
     code, out = run_cli("verify", "--suite", "core", "--level", "3")
     assert code == 0

@@ -1,10 +1,13 @@
+import functools
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from areasig import (
+    HallWord,
     hall_bracketing,
     hall_set,
     lie_bracket,
@@ -21,7 +24,15 @@ from areasig import (
 from areasig import linalg
 from areasig.tensor import parse_word
 
-from conftest import dual_pbw_oracle, foliage, pbw_product, random_elem
+from conftest import (
+    decreasing_products_oracle,
+    dual_pbw_oracle,
+    foliage,
+    hall_less_oracle,
+    hall_sort_key_oracle,
+    pbw_product,
+    random_elem,
+)
 from reference_tables import LYNDON_D2_TABLE, bracket_elem, el
 
 
@@ -133,7 +144,7 @@ def test_pbw_products_span_each_level():
             for n in range(1, top + 1):
                 products = [
                     dict(pbw_product(basis, seq).terms())
-                    for seq in basis._decreasing_products(n)
+                    for seq in decreasing_products_oracle(basis, n)
                 ]
                 assert len(products) == d**n
                 assert linalg.rank_of_vectors(products) == d**n
@@ -143,7 +154,7 @@ def test_full_dual_basis_property():
     # duals of arbitrary words pair correctly against decreasing products
     basis = hall_set(2, 4)
     n = 4
-    seqs = basis._decreasing_products(n)
+    seqs = decreasing_products_oracle(basis, n)
     for seq in seqs[:10]:
         word = sum((h.word for h in seq), ())
         prod = pbw_product(basis, seq)
@@ -164,6 +175,74 @@ def test_dual_pbw_matches_gauss_jordan_oracle(kind):
                 assert basis.dual_pbw_for_word(word) == oracle[word], word
             for h in basis.level(n):
                 assert basis.dual_pbw(h) == oracle[h.word]
+
+
+_ORDER_CASES = [
+    (d, top, kind)
+    for d, top in ((2, 7), (3, 5), (4, 4), (12, 3))
+    for kind in ("lyndon", "standard_hall")
+]
+
+
+@pytest.mark.parametrize("d, top, kind", _ORDER_CASES)
+def test_factorization_matches_enumeration(d, top, kind):
+    # rewriting finds the one non-increasing Hall sequence spelling each word
+    basis = hall_set(d, top, kind)
+    for n in range(1, top + 1):
+        oracle = {
+            sum((h.word for h in seq), ()): list(seq)
+            for seq in decreasing_products_oracle(basis, n)
+        }
+        assert len(oracle) == d**n
+        for word in product(range(1, d + 1), repeat=n):
+            seq = basis._factorization(word)
+            assert all(h in basis.level(len(h)) for h in seq)
+            assert sum((h.word for h in seq), ()) == word
+            assert all(not basis.less(a, b) for a, b in zip(seq, seq[1:]))
+            assert seq == oracle[word], word
+
+
+@pytest.mark.parametrize("d, top, kind", _ORDER_CASES)
+def test_less_matches_recursive_comparator(d, top, kind):
+    basis = hall_set(d, top, kind)
+    words = list(basis.all_hall_words())
+    for a in words:
+        for b in words:
+            assert basis.less(a, b) == hall_less_oracle(kind, a, b), (a, b)
+
+
+@pytest.mark.parametrize("d, top, kind", _ORDER_CASES)
+def test_levels_match_comparator_construction(d, top, kind):
+    # the levels as the comparator builds them: standard factorizations
+    # (x, y) with x < y and, for a compound x, x.right >= y, sorted by it
+    basis = hall_set(d, top, kind)
+    less = functools.partial(hall_less_oracle, kind)
+    levels = [[HallWord(d, letter) for letter in range(1, d + 1)]]
+    for level in range(2, top + 1):
+        found = [
+            HallWord(d, left=x, right=y)
+            for left_size in range(1, level)
+            for x in levels[left_size - 1]
+            for y in levels[level - left_size - 1]
+            if less(x, y) and (x.is_letter or not less(x.right, y))
+        ]
+        found.sort(key=hall_sort_key_oracle(kind))
+        levels.append(found)
+    for n in range(1, top + 1):
+        assert [h.word for h in basis.level(n)] == [h.word for h in levels[n - 1]]
+        assert [h.tree for h in basis.level(n)] == [h.tree for h in levels[n - 1]]
+
+
+def test_dual_pbw_for_long_non_hall_word_is_fast():
+    # the factorization is found without enumerating the 4**8 sequences
+    word = (2, 1, 3, 1, 4, 2, 1, 1)
+    basis = hall_set(4, 8)
+    assert basis.find(word) is None
+    start = time.perf_counter()
+    dual = basis.dual_pbw_for_word(word)
+    assert time.perf_counter() - start < 1.0
+    seq = basis._factorization(word)
+    assert pairing(dual, pbw_product(basis, seq)) == 1
 
 
 def test_dual_pbw_for_word_empty_is_unit():
@@ -276,3 +355,12 @@ def test_hall_word_carries_its_area_tree(kind):
     for h in basis.all_hall_words():
         assert foliage(h.tree) == h.word
         assert hall_bracketing(h) == lie_eval(h.tree, 3)
+
+
+def test_hall_word_repr_brackets_past_nine_letters():
+    assert repr(hall_set(2, 3).find((1, 1, 2))) == "<HallWord 112 = [1,[1,2]]>"
+    basis = hall_set(12, 3)
+    assert repr(basis.find((1, 12))) == "<HallWord [1,12] = [1,12]>"
+    assert repr(basis.find((1, 1, 2))) == "<HallWord [1,1,2] = [1,[1,2]]>"
+    rows = [row["hall_word"] for row in basis.table_rows()]
+    assert len(set(rows)) == len(rows) == 650
