@@ -28,3 +28,48 @@ class ExpressionSyntaxError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s at offset %d" % (message, position))
         self.position = position
+
+
+class _Reader:
+    """Cursor over expression or tree text; both grammars read through it."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        """The next non-blank character ('' at the end), skipping blanks."""
+        self.run(str.isspace)
+        return self.text[self.pos : self.pos + 1]
+
+    def take(self, ch):
+        """Consume `ch` if it is the next non-blank character."""
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        if not self.take(ch):
+            self.error("expected %r" % ch)
+
+    def run(self, pred):
+        """Consume and return the characters from here on that satisfy pred."""
+        start = self.pos
+        while self.pos < len(self.text) and pred(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def error(self, message, pos=None):
+        raise ExpressionSyntaxError(message, self.pos if pos is None else pos)
+
+    def read_all(self, read, what):
+        """read(self) over the whole text: input left over is an error, and
+        nesting past the recursion limit is '<what> nested too deeply'."""
+        try:
+            node = read(self)
+        except RecursionError:
+            raise ExpressionSyntaxError("%s nested too deeply" % what, self.pos) from None
+        if self.peek():
+            self.error("trailing input")
+        return node

@@ -3,7 +3,8 @@
 Grammar:
     expr     := term (('+' | '-') term)*
     term     := [rational '*'] atom
-    atom     := 'w(' digits ')' | letter-digit | fn '(' expr (',' expr)* ')'
+    atom     := 'w(' letters ')' | letter-digit | fn '(' expr (',' expr)* ')'
+    letters  := digits (one letter each) | '[' int (',' int)* ']'
     fn       := sh | hs | cc | area | lie | r | rho | D | Dinv | pi1T
                 | arealb | vol
     rational := int ['/' int]
@@ -17,13 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .errors import ExpressionSyntaxError
+from .errors import _Reader
 from .span import arealb, vol
 from .tensor import (
     TensorElem,
     area,
     concat,
     dynkin_r,
+    format_word,
     grading_d,
     grading_d_inv,
     half_shuffle,
@@ -55,167 +57,103 @@ FUNCTIONS = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _expr(r):
+    parts = [(1, _term(r))]
+    while (ch := r.peek()) in ("+", "-"):
+        r.pos += 1
+        parts.append((1 if ch == "+" else -1, _term(r)))
+    if len(parts) == 1:
+        return parts[0][1]
+    return ("sum", tuple(parts))
 
-    def error(self, message):
-        raise ExpressionSyntaxError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _term(r):
+    # int ['/' int] is a rational only when '*' follows it (a bare digit is
+    # a letter atom), so read it once and give it back otherwise
+    r.peek()
+    start = r.pos
+    r.pos += r.text.startswith("-", start)
+    if r.run(str.isdigit):
+        numerator = int(r.text[start : r.pos])
+        over = r.text.startswith("/", r.pos)
+        r.pos += over
+        denominator = r.run(str.isdigit) if over else "1"
+        end = r.pos
+        if r.take("*"):
+            if not denominator:
+                r.error("expected a denominator", end)
+            if int(denominator) == 0:
+                r.error("zero denominator", end)
+            return ("scaled", Fraction(numerator, int(denominator)), _atom(r))
+    r.pos = start
+    return _atom(r)
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error("expected %r" % ch)
-        self.pos += 1
+def _letters(r):
+    # one letter per digit, or the bracketed list that format_word writes
+    bracketed = r.take("[")
+    word = []
+    while True:
+        r.peek()
+        digits = r.run(str.isdigit)
+        if not digits:
+            r.error("expected letters")
+        word += [int(digits)] if bracketed else [int(c) for c in digits]
+        if 0 in word:
+            r.error("letters count from 1")
+        if not (bracketed and r.take(",")):
+            break
+    if bracketed:
+        r.expect("]")
+    return tuple(word)
 
-    def parse(self):
-        node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return node
 
-    def parse_expr(self):
-        parts = [(1, self.parse_term())]
-        while self.peek() in ("+", "-"):
-            sign = 1 if self.text[self.pos] == "+" else -1
-            self.pos += 1
-            parts.append((sign, self.parse_term()))
-        if len(parts) == 1:
-            return parts[0][1]
-        return ("sum", tuple(parts))
-
-    def parse_term(self):
-        self.skip_ws()
-        if self._rational_ahead():
-            value = self.parse_rational()
-            self.expect("*")
-            return ("scaled", value, self.parse_atom())
-        return self.parse_atom()
-
-    def _rational_ahead(self):
-        # a rational prefix is only one when followed (after int or int/int)
-        # by '*'; a bare digit is a letter atom
-        start = self.pos
-        ch = self.peek()
-        if ch == "-" or ch.isdigit():
-            probe = self.pos
-            if self.text[probe] == "-":
-                probe += 1
-            digits = 0
-            while probe < len(self.text) and self.text[probe].isdigit():
-                probe += 1
-                digits += 1
-            if digits == 0:
-                return False
-            if probe < len(self.text) and self.text[probe] == "/":
-                probe += 1
-                while probe < len(self.text) and self.text[probe].isdigit():
-                    probe += 1
-            while probe < len(self.text) and self.text[probe].isspace():
-                probe += 1
-            self.pos = start
-            return probe < len(self.text) and self.text[probe] == "*"
-        return False
-
-    def parse_rational(self) -> Fraction:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer")
-        numerator = int(self.text[start : self.pos])
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
-                self.error("expected a denominator")
-            denominator = int(self.text[dstart : self.pos])
-            if denominator == 0:
-                self.error("zero denominator")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
-    def parse_atom(self):
-        ch = self.peek()
-        if not ch:
-            self.error("expected an expression")
-        if ch == "w":
-            self.pos += 1
-            self.expect("(")
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected letters")
-            word = tuple(int(c) for c in self.text[start : self.pos])
-            if any(letter == 0 for letter in word):
-                self.error("letters count from 1")
-            self.expect(")")
-            return ("word", word)
-        if ch.isdigit():
-            self.pos += 1
-            letter = int(ch)
-            if letter == 0:
-                self.pos -= 1
-                self.error("letters count from 1")
-            return ("word", (letter,))
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum()
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name not in FUNCTIONS:
-                self.pos = start
-                self.error("unknown function %r" % name)
-            self.expect("(")
-            args = [self.parse_expr()]
-            while self.peek() == ",":
-                self.pos += 1
-                args.append(self.parse_expr())
-            self.expect(")")
-            low, high, _op = FUNCTIONS[name]
-            if len(args) < low or (high is not None and len(args) > high):
-                self.pos = start
-                self.error(
-                    "function %s takes %s arguments, got %d"
-                    % (name, low if high == low else "%d+" % low, len(args))
-                )
-            return ("call", name, tuple(args))
-        self.error("expected an expression")
+def _atom(r):
+    ch = r.peek()
+    start = r.pos
+    if ch == "w":
+        r.pos += 1
+        r.expect("(")
+        word = _letters(r)
+        r.expect(")")
+        return ("word", word)
+    if ch.isdigit():
+        if int(ch) == 0:
+            r.error("letters count from 1")
+        r.pos += 1
+        return ("word", (int(ch),))
+    if ch.isalpha():
+        name = r.run(str.isalnum)
+        if name not in FUNCTIONS:
+            r.error("unknown function %r" % name, start)
+        r.expect("(")
+        args = [_expr(r)]
+        while r.take(","):
+            args.append(_expr(r))
+        r.expect(")")
+        low, high, _op = FUNCTIONS[name]
+        if len(args) < low or (high is not None and len(args) > high):
+            r.error(
+                "function %s takes %s arguments, got %d"
+                % (name, low if high == low else "%d+" % low, len(args)),
+                start,
+            )
+        return ("call", name, tuple(args))
+    r.error("expected an expression")
 
 
 def parse_expression(text: str):
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply", parser.pos) from None
+    return _Reader(text).read_all(_expr, "expression")
 
 
 def format_expression(node) -> str:
     kind = node[0]
     if kind == "word":
         word = node[1]
-        if len(word) == 1:
+        if len(word) == 1 and word[0] <= 9:
             return str(word[0])
-        return "w(%s)" % "".join(str(i) for i in word)
+        # bracketed once a letter has two digits: (1, 12) is not 112
+        return "w(%s)" % format_word(word, max(word))
     if kind == "scaled":
         # a Fraction prints as n or n/d
         return "%s*%s" % (node[1], format_expression(node[2]))

@@ -20,8 +20,8 @@ Inside the store a word is one packed int, its code.  With k =
 dim.bit_length() bits per letter, the word (l1, ..., ln) is the sum of
 li << k(n-i), and the empty word is 0.  Letters are nonzero k-bit digits,
 so the length of a code is (code.bit_length() + k - 1) // k, and the
-numeric order of codes is the word_sort_key order (by length, then
-lexicographic): terms() sorts plain ints.  Appending the letter a to u is
+numeric order of codes is the word order by length, then
+lexicographic: terms() sorts plain ints.  Appending the letter a to u is
 (u << k) | a, the head and last letter of u are u >> k and u & mask, and
 u v is (u << k|v|) | v.  A TensorElem key is one code; a DoubleTensor or
 CoproductTerms key is a pair of codes.  The word kernels run on codes and
@@ -88,11 +88,6 @@ def format_word(w: Word, dim: int = 9) -> str:
     if dim <= 9:
         return "".join(str(i) for i in w)
     return "[" + ",".join(str(i) for i in w) + "]"
-
-
-def word_sort_key(w: Word):
-    """Canonical order: by length, then lexicographic."""
-    return (len(w), w)
 
 
 def _word(word, dim) -> Word:

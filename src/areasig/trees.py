@@ -8,12 +8,14 @@ every ancestor is a shuffle node, so they form a crown containing the root.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .double_tensor import DoubleTensor, tensor_pair, zero_double
-from .errors import ExpressionSyntaxError
+from .errors import ExpressionSyntaxError, _Reader
 from .guard import check_term_budget
 from .memo import memo, memo_per_owner
 from .tensor import (
@@ -92,6 +94,32 @@ def _label(shape, it):
     return (kind, _label(left, it), _label(right, it))
 
 
+def _multinomial(word):
+    """How many distinct anagrams `word` has."""
+    count = factorial(len(word))
+    for repeats in Counter(word).values():
+        count //= factorial(repeats)
+    return count
+
+
+def _anagrams(word):
+    """The distinct anagrams of `word` in lexicographic order, each one
+    found from the last by the next-permutation step."""
+    letters = sorted(word)
+    while True:
+        yield tuple(letters)
+        i = len(letters) - 2
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(letters) - 1
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1 :] = reversed(letters[i + 1 :])
+
+
 def _labeled(shapes, d, n, word=None):
     """(shape, tree) for each shape labeled by each word of length n over
     1..d, canonical order; given a `word`, by its sorted anagrams alone.
@@ -101,9 +129,12 @@ def _labeled(shapes, d, n, word=None):
     content: so the expansions at h label by the anagrams of h."""
     if n < 1:
         raise ValueError("need n >= 1")
-    anagrams = None if word is None else sorted(set(permutations(word)))
-    check_term_budget(len(shapes) * (d**n if word is None else len(anagrams)))
-    labelings = anagrams or list(product(range(1, d + 1), repeat=n))
+    if word is None:
+        check_term_budget(len(shapes) * d**n)
+        labelings = list(product(range(1, d + 1), repeat=n))
+    else:
+        check_term_budget(len(shapes) * _multinomial(word))
+        labelings = list(_anagrams(word))
     return [
         (shape, _label(shape, iter(letters)))
         for shape in shapes
@@ -223,53 +254,30 @@ def format_tree(tree) -> str:
 
 def parse_tree(text: str):
     """Parse the a(x,y)/s(x,y) syntax; round-trips with format_tree."""
-    pos = 0
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_node():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ExpressionSyntaxError("unexpected end of tree", pos)
-        ch = text[pos]
-        if ch in (AREA, SHUFFLE) and pos + 1 < len(text) and text[pos + 1] == "(":
-            kind = ch
-            pos += 2
-            left = parse_node()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ",":
-                raise ExpressionSyntaxError("expected ','", pos)
-            pos += 1
-            right = parse_node()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise ExpressionSyntaxError("expected ')'", pos)
-            pos += 1
-            return (kind, left, right)
+    def node(r):
+        ch = r.peek()
+        if not ch:
+            r.error("unexpected end of tree")
+        if ch in (AREA, SHUFFLE) and r.text.startswith("(", r.pos + 1):
+            r.pos += 2
+            left = node(r)
+            r.expect(",")
+            right = node(r)
+            r.expect(")")
+            return (ch, left, right)
         if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            letter = int(text[start:pos])
+            start = r.pos
+            letter = int(r.run(str.isdigit))
             if letter < 1:
-                raise ExpressionSyntaxError("letters start at 1", start)
+                r.error("letters start at 1", start)
             return letter
-        raise ExpressionSyntaxError("expected a tree", pos)
+        r.error("expected a tree")
 
-    try:
-        node = parse_node()
-        skip_ws()
-        if pos != len(text):
-            raise ExpressionSyntaxError("trailing input", pos)
-        if not is_valid_mixed(node):
-            raise ExpressionSyntaxError("shuffle nodes must be connected to the root", 0)
-    except RecursionError:
-        raise ExpressionSyntaxError("tree nested too deeply", pos) from None
-    return node
+    tree = _Reader(text).read_all(node, "tree")
+    if not is_valid_mixed(tree):
+        raise ExpressionSyntaxError("shuffle nodes must be connected to the root", 0)
+    return tree
 
 
 # -- tree-indexed expansions -----------------------------------------------------

@@ -38,34 +38,151 @@ def test_parse_reports_offset():
         parse_expression("frob(1,2)")
 
 
+# (text, message, offset) as parse_expression reported them before it moved
+# onto the reader it shares with parse_tree
+MALFORMED_EXPRESSIONS = [
+    ('', 'expected an expression', 0),
+    ('   ', 'expected an expression', 3),
+    ('\t', 'expected an expression', 1),
+    ('area(1,', 'expected an expression', 7),
+    ('area(1)', 'function area takes 2 arguments, got 1', 0),
+    ('frob(1,2)', "unknown function 'frob'", 0),
+    ('3/', 'trailing input', 1),
+    ('1/*1', 'expected a denominator', 2),
+    ('1/0*1', 'zero denominator', 3),
+    ('1/ 2*1', 'trailing input', 1),
+    ('1//2*1', 'trailing input', 1),
+    ('0', 'letters count from 1', 0),
+    ('w()', 'expected letters', 2),
+    ('w(102)', 'letters count from 1', 5),
+    ('w(12', "expected ')'", 4),
+    ('w12', "expected '('", 1),
+    ('wx(1)', "expected '('", 1),
+    ('- 3*1', 'expected an expression', 0),
+    ('+1', 'expected an expression', 0),
+    ('1 +', 'expected an expression', 3),
+    ('1 2', 'trailing input', 2),
+    ('sh(1)', 'function sh takes 2+ arguments, got 1', 0),
+    ('vol(1,2)', 'function vol takes 3 arguments, got 2', 0),
+    ('area(1,2,3)', 'function area takes 2 arguments, got 3', 0),
+    ('area 1,2', "expected '('", 5),
+    ('area(1;2)', "expected ')'", 6),
+    ('r(1,2)', 'function r takes 1 arguments, got 2', 0),
+    (')', 'expected an expression', 0),
+    ('(1)', 'expected an expression', 0),
+    ('3*', 'expected an expression', 2),
+    ('3**1', 'expected an expression', 2),
+    ('-1', 'expected an expression', 0),
+    ('1 - ', 'expected an expression', 4),
+    ('area(,1)', 'expected an expression', 5),
+    ('w( )', 'expected letters', 3),
+    ('w(0)', 'letters count from 1', 3),
+    ('1/2*0', 'letters count from 1', 4),
+    ('area(1,2))', 'trailing input', 9),
+    ('area(1,2) x', 'trailing input', 10),
+    ('Area(1,2)', "unknown function 'Area'", 0),
+    ('D1(1)', "unknown function 'D1'", 0),
+    ('w(1 2)', "expected ')'", 4),
+    ('1/-2*1', 'trailing input', 1),
+    ('2/3*w(1', "expected ')'", 7),
+    ('sh(1,2', "expected ')'", 6),
+    ('x', "unknown function 'x'", 0),
+    ('1,2', 'trailing input', 1),
+    ('w[12]', "expected '('", 1),
+    ('3 / 4*1', 'trailing input', 2),
+    ('12*', 'expected an expression', 3),
+    ('12', 'trailing input', 1),
+    ('sh(1,2)+', 'expected an expression', 8),
+    ('5/0*1 + 1', 'zero denominator', 3),
+    ('-0/0*1', 'zero denominator', 4),
+    ('w(12)3', 'trailing input', 5),
+    ('lie(1 2)', "expected ')'", 6),
+    ('cc(1,2,)', 'expected an expression', 7),
+    ('hs(1,2,3)', 'function hs takes 2 arguments, got 3', 0),
+    ('vol(1,2,3,4)', 'function vol takes 3 arguments, got 4', 0),
+    ('r()', 'expected an expression', 2),
+    ('area(1,2)(3)', 'trailing input', 9),
+    ('1/2/3*1', 'trailing input', 1),
+    ('1/2 * ', 'expected an expression', 6),
+    ('- - 1', 'expected an expression', 0),
+    ('w(1)w(2)', 'trailing input', 4),
+    ('w(1,2)', "expected ')'", 3),
+    ('w[1]', "expected '('", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", MALFORMED_EXPRESSIONS)
+def test_malformed_expression_message_and_offset(text, message, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text)
+    assert str(err.value) == "%s at offset %d" % (message, offset)
+    assert err.value.position == offset
+
+
+def test_parse_blanks_signs_and_scalars():
+    assert parse_expression("w (12)") == ("word", (1, 2))
+    assert parse_expression("w( 12 )") == ("word", (1, 2))
+    assert parse_expression("1*2") == ("scaled", Fraction(1), ("word", (2,)))
+    assert parse_expression("-0*1") == ("scaled", Fraction(0), ("word", (1,)))
+    assert parse_expression("1 - -3*2") == (
+        "sum",
+        ((1, ("word", (1,))), (-1, ("scaled", Fraction(-3), ("word", (2,))))),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("w([])", "expected letters", 3),
+        ("w([1,])", "expected letters", 5),
+        ("w([1,0])", "letters count from 1", 6),
+        ("w([1,2)", "expected ']'", 6),
+        ("w([1;2])", "expected ']'", 4),
+        ("w([1,2]", "expected ')'", 7),
+    ],
+)
+def test_malformed_bracketed_word(text, message, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(text)
+    assert str(err.value) == "%s at offset %d" % (message, offset)
+
+
+def test_bracketed_words_take_letters_past_nine():
+    assert parse_expression("w([1,12])") == ("word", (1, 12))
+    assert parse_expression("w( [ 12 , 3 ] )") == ("word", (12, 3))
+    assert format_expression(("word", (1, 12))) == "w([1,12])"
+    assert format_expression(("word", (12,))) == "w([12])"
+    assert format_expression(("word", (1, 1, 2))) == "w(112)"
+
+
 def test_eval_identity_from_halves():
     assert evaluate_text("1/2*sh(1,2) + 1/2*area(1,2)", 2) == word_elem("12", 2)
 
 
-def _random_term(rng, depth):
+def _random_term(rng, depth, d):
     # terms are words, scaled atoms, or calls; sums only nest inside calls
     if depth == 0 or rng.random() < 0.4:
-        word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+        word = tuple(rng.randint(1, d) for _ in range(rng.randint(1, 3)))
         return ("word", word)
     if rng.random() < 0.3:
         return (
             "scaled",
             Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
-            ("word", (rng.randint(1, 2),)),
+            ("word", (rng.randint(1, d),)),
         )
     name = rng.choice(["sh", "hs", "cc", "area", "lie", "r", "rho", "D", "pi1T", "arealb"])
     arity = {"sh": 2, "hs": 2, "cc": 2, "area": 2, "lie": 2}.get(name, 1)
     return (
         "call",
         name,
-        tuple(_random_expression(rng, depth - 1) for _ in range(arity)),
+        tuple(_random_expression(rng, depth - 1, d) for _ in range(arity)),
     )
 
 
-def _random_expression(rng, depth):
-    terms = [(1, _random_term(rng, depth))]
+def _random_expression(rng, depth, d):
+    terms = [(1, _random_term(rng, depth, d))]
     while rng.random() < 0.4:
-        terms.append((rng.choice((1, -1)), _random_term(rng, depth)))
+        terms.append((rng.choice((1, -1)), _random_term(rng, depth, d)))
     if len(terms) == 1:
         return terms[0][1]
     return ("sum", tuple(terms))
@@ -73,9 +190,10 @@ def _random_expression(rng, depth):
 
 def test_round_trip_random_expressions():
     rng = random.Random(77)
-    for _ in range(200):
-        node = _random_expression(rng, 2)
-        assert parse_expression(format_expression(node)) == node
+    for d in (2, 16):
+        for _ in range(200):
+            node = _random_expression(rng, 2, d)
+            assert parse_expression(format_expression(node)) == node
 
 
 def run_cli(*argv):
@@ -92,6 +210,14 @@ def test_cli_eval():
     code, out = run_cli("eval", "1/2*sh(1,2) + 1/2*area(1,2)")
     assert code == 0
     assert out.strip() == "12"
+
+
+def test_cli_eval_names_letters_past_nine():
+    assert run_cli("eval", "area(w([11]),w([12]))", "--d", "12") == (
+        0,
+        "[11,12] - [12,11]\n",
+    )
+    assert run_cli("eval", "w([1,12])", "--d", "12") == (0, "[1,12]\n")
 
 
 def test_cli_eval_json():

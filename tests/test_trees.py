@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -28,8 +31,16 @@ from areasig import (
     word_elem,
     zeta_via_trees,
 )
-from areasig.errors import ExpressionSyntaxError
-from areasig.trees import is_valid_mixed, leaf_count
+from areasig import guard
+from areasig.errors import ExpressionSyntaxError, TermBudgetExceeded
+from areasig.trees import (
+    _label,
+    _labeled,
+    _mixed_shapes,
+    _plain_shapes,
+    is_valid_mixed,
+    leaf_count,
+)
 
 from conftest import foliage
 
@@ -109,6 +120,89 @@ def test_tree_text_round_trip():
         parse_tree("a(1")
     with pytest.raises(ExpressionSyntaxError):
         parse_tree("b(1,2)")
+
+
+# (text, message, offset) as parse_tree reported them before it moved onto
+# the reader it shares with parse_expression
+MALFORMED_TREES = [
+    ("", "unexpected end of tree", 0),
+    ("  ", "unexpected end of tree", 2),
+    ("a(", "unexpected end of tree", 2),
+    ("s(", "unexpected end of tree", 2),
+    ("a(1", "expected ','", 3),
+    ("a(1;2)", "expected ','", 3),
+    ("a(1 2)", "expected ','", 4),
+    ("a(1,2", "expected ')'", 5),
+    ("s(1,2", "expected ')'", 5),
+    ("a(1,2,3)", "expected ')'", 5),
+    ("b(1,2)", "expected a tree", 0),
+    ("A(1,2)", "expected a tree", 0),
+    ("a (1,2)", "expected a tree", 0),
+    ("(1)", "expected a tree", 0),
+    ("-1", "expected a tree", 0),
+    ("a(1,)", "expected a tree", 4),
+    ("a(,1)", "expected a tree", 2),
+    ("0", "letters start at 1", 0),
+    ("a(0,1)", "letters start at 1", 2),
+    ("a(00,1)", "letters start at 1", 2),
+    ("a(1,2))", "trailing input", 6),
+    ("a(1,2)x", "trailing input", 6),
+    ("s(1,2) 3", "trailing input", 7),
+    ("1 2", "trailing input", 2),
+    ("a(s(1,2),1)", "shuffle nodes must be connected to the root", 0),
+    ("a(1, s(2,3))", "shuffle nodes must be connected to the root", 0),
+    ("s(1,a(2,s(1,2)))", "shuffle nodes must be connected to the root", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", MALFORMED_TREES)
+def test_malformed_tree_message_and_offset(text, message, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_tree(text)
+    assert str(err.value) == "%s at offset %d" % (message, offset)
+    assert err.value.position == offset
+
+
+def test_tree_text_blanks_and_long_letters():
+    assert parse_tree(" a( 1 , 2 ) ") == ("a", 1, 2)
+    assert parse_tree("a(10,2)") == ("a", 10, 2)
+    assert parse_tree("12") == 12
+
+
+def test_every_mixed_tree_round_trips_through_text():
+    for tree in enumerate_mixed(3, 4):
+        assert parse_tree(format_tree(tree)) == tree
+
+
+def _labeled_oracle(shapes, word):
+    # the labeling by anagrams as first written: every ordering, deduplicated
+    return [
+        (shape, _label(shape, iter(letters)))
+        for shape in shapes
+        for letters in sorted(set(permutations(word)))
+    ]
+
+
+def test_anagram_labeling_matches_every_permutation():
+    rng = random.Random(19)
+    for n in range(1, 8):
+        shapes = _plain_shapes(n)[:3] + _mixed_shapes(n)[-2:]
+        for _ in range(6):
+            word = tuple(rng.randint(1, 3) for _ in range(n))
+            assert _labeled(shapes, 3, n, word) == _labeled_oracle(shapes, word)
+
+
+def test_anagram_labeling_checks_the_budget_before_building():
+    word = (1,) * 9 + (2,)
+    shapes = _plain_shapes(10)
+    previous = guard.get_term_budget()
+    guard.set_term_budget(1000)
+    try:
+        with pytest.raises(TermBudgetExceeded) as caught:
+            _labeled(shapes, 2, 10, word)
+    finally:
+        guard.set_term_budget(previous)
+    assert caught.value.needed == len(shapes) * factorial(10) // factorial(9)
 
 
 def test_r_via_trees_matches_direct():
