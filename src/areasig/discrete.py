@@ -20,10 +20,13 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from .guard import check_term_budget
-from .tensor import EMPTY_WORD, TensorElem, _code, _extend_by_letters, as_scalar, pairing
+from .tensor import EMPTY_WORD, TensorElem, _appended, _code, as_scalar, pairing
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
 EXACT = "exact_rational"
+
+# segments per block of signature_pwl's time-major chain
+_BLOCK = 256
 
 
 class ScalarSeries:
@@ -172,47 +175,102 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     its increment z.  Level n of the product is the sum over i of
     S_i z^(n-i) / (n-i)!, computed by Horner's rule (as in Signatory and
     iisignature): acc_0 = S_0, acc_j = acc_(j-1) z / (n-j+1) + S_j, and
-    the new S_n is acc_n.  Levels are updated from n = level down to 1, so
-    each reads the S_i of before the segment.  The result is grouplike up
-    to the level.
+    the new S_n is acc_n.  The result is grouplike up to the level.
 
     The arithmetic is on integers: with D the lcm of the coordinates' stored
-    denominators and L = level, level n is held as a map word -> int equal
-    to its coefficient times L! D^n, and D z is an integer vector.  Every
-    division is exact: a term of acc_j that comes from S_i and
-    segments taken k_1, ..., k_m times is an integer divided by
-    k_1! ... k_m! (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!,
-    hence L!.  The words of acc_j z are distinct (u a has one last
-    letter), so each is divided on its own.  Only letters with a nonzero
-    increment enter z, so an axis-aligned path stays sparse.  Words are
-    the tensor store's codes, and acc_(j-1) z / (n-j+1) is
-    tensor._extend_by_letters; the levels go to the store as int
-    numerators over their one denominator L! D^L.
+    denominators and L = level, level n is held as words -> int equal to
+    the coefficient times L! D^n, and D z is an integer vector.  Every
+    division is exact: a term of acc_j that comes from S_i and segments
+    taken k_1, ..., k_m times is an integer divided by k_1! ... k_m!
+    (n-i)! / (n-j)!, which divides i! (n-i)!, hence n!, hence L!.
+
+    The chain runs time-major, over all segments at once.  The first
+    nonzero segment starts from the unit, so its product is exp(z), built
+    level by level as E_n = E_(n-1) z / n = L! z^n / n!.  Over the other
+    segments a chain value is one int list per word, its value at each
+    segment, and S_j is the word's list of values before each segment.
+    acc_j is then computed element by element, so each of its ints is the
+    one that a Horner step at that segment computes, and each division
+    stays exact.  Levels go bottom up, as acc_(n-1) needs S_0..S_(n-1)
+    only: level n's list is the running sum of its increments acc_(n-1) z
+    from its value before these segments, and the top level needs only its
+    final value, one dot product per word.  The segments go in blocks of
+    _BLOCK, so that a long path holds at most _BLOCK ints per word.
+
+    Sparsity: zero segments are skipped, only letters that move enter z,
+    and a word whose list is all zero is dropped, which is exact as every
+    step is linear.  A chain value that cancels to zero replaces the word's
+    old series rather than falling back to it.  So an axis-aligned path
+    stays sparse.  Words are the tensor store's codes, extended by
+    tensor._appended; the levels go to the store as int numerators over
+    their one denominator L! D^L.
+
+    The term budget is checked before anything is built, against the
+    largest (letters moving in one segment) ** level: Horner's top level
+    at that segment holds at least that many words.  In the loop each
+    chain step is checked against the words it makes, and each finished
+    level against the nonzero terms of all levels so far.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
+    dim = x.dim
     den = lcm(*(c._divisor for c in x._columns))
     rows = list(zip(*([n * (den // c._divisor) for n in c._nums] for c in x._columns)))
+    steps = [z for z in (
+        [e - s for s, e in zip(start, end)] for start, end in zip(rows, rows[1:])
+    ) if any(z)]
+    check_term_budget(max((sum(map(bool, z)) for z in steps), default=1) ** level)
     scale = factorial(level)
-    levels = [{_code(EMPTY_WORD, x.dim): scale}] + [{} for _ in range(level)]
-    for start, end in zip(rows, rows[1:]):
-        step = [(i + 1, e - s) for i, (s, e) in enumerate(zip(start, end)) if e != s]
-        if not step:
-            continue
-        for n in range(level, 0, -1):
-            acc = levels[0]
-            for j in range(1, n + 1):
-                check_term_budget(len(acc) * len(step))
-                nxt = _extend_by_letters(acc, step, n - j + 1, x.dim)
-                for w, c in levels[j].items():
-                    nxt[w] = nxt.get(w, 0) + c
+    first = [(a + 1, z) for a, z in enumerate(steps[0]) if z] if steps else []
+    levels = [{_code(EMPTY_WORD, dim): scale}]
+    for n in range(1, level + 1):
+        check_term_budget(sum(map(len, levels)) + len(levels[-1]) * len(first))
+        levels.append({w: c * z // n for w, c, z in _appended(levels[-1], first, dim)})
+    for b in range(1, len(steps), _BLOCK):
+        block = steps[b : b + _BLOCK]
+        m = len(block)
+        letters = [(a + 1, z) for a, z in enumerate(zip(*block)) if any(z)]
+        series = [{w: [c] * m for w, c in levels[0].items()}]
+        for n in range(1, level + 1):
+            acc = series[0]
+            for j in range(1, n):
+                check_term_budget(len(acc) * len(letters))
+                div = n - j + 1
+                nxt = dict(series[j])
+                for w, c, z in _appended(acc, letters, dim):
+                    old = nxt.get(w)
+                    if old is None:
+                        step = [p * q // div for p, q in zip(c, z)]
+                    else:
+                        step = [p * q // div + o for p, q, o in zip(c, z, old)]
+                    if any(step):
+                        nxt[w] = step
+                    elif old is not None:
+                        del nxt[w]  # cancelled: the old series must not stay
                 acc = nxt
-            levels[n] = acc
-    return TensorElem._over(x.dim, {
-        w: c * den ** (level - n)
-        for n, terms in enumerate(levels)
+            check_term_budget(len(acc) * len(letters))
+            start = levels[n]
+            if n == level:
+                top = start | {
+                    w: start.get(w, 0) + sum(map(mul, c, z))
+                    for w, c, z in _appended(acc, letters, dim)
+                }
+                levels[n] = {w: c for w, c in top.items() if c}
+            else:
+                grown = {
+                    w: values for w, c, z in _appended(acc, letters, dim)
+                    if any(values := list(accumulate(map(mul, c, z), initial=start.get(w, 0))))
+                }
+                grown.update((w, [c] * (m + 1)) for w, c in start.items() if w not in grown)
+                series.append(grown)
+                levels[n] = {w: values[-1] for w, values in grown.items() if values[-1]}
+            check_term_budget(sum(map(len, levels[: n + 1])))
+    powers = [den ** (level - n) for n in range(level + 1)]
+    return TensorElem._over(dim, {
+        w: c * power
+        for terms, power in zip(levels, powers)
         for w, c in terms.items()
-    }, scale * den ** level)
+    }, scale * powers[0])
 
 
 def signature_pairing(phi: TensorElem, x: TimeSeries):

@@ -13,10 +13,14 @@ class TermBudgetExceeded(RuntimeError):
     """A result would store more terms than the configured ceiling allows."""
 
     def __init__(self, needed, ceiling):
+        # an estimate past 2**256 is shown by its size in bits: int-to-text
+        # conversion refuses ints of more than a few thousand digits
+        shown = "%d" % needed if needed.bit_length() <= 256 else (
+            "at least 2**%d" % (needed.bit_length() - 1))
         super().__init__(
-            "computation needs %d terms, exceeding the term budget of %d "
+            "computation needs %s terms, exceeding the term budget of %d "
             "(raise it with set_term_budget or the AREASIG_TERM_BUDGET "
-            "environment variable)" % (needed, ceiling)
+            "environment variable)" % (shown, ceiling)
         )
         self.needed = needed
         self.ceiling = ceiling
@@ -28,6 +32,12 @@ class ExpressionSyntaxError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s at offset %d" % (message, position))
         self.position = position
+
+
+def is_digit(ch):
+    """Whether ch is one ASCII digit (str.isdigit also holds for superscripts,
+    which int() refuses)."""
+    return "0" <= ch <= "9"
 
 
 class _Reader:

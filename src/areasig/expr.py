@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .errors import _Reader
+from .errors import _Reader, is_digit
 from .span import arealb, vol
 from .tensor import (
     TensorElem,
@@ -73,11 +73,11 @@ def _term(r):
     r.peek()
     start = r.pos
     r.pos += r.text.startswith("-", start)
-    if r.run(str.isdigit):
+    if r.run(is_digit):
         numerator = int(r.text[start : r.pos])
         over = r.text.startswith("/", r.pos)
         r.pos += over
-        denominator = r.run(str.isdigit) if over else "1"
+        denominator = r.run(is_digit) if over else "1"
         end = r.pos
         if r.take("*"):
             if not denominator:
@@ -95,7 +95,7 @@ def _letters(r):
     word = []
     while True:
         r.peek()
-        digits = r.run(str.isdigit)
+        digits = r.run(is_digit)
         if not digits:
             r.error("expected letters")
         word += [int(digits)] if bracketed else [int(c) for c in digits]
@@ -117,7 +117,7 @@ def _atom(r):
         word = _letters(r)
         r.expect(")")
         return ("word", word)
-    if ch.isdigit():
+    if is_digit(ch):
         if int(ch) == 0:
             r.error("letters count from 1")
         r.pos += 1

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
 
-from .errors import AlphabetMismatch, EmptyWordOperand
+from .errors import AlphabetMismatch, EmptyWordOperand, is_digit
 from .guard import check_term_budget
 from .memo import memo
 
@@ -71,15 +71,23 @@ def _ratio(value):
 
 
 def parse_word(text) -> Word:
-    """Read a word from its text form: digits, 'e', or a bracketed int list."""
-    if isinstance(text, (tuple, list)):
-        return tuple(int(i) for i in text)
-    text = text.strip()
-    if text in ("", "e"):
-        return EMPTY_WORD
-    if text.startswith("["):
-        return tuple(int(i) for i in json.loads(text))
-    return tuple(int(ch) for ch in text)
+    """Read a word from its text form: ASCII digits, 'e', or a bracketed list
+    of ints; a list or tuple of ints is taken as it is.  Any other letter (a
+    bool, a float, a non-ASCII digit) raises a ValueError naming it."""
+    if isinstance(text, str):
+        text = text.strip()
+        if text in ("", "e"):
+            return EMPTY_WORD
+        text = json.loads(text) if text.startswith("[") else text
+    if isinstance(text, str):
+        bad = [ch for ch in text if not is_digit(ch)]
+        if bad:
+            raise ValueError("word letter %r is not an ASCII digit" % bad[0])
+        return tuple(map(int, text))
+    bad = [i for i in text if type(i) is not int]
+    if bad:
+        raise ValueError("word letter %r is not an int" % (bad[0],))
+    return tuple(text)
 
 
 def format_word(w: Word, dim: int = 9) -> str:
@@ -155,13 +163,13 @@ def _decoded(table, k) -> dict:
     return {_decode(w, k): c for w, c in table.items()}
 
 
-def _extend_by_letters(acc, step, div, dim) -> dict:
-    """{u a: c z // div} over the codes u -> c of acc and the (letter a,
-    int z) of step: acc times the letter combination step, every product
-    divided by div, which the caller knows to be exact.  The words u a are
-    distinct.  Backs discrete.signature_pwl."""
+def _appended(acc, step, dim):
+    """(u a, c, z) for each code u -> c of acc and each (letter a, z) of
+    step, u by u: the words u a are distinct.  c and z are opaque here (ints,
+    or per-segment int series), so the caller does the arithmetic.  The step
+    kernel of discrete.signature_pwl."""
     k = dim.bit_length()
-    return {(u << k) | a: c * z // div for u, c in acc.items() for a, z in step}
+    return (((u << k) | a, c, z) for u, c in acc.items() for a, z in step)
 
 
 class _Terms:

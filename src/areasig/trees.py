@@ -15,7 +15,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .double_tensor import DoubleTensor, tensor_pair, zero_double
-from .errors import ExpressionSyntaxError, _Reader
+from .errors import ExpressionSyntaxError, _Reader, is_digit
 from .guard import check_term_budget
 from .memo import memo, memo_per_owner
 from .tensor import (
@@ -266,9 +266,9 @@ def parse_tree(text: str):
             right = node(r)
             r.expect(")")
             return (ch, left, right)
-        if ch.isdigit():
+        if is_digit(ch):
             start = r.pos
-            letter = int(r.run(str.isdigit))
+            letter = int(r.run(is_digit))
             if letter < 1:
                 r.error("letters start at 1", start)
             return letter

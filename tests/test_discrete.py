@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -261,6 +262,65 @@ def test_integer_kernels_with_large_prime_denominators():
     _assert_matches_oracles(ts, 4)
 
 
+def _padded_path(rng, d, segments):
+    """A seeded path of `segments` segments with zero segments added first,
+    in the middle and last."""
+    points = _seeded_path(rng, d, segments).points
+    middle = (len(points) + 1) // 2
+    return TimeSeries(
+        points[:1] + points[:middle] + points[middle - 1 :] + points[-1:]
+    )
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3, 7, 30])
+def test_time_major_chain_matches_the_oracle(segments):
+    rng = random.Random(200 + segments)
+    for d in range(1, 5):  # up to 4^6 = 4096 words at level 6
+        for level in (1, 2, 6):
+            ts = _padded_path(rng, d, segments)
+            assert len(ts) == segments + 4
+            sig, oracle = signature_pwl(ts, level), signature_oracle(ts, level)
+            # lowest terms on both sides: the stored ints themselves agree
+            assert (sig._terms, sig._den) == (oracle._terms, oracle._den)
+
+
+def test_a_cancelled_chain_value_replaces_the_old_series():
+    ts = TimeSeries([(0,), (F(2, 3),), (F(2, 3),), (F(-2, 3),)])
+    sig = signature_pwl(ts, 6)
+    assert sig == signature_oracle(ts, 6)
+    assert sig == exp_conc(letter_elem(1, 1) * F(-2, 3), 6)
+
+
+def test_l_path_stays_sparse_at_high_level():
+    sig = signature_pwl(L_PATH, 30)
+    # the words 1^a 2^b with a + b <= 30, each 1 / (a! b!)
+    assert len(sig) == sum(n + 1 for n in range(31))
+    assert sig.truncate(8) == signature_oracle(L_PATH, 8)
+
+
+def test_time_major_chain_drops_words_that_stay_zero():
+    # x, then y, then x again: only the words 1^a 2^b 1^c occur, far fewer
+    # than the 2^12 words a chain keeping all-zero lists would hold
+    ts = TimeSeries([(0, 0), (F(1, 2), 0), (F(1, 2), 2), (F(-1, 3), 2)])
+    previous = guard.get_term_budget()
+    guard.set_term_budget(1000)
+    try:
+        sig = signature_pwl(ts, 12)
+    finally:
+        guard.set_term_budget(previous)
+    assert all(re.fullmatch("1*2*1*", "".join(map(str, w))) for w in sig.words())
+    assert sig.truncate(6) == signature_oracle(ts, 6)
+
+
+def test_signature_past_nine_letters():
+    origin = (0,) * 12
+    step = tuple(F(i % 5 - 2, 3) if i >= 9 else 0 for i in range(12))
+    ts = TimeSeries([origin, step, tuple(2 * v + (i == 11) for i, v in enumerate(step))])
+    sig = signature_pwl(ts, 3)
+    assert sig == signature_oracle(ts, 3)
+    assert {letter for word in sig.words() for letter in word} == {10, 11, 12}
+
+
 def test_signature_obeys_the_term_budget():
     ts = TimeSeries([(0, 0), (1, 2), (F(1, 2), 3)])
     previous = guard.get_term_budget()
@@ -272,6 +332,34 @@ def test_signature_obeys_the_term_budget():
         guard.set_term_budget(previous)
     # stopped while building a level, before the 63-term result
     assert caught.value.needed < 63
+    # in fact before building anything: 2 letters move, and 2^5 > 10
+    assert caught.value.needed == 32
+
+
+def test_signature_estimates_its_size_before_it_starts():
+    ts = TimeSeries([(0, 0), (1, 1)])
+    with pytest.raises(TermBudgetExceeded) as caught:
+        signature_pwl(ts, 40)
+    assert caught.value.needed == 2 ** 40
+    assert "needs 1099511627776 terms" in str(caught.value)
+    with pytest.raises(TermBudgetExceeded, match=r"needs at least 2\*\*20000 terms"):
+        signature_pwl(ts, 20000)
+
+
+def test_signature_budget_counts_the_terms_of_every_level():
+    # one letter moves per segment, so the estimate is 1; levels 0 to 6 hold
+    # 1, 2, 4, ..., 32 and 63 terms
+    ts = TimeSeries([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    assert [len(signature_pwl(ts, 6).proj(n)) for n in range(7)] == [1, 2, 4, 8, 16, 32, 63]
+    previous = guard.get_term_budget()
+    guard.set_term_budget(60)
+    try:
+        with pytest.raises(TermBudgetExceeded) as caught:
+            signature_pwl(ts, 6)
+    finally:
+        guard.set_term_budget(previous)
+    # no level alone passes 60, levels 0 to 5 together do: stopped before level 6
+    assert caught.value.needed == 63
 
 
 def test_signature_pairing_mode():

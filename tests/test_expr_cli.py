@@ -108,6 +108,9 @@ MALFORMED_EXPRESSIONS = [
     ('w(1)w(2)', 'trailing input', 4),
     ('w(1,2)', "expected ')'", 3),
     ('w[1]', "expected '('", 1),
+    # not digits (str.isdigit holds, int() refuses): no offset before these
+    ('\u00b2', 'expected an expression', 0),
+    ('w(1\u00b2)', "expected ')'", 3),
 ]
 
 
@@ -347,6 +350,29 @@ def test_cli_signature(tmp_path):
     assert code == 0
     elem = TensorElem.from_json_obj(json.loads(out), 2)
     assert elem.coeff((1, 2)) == 1 and elem.coeff((2, 1)) == 0
+
+
+def test_cli_signature_budget_abort_is_immediate(tmp_path, capsys):
+    csv = tmp_path / "two.csv"
+    csv.write_text("0,0\n1,1\n")
+    assert main(["signature", "--csv", str(csv), "--level", "40"]) == 1
+    assert "needs 1099511627776 terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["eval", "\u00b2"], 0),
+        (["eval", "1\u00b2*1"], 1),
+        (["discrete-area", "--csv", "L.csv", "--tree", "a(\u00b2,1)"], 2),
+    ],
+)
+def test_cli_non_ascii_digits_exit_2(tmp_path, capsys, argv, offset):
+    (tmp_path / "L.csv").write_text("1,0\n1,1\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip().endswith("at offset %d" % offset) and "Traceback" not in err
 
 
 def test_cli_usage_error_exit_code():

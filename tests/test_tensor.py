@@ -1,5 +1,7 @@
 import ast
+import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -120,6 +122,37 @@ def test_floats_rejected():
 def test_canonical_term_order():
     e = w("21", 2) + w("12", 2) + letter_elem(2, 2) + unit(2)
     assert [word for word, _ in e.terms()] == [(), (2,), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "word, item",
+    [
+        ("[1.5, true]", "1.5"),
+        ("[true]", "True"),
+        ("[1, 2.0]", "2.0"),
+        ('["1"]', "'1'"),
+        ("1\u00b2", "'\u00b2'"),
+        ("\u0661", "'\u0661'"),
+    ],
+)
+def test_words_take_only_ints(word, item):
+    message = "letter %s is not an" % re.escape(item)
+    entry = {"word": word, "num": "1", "den": "1"}
+    with pytest.raises(ValueError, match=message):
+        tensor.parse_word(word)
+    with pytest.raises(ValueError, match=message):
+        word_elem(word, 2)
+    with pytest.raises(ValueError, match=message):
+        TensorElem.from_json_obj([entry], 2)
+    if word.startswith("["):  # the same word as a JSON array instead of text
+        with pytest.raises(ValueError, match=message):
+            TensorElem.from_json_obj([dict(entry, word=json.loads(word))], 2)
+
+
+def test_word_text_forms():
+    assert tensor.parse_word("[1, 12]") == (1, 12) == tensor.parse_word([1, 12])
+    assert tensor.parse_word(" 12 ") == (1, 2) == tensor.parse_word((1, 2))
+    assert tensor.parse_word("e") == () == tensor.parse_word("[]")
 
 
 def test_json_round_trip():

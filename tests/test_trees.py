@@ -152,6 +152,9 @@ MALFORMED_TREES = [
     ("a(s(1,2),1)", "shuffle nodes must be connected to the root", 0),
     ("a(1, s(2,3))", "shuffle nodes must be connected to the root", 0),
     ("s(1,a(2,s(1,2)))", "shuffle nodes must be connected to the root", 0),
+    # not digits (str.isdigit holds, int() refuses): no offset before these
+    ("a(\u00b2,1)", "expected a tree", 2),
+    ("a(1\u00b2,1)", "expected ','", 3),
 ]
 
 
