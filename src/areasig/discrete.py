@@ -5,8 +5,9 @@ timestamps because the signature does not see the parametrization.  Values
 are coerced by tensor.as_scalar (a float is rejected with a TypeError) and
 stored once, as int numerators over one denominator; every operation runs
 on those ints and all identities here hold with exact equality.  CSV input
-is read exactly: a token that is not a finite rational number (nan, inf,
-or text in a data row) is rejected with a ValueError naming it.
+is read exactly, in ASCII digits only: a token that is not a finite
+rational number in that form (nan, inf, a non-ASCII digit, or text in a
+data row) is rejected with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
@@ -278,13 +280,37 @@ def signature_pairing(phi: TensorElem, x: TimeSeries):
     return pairing(phi, signature_pwl(x, max(phi.degree(), 1)))
 
 
+# A CSV token, in ASCII only: an optional sign, then p, p/q, or a decimal
+# with an optional exponent, blanks around it allowed.
+_TOKEN = re.compile(
+    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)"
+    r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*",
+    re.ASCII,
+)
+
+
 def _parse_token(token: str):
-    """(numerator, denominator) of a finite rational token, else None."""
-    try:
-        value = Fraction(token.strip())
-    except (ValueError, ZeroDivisionError):
+    """(numerator, denominator) in lowest terms of a finite rational token
+    in the _TOKEN grammar, else None."""
+    match = _TOKEN.fullmatch(token)
+    if match is None:
         return None
-    return value.numerator, value.denominator
+    sign, whole, below, decimals, exponent = match.groups()
+    try:  # int() may refuse a token longer than sys.get_int_max_str_digits()
+        if below is not None:
+            num, den = int(whole), int(below)
+            if not den:
+                return None
+        else:
+            decimals = decimals or ""
+            num, den = int(whole + decimals), 10 ** len(decimals)
+            if exponent:
+                shift = int(exponent)
+                num, den = (num * 10**shift, den) if shift > 0 else (num, den * 10**-shift)
+    except ValueError:
+        return None
+    common = gcd(num, den)
+    return (-num if sign == "-" else num) // common, den // common
 
 
 def _is_numeric(cell: str) -> bool:
@@ -301,8 +327,10 @@ def load_timeseries(source) -> TimeSeries:
 
     Row 0 is a header when none of its cells is numeric; the other rows
     become the points, and a leading zero row is prepended when absent.
-    Every token must be an integer, a fraction, or a finite decimal, read
-    exactly; any other token (nan, inf, text) raises a ValueError naming it.
+    Every token must be an integer p, a fraction p/q, or a decimal with an
+    optional exponent, in ASCII digits with an optional sign, read exactly
+    (the grammar is _TOKEN); any other token (nan, inf, 1_000, a non-ASCII
+    digit, text) raises a ValueError naming it.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -329,7 +357,9 @@ def load_timeseries(source) -> TimeSeries:
         ratios = [_parse_token(cell) for cell in row]
         if None in ratios:
             bad = row[ratios.index(None)]
-            raise ValueError("csv token %r is not a finite rational number" % bad)
+            raise ValueError(
+                "csv token %r is not a finite rational number in ASCII digits" % bad
+            )
         parsed.append(ratios)
     anchored = not any(num for num, _ in parsed[0])
     if not anchored:

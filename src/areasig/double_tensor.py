@@ -27,7 +27,6 @@ from .tensor import (
     _map_right,
     _outer,
     _r_codes,
-    _series,
     _Terms,
     format_word,
     linear_combination,
@@ -55,10 +54,10 @@ class DoubleTensor(_Terms):
             {
                 "left": format_word(l, self.dim),
                 "right": format_word(r, self.dim),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
+                "num": str(num),
+                "den": str(den),
             }
-            for (l, r), c in self.terms()
+            for (l, r), num, den in self._ratios()
         ]
 
 
@@ -191,11 +190,29 @@ def r_level_one(d: int) -> DoubleTensor:
     return DoubleTensor(d, {((i,), (i,)): 1 for i in range(1, d + 1)})
 
 
+def _series(x, one, level, log=False) -> DoubleTensor:
+    """Truncated exp(x), or log(one + x) if `log`, for box_mul with unit `one`.
+
+    Adds x^n/n!, or (-1)^(n-1) x^n/n, for n = 1..level to one (to zero for
+    log), stopping at the first power that box_mul(_, _, level) truncates
+    to zero.  Backs exp_box and log_box; the concatenation series is
+    tensor._concat_horner.
+    """
+    result = one * 0 if log else one
+    power = one
+    for n in range(1, level + 1):
+        power = box_mul(power, x, level)
+        if power.is_zero():
+            break
+        result = result + power / ((n if n % 2 else -n) if log else factorial(n))
+    return result
+
+
 def exp_box(x: DoubleTensor, level: int) -> DoubleTensor:
     """Exponential for box_mul, truncated by the right-word grading."""
     if not x.proj(0).is_zero():
         raise EmptyWordOperand("exp needs vanishing right-degree-zero part")
-    return _series(x.truncate(level), unit_double(x.dim), box_mul, level)
+    return _series(x.truncate(level), unit_double(x.dim), level)
 
 
 def log_box(g: DoubleTensor, level: int) -> DoubleTensor:
@@ -204,7 +221,7 @@ def log_box(g: DoubleTensor, level: int) -> DoubleTensor:
     if g.proj(0) != one:
         raise ValueError("log needs right-degree-zero part equal to e(x)e")
     y = (g - one).truncate(level)
-    return _series(y, one, box_mul, level, log=True)
+    return _series(y, one, level, log=True)
 
 
 def _compositions(total, parts):

@@ -283,9 +283,18 @@ class _Terms:
 
     def terms(self):
         """Yield (key, coefficient) pairs in canonical order."""
+        for key, num, den in self._ratios():
+            yield key, Fraction(num, den)
+
+    def _ratios(self):
+        """Yield (key, numerator, denominator) in canonical order, each
+        coefficient in lowest terms, with no Fraction made (JSON needs
+        none)."""
         terms, den, k, public = self._terms, self._den, self.dim.bit_length(), self._public
         for key in sorted(terms, key=self._order):
-            yield public(key, k), Fraction(terms[key], den)
+            c = terms[key]
+            common = gcd(c, den)
+            yield public(key, k), c // common, den // common
 
     def __repr__(self):
         inner = " + ".join(
@@ -399,12 +408,8 @@ class TensorElem(_Terms):
 
     def to_json_obj(self):
         return [
-            {
-                "word": format_word(w, self.dim),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            }
-            for w, c in self.terms()
+            {"word": format_word(w, self.dim), "num": str(num), "den": str(den)}
+            for w, num, den in self._ratios()
         ]
 
     def to_json(self) -> str:
@@ -980,36 +985,88 @@ def is_grouplike(g: TensorElem, level: int) -> bool:
     return True
 
 
-def _series(x, one, product, level, log=False):
-    """Truncated exp(x), or log(one + x) if `log`, for a product with unit `one`.
+def _concat_horner(x, level, weights) -> TensorElem:
+    """The sum over m of s_m y^m for concatenation, truncated at `level`,
+    where y is x without its empty-word term and its grades above `level`.
 
-    Adds x^n/n!, or (-1)^(n-1) x^n/n, for n = 1..level to one (to zero for
-    log), stopping at the first power that product(_, _, level) truncates
-    to zero.  Backs exp_conc, log_conc, exp_box and log_box.
+    weights(top) gives the ints s_0, ..., s_top and their common
+    denominator, for the highest power top = level // (the lowest grade of
+    y) that the truncation keeps: the free algebra has no zero divisors,
+    so y^m is nonzero exactly up to there.  Horner's rule runs from the
+    top, H_top = s_top and H_m = s_m + H_(m+1) y, and the series is H_0.
+    H_m is held per grade up to grade level - m * low (y^m multiplies it
+    later), as int numerators over one denominator, which is brought to
+    lowest terms after each step so that the ints stay as small as the
+    values allow.  Grade n of H_(m+1) y sums grade n-j of H_(m+1) times
+    grade j of y over j, so each word of the pair is (u << k*j) | v, with
+    no length found per pair.  Every grade and every H_m is checked
+    against the term budget as it is built.  Backs exp_conc and log_conc.
     """
-    result = one * 0 if log else one
-    power = one
-    for n in range(1, level + 1):
-        power = product(power, x, level)
-        if power.is_zero():
-            break
-        result = result + power / ((n if n % 2 else -n) if log else factorial(n))
-    return result
+    k = x.dim.bit_length()
+    grades = [[] for _ in range(level + 1)]
+    for u, c in x._terms.items():
+        n = _length(u, k)
+        if 0 < n <= level:
+            grades[n].append((u, c))
+    den = x._den
+    steps = [(j, k * j, grade) for j, grade in enumerate(grades) if grade]
+    low = steps[0][0] if steps else 0
+    top = level // low if low else 0
+    nums, common = weights(top)
+    rest, below = [{0: nums[top]}], 1  # H_top, over below
+    for m in range(top - 1, -1, -1):
+        below *= den
+        scale = nums[m] * below
+        held = [{0: scale} if scale else {}]
+        for n in range(1, level - m * low + 1):
+            acc: dict = {}
+            get = acc.get
+            for j, shift, right in steps:
+                if j > n:
+                    break
+                if n - j >= len(rest):
+                    continue
+                for u, cu in rest[n - j].items():
+                    u <<= shift
+                    for v, cv in right:
+                        w = u | v
+                        acc[w] = get(w, 0) + cu * cv
+            check_term_budget(len(acc))
+            held.append(acc)
+        check_term_budget(sum(map(len, held)))
+        shared = gcd(below, *(c for grade in held for c in grade.values()))
+        if shared != 1:
+            below //= shared
+            held = [{w: c // shared for w, c in grade.items()} for grade in held]
+        rest = held
+    out = {w: c for grade in rest for w, c in grade.items()}
+    return TensorElem._over(x.dim, out, common * below)
+
+
+def _exp_weights(top):
+    """top!/m! for m = 0..top, over top!."""
+    whole = factorial(top)
+    return [whole // factorial(m) for m in range(top + 1)], whole
+
+
+def _log_weights(top):
+    """0, then (-1)^(m-1) c/m for m = 1..top, over c = lcm(1, ..., top)."""
+    whole = lcm(*range(1, top + 1))
+    return [0] + [whole // m if m % 2 else -(whole // m) for m in range(1, top + 1)], whole
 
 
 def exp_conc(x: TensorElem, level: int = 5) -> TensorElem:
     """Concatenation exponential, truncated at `level`."""
-    if x.empty_coeff():
+    if 0 in x._terms:
         raise EmptyWordOperand("exp needs a vanishing empty-word coefficient")
-    return _series(x.truncate(level), unit(x.dim), concat, level)
+    return _concat_horner(x, level, _exp_weights)
 
 
 def log_conc(g: TensorElem, level: int = 5) -> TensorElem:
     """Concatenation logarithm, truncated at `level`."""
-    if g.empty_coeff() != 1:
+    if g._terms.get(0) != g._den:
         raise ValueError("log needs empty-word coefficient exactly 1")
-    one = unit(g.dim)
-    return _series((g - one).truncate(level), one, concat, level, log=True)
+    return _concat_horner(g, level, _log_weights)
 
 
 def is_lie_element(x: TensorElem) -> bool:

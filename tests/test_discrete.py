@@ -25,7 +25,7 @@ from areasig import (
     word_elem,
 )
 from areasig import guard
-from areasig.discrete import EXACT, signature_pairing
+from areasig.discrete import EXACT, _parse_token, signature_pairing
 from areasig.errors import TermBudgetExceeded
 from areasig.tensor import concat, exp_conc, unit
 
@@ -421,6 +421,36 @@ def test_load_rejects_bad_input():
         load_timeseries("1,2\n3\n")
     with pytest.raises(ValueError):
         load_timeseries("1,zzz9\n")
+
+
+# Tokens the CSV reader takes, each read as Fraction reads it.
+ACCEPTED_TOKENS = (
+    "0", "-0", "+7", "-3", "007", " 5 ", "\t-2/6 ", "3/4", "-6/8", "12/08", "0/5",
+    "1.5", "-.25", "1.", "+0.0", "2e3", "1.5E-2", "1e-3", ".5e+2", "0e0", "-7E1",
+)
+# Tokens it refuses: non-ASCII digits, underscores, spaces inside p/q (all
+# of which some Python version's Fraction takes), zero denominators, and
+# whatever is not a finite rational number.
+REJECTED_TOKENS = (
+    "\u0661", "\u0661/3", "1/\u0662", "\uff11", "\u00bd", "\u00b2", "1\u00a0",
+    "1_000", "1/1_0", "1e1_0", "3 / 4", "3/ 4", "1 2",
+    "1/0", "-5/00",
+    "", " ", ".", "e5", "1e", ".e1", "/3", "1/", "1/-2", "1/+2", "1/2.5", "1.5/2",
+    "1e5/2", "--1", "+-1", "0x10", "nan", "inf", "-inf", "Infinity",
+)
+
+
+def test_csv_tokens_read_as_fraction_reads_them():
+    for token in ACCEPTED_TOKENS:
+        value = Fraction(token)
+        assert _parse_token(token) == (value.numerator, value.denominator), token
+
+
+@pytest.mark.parametrize("token", REJECTED_TOKENS)
+def test_csv_tokens_outside_the_ascii_grammar_are_refused(token):
+    assert _parse_token(token) is None
+    with pytest.raises(ValueError, match="token %s is not a finite" % re.escape(repr(token))):
+        load_timeseries("0,0\n1,%s\n" % token)
 
 
 def test_series_json():

@@ -385,6 +385,9 @@ def test_cli_usage_error_exit_code():
         ("signature", "0,0\n1,inf\n", "inf"),
         ("discrete-area", "0,0\nnan,1\n", "nan"),
         ("discrete-area", "0.1,abc\n", "abc"),
+        ("signature", "0,0\n\u0661,2\n", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        ("signature", "0,0\n1_000,2\n", "1_000"),
+        ("discrete-area", "0,0\n3 / 4,1\n", "3 / 4"),
     ],
 )
 def test_cli_rejects_nonfinite_csv_tokens(tmp_path, capsys, command, text, token):

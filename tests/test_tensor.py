@@ -48,7 +48,8 @@ from areasig.double_tensor import (
     unit_double,
     zero_double,
 )
-from areasig import tensor
+from areasig import guard, tensor
+from areasig.errors import TermBudgetExceeded
 from areasig.tensor import (
     CoproductTerms,
     half_shuffle_words,
@@ -538,6 +539,28 @@ def test_exp_preconditions():
         log_conc(letter_elem(1, 2), 3)
 
 
+def test_series_obey_the_term_budget():
+    rng = random.Random(5)
+    dense = TensorElem(3, {
+        u: F(rng.randint(1, 9), rng.randint(1, 9)) for u in tensor.all_words(3, 4)
+    })
+    g = unit(3) + dense.proj_at_least(1)
+    size = len(log_conc(g, 4))  # the 120 words of grades 1 to 4
+    previous = guard.get_term_budget()
+    try:
+        for budget in (80, size - 1):  # a grade of 81 words, then the total
+            guard.set_term_budget(budget)
+            with pytest.raises(TermBudgetExceeded):
+                log_conc(g, 4)
+            with pytest.raises(TermBudgetExceeded):
+                exp_conc(dense.proj_at_least(1), 4)
+        guard.set_term_budget(size)
+        assert len(log_conc(g, 4)) == size
+    finally:
+        guard.set_term_budget(previous)
+    assert guard.get_term_budget() == previous
+
+
 def test_proj():
     e = unit(2) + letter_elem(1, 2) + w("11", 2) * F(1, 2)
     assert e.proj(2) == w("11", 2) * F(1, 2)
@@ -793,6 +816,27 @@ def test_linear_combination_keeps_the_kind_and_alphabet_checks():
                 linear_combination(start, [(other, scalar)])
 
 
+def _series_inputs(rng):
+    """(a, levels): exp and log inputs with no empty word, each with the
+    levels to take them to."""
+    yield random_elem(rng, 2, 3, min_deg=1, terms=4, max_den=12), range(1, 5)
+    yield random_elem(rng, 1, 4, min_deg=1, terms=4, max_den=12), range(1, 6)
+    # words longer than the level: the series drop them (all of them at
+    # levels 1 and 2)
+    yield random_elem(rng, 2, 7, min_deg=3, terms=6, max_den=12), range(1, 5)
+    # nilpotent below the level: grades 2 and 3 only, so a^3 is truncated
+    # to zero at levels 4 and 5
+    yield random_elem(rng, 3, 3, min_deg=2, terms=5, max_den=12), (4, 5)
+    # denominators that share factors, and a long word whose truncation
+    # leaves numerators with a factor in common with the denominator
+    yield TensorElem(2, {
+        (1,): F(rng.choice((-5, 1, 7)), 6),
+        (2, 1): F(rng.choice((-3, 1, 5)), 10),
+        (1, 2, 2): F(rng.choice((-7, 1, 11)), 15),
+        (2, 2, 2, 2, 1): F(1, 7),
+    }), range(1, 6)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_linear_maps_and_series_match_the_fraction_lifts(seed):
     rng = random.Random(seed)
@@ -808,13 +852,15 @@ def test_linear_maps_and_series_match_the_fraction_lifts(seed):
         (grading_d_inv(a), {u: c / len(u) for u, c in fa.items()}),
     ]
     one = {(): Fraction(1)}
-    for level in range(1, 5):
-        low = {u: c for u, c in fa.items() if len(u) <= level}
-        checks.append((exp_conc(a, level), series_oracle(low, one, concat_oracle, level)))
-        checks.append((
-            log_conc(unit(2) + a, level),
-            series_oracle(low, one, concat_oracle, level, log=True),
-        ))
+    for a, levels in _series_inputs(rng):
+        fa = fractions_of(a)
+        for level in levels:
+            low = {u: c for u, c in fa.items() if len(u) <= level}
+            checks.append((exp_conc(a, level), series_oracle(low, one, concat_oracle, level)))
+            checks.append((
+                log_conc(unit(a.dim) + a, level),
+                series_oracle(low, one, concat_oracle, level, log=True),
+            ))
     for got, expected in checks:
         assert_canonical(got)
         assert fractions_of(got) == expected
