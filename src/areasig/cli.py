@@ -2,6 +2,11 @@
 
 Exit codes: 0 on success, 1 when a verification suite fails (or the term
 budget aborts a computation), 2 on usage errors.
+
+Each option is one row of _OPTIONS and each subcommand one row of _COMMANDS.
+A command with --format returns two functions, giving its JSON value and its
+text lines, and main calls the one --format names; verify and span-check
+print as they go and return their exit code.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import sys
 
 from . import checks, guard
 from .discrete import discrete_area_tree, load_timeseries, signature_pwl
-from .errors import TermBudgetExceeded
+from .errors import TermBudgetExceeded, _parse_int
 from .expr import evaluate_text
 from .hall import hall_set
 from .span import areas_generate_check, leftbracket_span_check, special_tree_reduction
@@ -23,84 +28,53 @@ from .trees import format_tree, parse_tree, rho_hall
 _BASIS_KINDS = {"lyndon": "lyndon", "hall": "standard_hall"}
 
 
-def _print_table_text(rows):
-    for row in rows:
-        print(
-            "%-8s  P = %-40s  S = %-30s  zeta = %s"
-            % (row["hall_word"], row["p"], row["s"], row["zeta"])
-        )
+def _basis(args):
+    return hall_set(args.d, args.level, _BASIS_KINDS[args.basis])
+
+
+def _csv_series(args):
+    with open(args.csv, "rb") as handle:
+        return load_timeseries(handle.read())
 
 
 def cmd_eval(args):
     elem = evaluate_text(args.expression, args.d)
-    if args.format == "json":
-        print(json.dumps(elem.to_json_obj()))
-    else:
-        print(elem)
-    return 0
+    return elem.to_json_obj, lambda: [elem]
 
 
 def cmd_tables(args):
-    basis = hall_set(args.d, args.level, _BASIS_KINDS[args.basis])
-    rows = list(basis.table_rows())
-    if args.format == "json":
-        payload = [
-            {
-                "hall_word": row["hall_word"],
-                "bracketing": row["bracketing"],
-                "p": row["p"].to_json_obj(),
-                "s": row["s"].to_json_obj(),
-                "zeta": row["zeta"].to_json_obj(),
-            }
-            for row in rows
-        ]
-        print(json.dumps(payload))
-    else:
-        _print_table_text(rows)
-    return 0
+    rows = list(_basis(args).table_rows())
+    return (
+        lambda: [dict(row, **{k: row[k].to_json_obj() for k in ("p", "s", "zeta")})
+                 for row in rows],
+        lambda: ["%-8s  P = %-40s  S = %-30s  zeta = %s"
+                 % (row["hall_word"], row["p"], row["s"], row["zeta"]) for row in rows],
+    )
 
 
 def cmd_rho_table(args):
-    basis = hall_set(args.d, args.level, _BASIS_KINDS[args.basis])
-    rows = []
-    for h in basis.all_hall_words():
-        value = rho_hall(basis, h)
-        rows.append((format_word(h.word, h.dim), value))
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"hall_word": w, "rho": v.to_json_obj()} for w, v in rows]
-            )
-        )
-    else:
-        for w, v in rows:
-            print("%-8s  %s" % (w, v))
-    return 0
+    basis = _basis(args)
+    rows = [(format_word(h.word, h.dim), rho_hall(basis, h)) for h in basis.all_hall_words()]
+    return (
+        lambda: [{"hall_word": w, "rho": v.to_json_obj()} for w, v in rows],
+        lambda: ["%-8s  %s" % row for row in rows],
+    )
 
 
 def cmd_discrete_area(args):
-    with open(args.csv, "rb") as handle:
-        series = load_timeseries(handle.read())
+    series = _csv_series(args)
     tree = parse_tree(args.tree)
     result = discrete_area_tree(tree, series)
-    if args.format == "json":
-        print(json.dumps(result.to_json_obj()))
-    else:
-        print("tree: %s" % format_tree(tree))
-        print("series: %s" % " ".join(str(v) for v in result.values))
-        print("final: %s" % result.final())
-    return 0
+    return result.to_json_obj, lambda: [
+        "tree: %s" % format_tree(tree),
+        "series: %s" % " ".join(str(v) for v in result.values),
+        "final: %s" % result.final(),
+    ]
 
 
 def cmd_signature(args):
-    with open(args.csv, "rb") as handle:
-        series = load_timeseries(handle.read())
-    sig = signature_pwl(series, args.level)
-    if args.format == "json":
-        print(json.dumps(sig.to_json_obj()))
-    else:
-        print(sig)
-    return 0
+    sig = signature_pwl(_csv_series(args), args.level)
+    return sig.to_json_obj, lambda: [sig]
 
 
 def cmd_span_check(args):
@@ -136,14 +110,43 @@ def cmd_verify(args):
     return 0
 
 
-def _positive(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+def _integer(text, message="invalid int value: %r", least=None):
+    """An argparse type: an int in ASCII digits, at least `least` if given
+    (the default message is the one argparse gives for type=int)."""
+    value = _parse_int(text)
+    if value is None or least is not None and value < least:
+        raise argparse.ArgumentTypeError(message % text)
     return value
+
+
+def _positive(text):
+    return _integer(text, "must be an integer >= 1, got %r", 1)
+
+
+# every option once: its flag (or positional name) and add_argument keywords,
+# keyed by the name a subcommand gives it in _COMMANDS
+_OPTIONS = {flag.lstrip("-"): (flag, keywords) for flag, keywords in (
+    ("expression", {}),
+    ("which", {"choices": ["areas", "leftbracket", "special"]}),
+    ("--suite", {"choices": sorted(checks.SUITES) + ["all"], "default": "all"}),
+    ("--basis", {"choices": list(_BASIS_KINDS), "default": "lyndon"}),
+    ("--csv", {"required": True}),
+    ("--tree", {"required": True}),
+    ("--d", {"type": _positive, "default": 2}),
+    ("--level", {"type": _positive, "default": 5}),
+    ("--format", {"choices": ["text", "json"], "default": "text"}),
+)}
+
+# subcommand: (help, the options it takes in order, defaults it overrides)
+_COMMANDS = {
+    "eval": ("evaluate an expression", "expression d format", {}),
+    "tables": ("emit hall-basis tables (P, S, zeta)", "basis d level format", {}),
+    "rho-table": ("emit rho of the dual basis elements", "basis d level format", {}),
+    "verify": ("run identity verification suites", "suite d level", {"level": 4}),
+    "discrete-area": ("iterate discrete areas over a tree", "csv tree format", {}),
+    "signature": ("signature of a csv path", "csv level format", {}),
+    "span-check": ("rank reports for generating sets", "which d level", {"level": 4}),
+}
 
 
 def build_parser():
@@ -154,61 +157,20 @@ def build_parser():
     )
     parser.add_argument(
         "--term-budget",
-        type=int,
+        type=_integer,
         default=None,
         help="override the term-count ceiling (default %d or "
         "AREASIG_TERM_BUDGET)" % guard.DEFAULT_TERM_BUDGET,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expression")
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("tables", help="emit hall-basis tables (P, S, zeta)")
-    p.add_argument("--basis", choices=list(_BASIS_KINDS), default="lyndon")
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--level", type=_positive, default=5)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("rho-table", help="emit rho of the dual basis elements")
-    p.add_argument("--basis", choices=list(_BASIS_KINDS), default="lyndon")
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--level", type=_positive, default=5)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_rho_table)
-
-    p = sub.add_parser("verify", help="run identity verification suites")
-    p.add_argument(
-        "--suite",
-        choices=sorted(checks.SUITES) + ["all"],
-        default="all",
-    )
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--level", type=_positive, default=4)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("discrete-area", help="iterate discrete areas over a tree")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_discrete_area)
-
-    p = sub.add_parser("signature", help="signature of a csv path")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--level", type=_positive, default=5)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_signature)
-
-    p = sub.add_parser("span-check", help="rank reports for generating sets")
-    p.add_argument("which", choices=["areas", "leftbracket", "special"])
-    p.add_argument("--d", type=_positive, default=2)
-    p.add_argument("--level", type=_positive, default=4)
-    p.set_defaults(func=cmd_span_check)
-
+    for name, (help_text, options, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            flag, keywords = _OPTIONS[option]
+            p.add_argument(flag, **keywords)
+        # looked up by name here, not held in the table, so that a wrapped
+        # cmd_* (as a tracer installs) is the one called
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")], **defaults)
     return parser
 
 
@@ -219,7 +181,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.term_budget is not None:
             guard.set_term_budget(args.term_budget)
-        return args.func(args)
+        if "format" not in args:  # verify and span-check
+            return args.func(args)
+        to_json, to_lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(to_json()))
+        else:
+            for line in to_lines():
+                print(line)
+        return 0
     except TermBudgetExceeded as exc:
         print("aborted: %s" % exc, file=sys.stderr)
         return 1

@@ -6,8 +6,8 @@ are coerced by tensor.as_scalar (a float is rejected with a TypeError) and
 stored once, as int numerators over one denominator; every operation runs
 on those ints and all identities here hold with exact equality.  CSV input
 is read exactly, in ASCII digits only: a token that is not a finite
-rational number in that form (nan, inf, a non-ASCII digit, or text in a
-data row) is rejected with a ValueError naming it.
+rational number in that form (nan, inf, a non-ASCII digit, an exponent
+past 4300, or text in a data row) is rejected with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 
+from .errors import _parse_token
 from .guard import check_term_budget
 from .tensor import EMPTY_WORD, TensorElem, _appended, _code, as_scalar, pairing
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
@@ -280,39 +280,6 @@ def signature_pairing(phi: TensorElem, x: TimeSeries):
     return pairing(phi, signature_pwl(x, max(phi.degree(), 1)))
 
 
-# A CSV token, in ASCII only: an optional sign, then p, p/q, or a decimal
-# with an optional exponent, blanks around it allowed.
-_TOKEN = re.compile(
-    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)"
-    r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*",
-    re.ASCII,
-)
-
-
-def _parse_token(token: str):
-    """(numerator, denominator) in lowest terms of a finite rational token
-    in the _TOKEN grammar, else None."""
-    match = _TOKEN.fullmatch(token)
-    if match is None:
-        return None
-    sign, whole, below, decimals, exponent = match.groups()
-    try:  # int() may refuse a token longer than sys.get_int_max_str_digits()
-        if below is not None:
-            num, den = int(whole), int(below)
-            if not den:
-                return None
-        else:
-            decimals = decimals or ""
-            num, den = int(whole + decimals), 10 ** len(decimals)
-            if exponent:
-                shift = int(exponent)
-                num, den = (num * 10**shift, den) if shift > 0 else (num, den * 10**-shift)
-    except ValueError:
-        return None
-    common = gcd(num, den)
-    return (-num if sign == "-" else num) // common, den // common
-
-
 def _is_numeric(cell: str) -> bool:
     """Whether a cell reads as a number, finite or not (a header has none)."""
     try:
@@ -328,9 +295,10 @@ def load_timeseries(source) -> TimeSeries:
     Row 0 is a header when none of its cells is numeric; the other rows
     become the points, and a leading zero row is prepended when absent.
     Every token must be an integer p, a fraction p/q, or a decimal with an
-    optional exponent, in ASCII digits with an optional sign, read exactly
-    (the grammar is _TOKEN); any other token (nan, inf, 1_000, a non-ASCII
-    digit, text) raises a ValueError naming it.
+    optional exponent of at most 4300 in magnitude, in ASCII digits with an
+    optional sign, read exactly (the grammar is errors._TOKEN); any other
+    token (nan, inf, 1_000, 1e4301, a non-ASCII digit, text) raises a
+    ValueError naming it.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")

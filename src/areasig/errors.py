@@ -1,4 +1,7 @@
-"""Exceptions shared across the package."""
+"""Exceptions and the text readers shared across the package."""
+
+import re
+from math import gcd
 
 
 class AlphabetMismatch(ValueError):
@@ -32,6 +35,56 @@ class ExpressionSyntaxError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s at offset %d" % (message, position))
         self.position = position
+
+
+# Every number read from text, in ASCII only: an optional sign, then p,
+# p/q, or a decimal with an optional exponent, blanks around it allowed.
+_TOKEN = re.compile(
+    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)"
+    r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*",
+    re.ASCII,
+)
+
+# the largest exponent read, in magnitude, as int() reads no more digits
+# (sys.int_info.default_max_str_digits): 10**exponent past it could stall
+_MAX_EXPONENT = 4300
+
+
+def _parse_token(token: str):
+    """(numerator, denominator) in lowest terms of a finite rational token
+    in the _TOKEN grammar, its exponent at most _MAX_EXPONENT in magnitude,
+    else None."""
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        return None
+    sign, whole, below, decimals, exponent = match.groups()
+    try:  # int() may refuse a token longer than sys.get_int_max_str_digits()
+        if below is not None:
+            num, den = int(whole), int(below)
+            if not den:
+                return None
+        else:
+            decimals = decimals or ""
+            num, den = int(whole + decimals), 10 ** len(decimals)
+            if exponent:
+                shift = int(exponent)
+                if abs(shift) > _MAX_EXPONENT:
+                    return None
+                num, den = (num * 10**shift, den) if shift > 0 else (num, den * 10**-shift)
+    except ValueError:
+        return None
+    common = gcd(num, den)
+    return (-num if sign == "-" else num) // common, den // common
+
+
+def _parse_int(text: str):
+    """The int of a token in the p form of the _TOKEN grammar (an optional
+    sign and ASCII digits), else None."""
+    match = _TOKEN.fullmatch(text)
+    if match is None or match.group(3, 4, 5) != (None, None, None):
+        return None
+    ratio = _parse_token(text)
+    return None if ratio is None else ratio[0]
 
 
 def is_digit(ch):

@@ -6,7 +6,7 @@ computation aborts with TermBudgetExceeded instead of exhausting memory.
 
 import os
 
-from .errors import TermBudgetExceeded
+from .errors import TermBudgetExceeded, _parse_int
 
 DEFAULT_TERM_BUDGET = 2_000_000
 
@@ -26,15 +26,12 @@ def get_term_budget():
 
 
 def budget_from_env():
-    """Apply AREASIG_TERM_BUDGET from the environment, if set."""
+    """Apply AREASIG_TERM_BUDGET from the environment, if set (ASCII digits)."""
     raw = os.environ.get("AREASIG_TERM_BUDGET")
     if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(
-                "AREASIG_TERM_BUDGET must be an integer, got %r" % raw
-            ) from None
+        n = _parse_int(raw)
+        if n is None:
+            raise ValueError("AREASIG_TERM_BUDGET must be an integer, got %r" % raw)
         set_term_budget(n)
     return _budget
 

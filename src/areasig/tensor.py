@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
 
-from .errors import AlphabetMismatch, EmptyWordOperand, is_digit
+from .errors import AlphabetMismatch, EmptyWordOperand, _parse_int, _parse_token, is_digit
 from .guard import check_term_budget
 from .memo import memo
 
@@ -51,14 +51,26 @@ EMPTY_WORD: Word = ()
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce to an exact rational; floats are deliberately not accepted."""
+    """Coerce to an exact rational (text in the CSV reader's ASCII grammar);
+    floats are deliberately not accepted."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        ratio = _parse_token(value)
+        if ratio is None:
+            raise ValueError("%r is not a finite rational number in ASCII digits" % value)
+        return Fraction(*ratio)
     raise TypeError("expected an exact rational, got %r" % (value,))
+
+
+def _json_int(value) -> int:
+    """A numerator or denominator from JSON: an int or its ASCII text."""
+    n = _parse_int(str(value))
+    if n is None:
+        raise ValueError("%r is not an integer in ASCII digits" % (value,))
+    return n
 
 
 def _ratio(value):
@@ -420,7 +432,7 @@ class TensorElem(_Terms):
         terms = {}
         for entry in data:
             word = parse_word(entry["word"])
-            terms[word] = Fraction(int(entry["num"]), int(entry["den"]))
+            terms[word] = Fraction(_json_int(entry["num"]), _json_int(entry["den"]))
         return cls(dim, terms)
 
 
@@ -973,16 +985,14 @@ def unshuffle(x: TensorElem) -> CoproductTerms:
 
 
 def is_grouplike(g: TensorElem, level: int) -> bool:
-    """Check the grouplike law for the unshuffle coproduct up to `level`."""
+    """Check the grouplike law unshuffle(g) = g (x) g up to `level`: g is
+    truncated there, and g (x) g keeps the pairs of total degree <= level."""
     g = g.truncate(level)
     if g.empty_coeff() != 1:
         return False
-    split = unshuffle(g)
-    for u in all_words(g.dim, level):
-        for v in all_words(g.dim, level - len(u)):
-            if split.coeff(u, v) != g.coeff(u) * g.coeff(v):
-                return False
-    return True
+    pairs = _pairs(g, list(g._terms.items()), level)
+    square = {(u, v): cu * cv for u, cu, kept in pairs for v, cv in kept}
+    return unshuffle(g) == CoproductTerms._over(g.dim, square, g._den * g._den)
 
 
 def _concat_horner(x, level, weights) -> TensorElem:

@@ -12,7 +12,8 @@ products, path signatures by a chain of sparse Fraction
 concatenation products, discrete areas, the trapezoid rule and the tree
 walk by plain Fraction sums and products, and the bilinear, linear and
 contraction lifts and the exp/log series by plain pair loops on dicts of
-Fractions.
+Fractions, and the grouplike law by comparing the two sides at every pair
+of words.
 """
 
 from fractions import Fraction
@@ -383,6 +384,24 @@ def signature_oracle(x, level):
         )
         sig = concat(sig, exp_conc(increment, level), level)
     return sig
+
+
+def is_grouplike_oracle(g, level):
+    """Whether <unshuffle(g), u (x) v> = <g, u><g, v> for every pair of words
+    u, v of total length <= level, g truncated at level, its empty word 1."""
+    g = g.truncate(level)
+    if g.empty_coeff() != 1:
+        return False
+    split = {}
+    for w, c in g.terms():
+        for pair, m in unshuffle_oracle(w).items():
+            split[pair] = split.get(pair, 0) + c * m
+    letters = range(1, g.dim + 1)
+    words = [w for n in range(level + 1) for w in product(letters, repeat=n)]
+    return all(
+        split.get((u, v), 0) == g.coeff(u) * g.coeff(v)
+        for u in words for v in words if len(u) + len(v) <= level
+    )
 
 
 def discrete_area_oracle(a, b):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -27,12 +28,13 @@ from areasig import (
 from areasig import guard
 from areasig.discrete import EXACT, _parse_token, signature_pairing
 from areasig.errors import TermBudgetExceeded
-from areasig.tensor import concat, exp_conc, unit
+from areasig.tensor import TensorElem, as_scalar, concat, exp_conc, unit
 
 from conftest import (
     discrete_area_oracle,
     discrete_area_tree_oracle,
     discrete_integral_oracle,
+    is_grouplike_oracle,
     signature_oracle,
     solve_oracle,
 )
@@ -208,6 +210,21 @@ def test_signature_is_grouplike():
     for _ in range(4):
         ts = checks.random_path(rng, 3)
         assert is_grouplike(signature_pwl(ts, 4), 4)
+
+
+def test_is_grouplike_agrees_with_the_word_pair_loop():
+    # signatures, scaled signatures, a perturbed one and ones checked past
+    # their level, over d <= 3 and level <= 4
+    rng = random.Random(48)
+    verdicts = []
+    for d in (1, 2, 3):
+        for level in (1, 2, 3, 4):
+            sig = signature_pwl(_seeded_path(rng, d, 3), level)
+            for g in (sig, sig * F(2), sig + word_elem((d,) * level, d) * F(1, 7)):
+                for at in {level - 1 or 1, level, level + 1}:
+                    verdicts.append(is_grouplike(g, at))
+                    assert verdicts[-1] == is_grouplike_oracle(g, at), (d, level, at)
+    assert True in verdicts and False in verdicts
 
 
 def _seeded_path(rng, d, segments, dens=(1, 2, 3, 5)):
@@ -451,6 +468,46 @@ def test_csv_tokens_outside_the_ascii_grammar_are_refused(token):
     assert _parse_token(token) is None
     with pytest.raises(ValueError, match="token %s is not a finite" % re.escape(repr(token))):
         load_timeseries("0,0\n1,%s\n" % token)
+
+
+def test_scalar_text_reads_as_fraction_reads_it():
+    for token in ACCEPTED_TOKENS:
+        assert as_scalar(token) == Fraction(token), token
+    assert TimeSeries([(0, 0), ("1/2", " -3 ")]).points[1] == (F(1, 2), F(-3))
+    entry = {"word": "12", "num": " -6 ", "den": "+8"}
+    assert TensorElem.from_json_obj([entry], 2) == word_elem("12", 2) * F(-3, 4)
+    assert TensorElem.from_json_obj([dict(entry, num=-6, den=8)], 2) == (
+        word_elem("12", 2) * F(-3, 4))
+
+
+@pytest.mark.parametrize("token", REJECTED_TOKENS + ("1e4301", "1e-4301"))
+def test_text_outside_the_ascii_grammar_is_refused_everywhere(token):
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        as_scalar(token)
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        TimeSeries([(0, 0), (token, 1)])
+    for part in ("num", "den"):
+        entry = {"word": "1", "num": "1", "den": "1", part: token}
+        with pytest.raises(ValueError, match="is not an integer in ASCII digits"):
+            TensorElem.from_json_obj([entry], 2)
+
+
+@pytest.mark.parametrize("text", ["1/2", "1.5", "2.", "2e0", "1e4301", 1.5, True, None])
+def test_json_coefficients_are_integers_in_ascii_digits(text):
+    with pytest.raises(ValueError, match="is not an integer in ASCII digits"):
+        TensorElem.from_json_obj([{"word": "1", "num": text, "den": "1"}], 2)
+
+
+def test_csv_exponents_are_bounded():
+    assert _parse_token("1e4300") == (10**4300, 1)
+    assert _parse_token("-2.5e-4300") == (-1, 4 * 10**4299)
+    series = load_timeseries("0,0\n1e4300,1e-4300\n")
+    assert series.points[1] == (F(10**4300), F(1, 10**4300))
+    for token in ("1e4301", "1e-4301", "1e999999999", "-1.5E+4301", "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape("token %r is not a finite" % token)):
+            load_timeseries("0,0\n1,%s\n" % token)
+        assert time.perf_counter() - start < 0.5, token
 
 
 def test_series_json():

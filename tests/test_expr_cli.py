@@ -1,4 +1,6 @@
+import argparse
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from areasig import (
     parse_expression,
     word_elem,
 )
-from areasig import checks
+from areasig import checks, cli
 from areasig.cli import main
 from areasig.errors import ExpressionSyntaxError
 
@@ -388,6 +390,8 @@ def test_cli_usage_error_exit_code():
         ("signature", "0,0\n\u0661,2\n", "\u0661"),  # ARABIC-INDIC DIGIT ONE
         ("signature", "0,0\n1_000,2\n", "1_000"),
         ("discrete-area", "0,0\n3 / 4,1\n", "3 / 4"),
+        ("signature", "0,0\n1e4301,1\n", "1e4301"),
+        ("discrete-area", "0,0\n1,1e-4301\n", "1e-4301"),
     ],
 )
 def test_cli_rejects_nonfinite_csv_tokens(tmp_path, capsys, command, text, token):
@@ -446,6 +450,46 @@ def test_cli_bad_term_budget_exits_2(monkeypatch, capsys, env, argv, named):
     assert guard.get_term_budget() == previous
 
 
+# integers the CLI refuses: what int() takes but the ASCII grammar's p form
+# does not (other digits, underscores), and the grammar's other forms
+REFUSED_INTEGERS = ["\u0662", "\u0661\u0660", "\u00b2", "1_0", "2.0", "1e1", "2/1", "0x2", " "]
+
+
+@pytest.mark.parametrize("text", REFUSED_INTEGERS)
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", "w(12)", "--d"], "--d"),
+        (["verify", "--level"], "--level"),
+        (["signature", "--csv", "L.csv", "--level"], "--level"),
+    ],
+)
+def test_cli_sizes_read_ascii_digits_only(capsys, argv, option, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument %s: must be an integer >= 1, got %r\n" % (option, text))
+
+
+@pytest.mark.parametrize("text", REFUSED_INTEGERS)
+def test_cli_term_budget_reads_ascii_digits_only(monkeypatch, capsys, text):
+    from areasig import guard
+
+    previous = guard.get_term_budget()
+    monkeypatch.delenv("AREASIG_TERM_BUDGET", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["--term-budget", text, "eval", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --term-budget: invalid int value: %r\n" % text)
+    monkeypatch.setenv("AREASIG_TERM_BUDGET", text)
+    assert main(["eval", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: AREASIG_TERM_BUDGET must be an integer, got %r\n" % text)
+    assert guard.get_term_budget() == previous
+
+
 def test_budget_env_override(monkeypatch):
     from areasig import guard
 
@@ -471,3 +515,97 @@ def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+# stdout, stderr and exit code of the commands as they read before the
+# parser was built from one option table (written by running main in a
+# directory holding "files", with AREASIG_TERM_BUDGET set to "env" if any)
+RECORDED = json.loads((pathlib.Path(__file__).parent / "cli_recorded.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", RECORDED["cases"], ids=lambda case: " ".join(case["argv"])[:60]
+)
+def test_cli_output_is_as_recorded(tmp_path, monkeypatch, capsys, case):
+    for name, text in RECORDED["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("AREASIG_TERM_BUDGET", raising=False)
+    if case["env"] is not None:
+        monkeypatch.setenv("AREASIG_TERM_BUDGET", case["env"])
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (case["code"], case["stdout"])
+    if case["exited"]:
+        # argparse's usage lines above its error line are laid out
+        # differently across Python versions; the error line is the same
+        assert err.splitlines()[-1] == case["stderr"].splitlines()[-1]
+    else:
+        assert err == case["stderr"]
+
+
+# (flag, default, choices, required, type) of each subcommand's options in
+# order, "size" marking the integer >= 1 reader
+PARSER_OPTIONS = {
+    "eval": [
+        ("expression", None, None, True, None),
+        ("--d", 2, None, False, "size"),
+        ("--format", "text", ["text", "json"], False, None),
+    ],
+    "tables": [
+        ("--basis", "lyndon", ["lyndon", "hall"], False, None),
+        ("--d", 2, None, False, "size"),
+        ("--level", 5, None, False, "size"),
+        ("--format", "text", ["text", "json"], False, None),
+    ],
+    "rho-table": [
+        ("--basis", "lyndon", ["lyndon", "hall"], False, None),
+        ("--d", 2, None, False, "size"),
+        ("--level", 5, None, False, "size"),
+        ("--format", "text", ["text", "json"], False, None),
+    ],
+    "verify": [
+        ("--suite", "all", ["core", "dynkin", "lambda", "pwl", "tortkara", "all"], False, None),
+        ("--d", 2, None, False, "size"),
+        ("--level", 4, None, False, "size"),
+    ],
+    "discrete-area": [
+        ("--csv", None, None, True, None),
+        ("--tree", None, None, True, None),
+        ("--format", "text", ["text", "json"], False, None),
+    ],
+    "signature": [
+        ("--csv", None, None, True, None),
+        ("--level", 5, None, False, "size"),
+        ("--format", "text", ["text", "json"], False, None),
+    ],
+    "span-check": [
+        ("which", None, ["areas", "leftbracket", "special"], True, None),
+        ("--d", 2, None, False, "size"),
+        ("--level", 4, None, False, "size"),
+    ],
+}
+
+
+def _option_rows(parser):
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        kind = {cli._positive: "size", cli._integer: "int"}.get(action.type)
+        flag = action.option_strings[0] if action.option_strings else action.dest
+        rows.append((flag, action.default, action.choices, action.required, kind))
+    return rows
+
+
+def test_cli_parser_options_defaults_and_choices():
+    parser = cli.build_parser()
+    assert _option_rows(parser) == [("--term-budget", None, None, False, "int")]
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(PARSER_OPTIONS)
+    for name, sub in commands.choices.items():
+        assert _option_rows(sub) == PARSER_OPTIONS[name], name
+        assert sub.get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_"))
