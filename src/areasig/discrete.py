@@ -16,12 +16,13 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, floordiv, mul, sub
 
 from .errors import _parse_token
 from .guard import check_term_budget
+from .memo import memo_per_owner
 from .tensor import EMPTY_WORD, TensorElem, _appended, _code, as_scalar, pairing
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
@@ -81,15 +82,20 @@ def _series(nums, den) -> ScalarSeries:
     """int `nums` (starting at 0) over the positive int `den`, reduced by one gcd."""
     nums = tuple(nums)
     common = gcd(den, *nums)
+    if common != 1:
+        nums, den = tuple(map(floordiv, nums, repeat(common))), den // common
     series = object.__new__(ScalarSeries)
-    series._nums, series._divisor = tuple(n // common for n in nums), den // common
+    series._nums, series._divisor = nums, den
     return series
 
 
 class TimeSeries:
-    """Points x0 = 0, x1, ..., xn in ambient dimension d, one series per axis."""
+    """Points x0 = 0, x1, ..., xn in ambient dimension d, one series per axis.
 
-    __slots__ = ("dim", "_columns", "meta")
+    A TimeSeries is weakly referable, so that discrete_area_tree's table of
+    subtree series lives exactly as long as the path it belongs to."""
+
+    __slots__ = ("dim", "_columns", "meta", "__weakref__")
 
     def __init__(self, points, meta=None):
         points = [tuple(p) for p in points]
@@ -130,7 +136,7 @@ def discrete_area(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     if len(a) != len(b):
         raise ValueError("series lengths differ")
     p, q = a._nums, b._nums
-    steps = (p[i] * q[i + 1] - p[i + 1] * q[i] for i in range(len(p) - 1))
+    steps = map(sub, map(mul, p, q[1:]), map(mul, p[1:], q))
     return _series(accumulate(steps, initial=0), a._divisor * b._divisor)
 
 
@@ -143,7 +149,7 @@ def discrete_integral(a: ScalarSeries, b: ScalarSeries) -> ScalarSeries:
     if len(a) != len(b):
         raise ValueError("series lengths differ")
     p, q = a._nums, b._nums
-    steps = ((p[i] + p[i + 1]) * (q[i + 1] - q[i]) for i in range(len(p) - 1))
+    steps = map(mul, map(add, p, p[1:]), map(sub, q[1:], q))
     return _series(accumulate(steps, initial=0), 2 * a._divisor * b._divisor)
 
 
@@ -154,17 +160,22 @@ def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     shuffle node ('s') their pointwise product.  The signature pairing is a
     character of the shuffle product and shuffle nodes only form the crown
     at the root, so the series is exact at every breakpoint.
+
+    Each distinct subtree is evaluated once per path: its series is kept in
+    a table that belongs to x and lives as long as x, and every later call
+    on x whose tree contains that subtree reuses it.
     """
     if not is_valid_mixed(tree):
         raise ValueError("shuffle nodes must be connected to the root")
-    return _discrete_area_tree(tree, x)
+    return _discrete_area_tree(x, tree)
 
 
-def _discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
+@memo_per_owner
+def _discrete_area_tree(x: TimeSeries, tree) -> ScalarSeries:
     if is_leaf(tree):
         return x.coordinate(tree)
     kind, left, right = tree
-    a, b = _discrete_area_tree(left, x), _discrete_area_tree(right, x)
+    a, b = _discrete_area_tree(x, left), _discrete_area_tree(x, right)
     if kind == SHUFFLE:
         return _series(map(mul, a._nums, b._nums), a._divisor * b._divisor)
     return discrete_area(a, b)

@@ -1,13 +1,15 @@
 """The package's one memoisation facility.
 
 Every recursive construction here (shuffles, r and rho of words, tree
-evaluations and weights, Hall duals) caches its results through one of the
-two decorators below, keyed by the tuple of positional arguments:
+evaluations and weights, Hall duals, the discrete areas of a path's
+subtrees) caches its results through one of the two decorators below,
+keyed by the tuple of positional arguments:
 
 - memo: one table per function, kept for the life of the process;
 - memo_per_owner: one table per first argument, held in a
   weakref.WeakKeyDictionary, so a table lives exactly as long as the object
-  that owns it (a HallBasis) and never keeps that object alive.
+  that owns it (a HallBasis or a TimeSeries) and never keeps that object
+  alive.
 
 Both wrappers are plain Python functions, so inspect.isfunction sees them
 and a caller can rebind them by name.  A decorated function must never

@@ -37,6 +37,7 @@ so elements can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
@@ -108,6 +109,20 @@ def format_word(w: Word, dim: int = 9) -> str:
     if dim <= 9:
         return "".join(str(i) for i in w)
     return "[" + ",".join(str(i) for i in w) + "]"
+
+
+def _text(value, word: Word, dim: int) -> str:
+    """str(value) for the coefficient of `word`; an int of more digits than
+    Python writes (sys.get_int_max_str_digits(), 4300 by default, the bound
+    that the CSV reader puts on exponents) raises a ValueError naming the
+    word, not the bare conversion error."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            "the coefficient of word %s has more than %d digits, the limit for "
+            "writing an integer as text" % (format_word(word, dim), sys.get_int_max_str_digits())
+        ) from None
 
 
 def _word(word, dim) -> Word:
@@ -411,7 +426,7 @@ class TensorElem(_Terms):
         for w, c in self.terms():
             body = format_word(w, self.dim)
             if abs(c) != 1:
-                body = "%s*%s" % (abs(c), body)
+                body = "%s*%s" % (_text(abs(c), w, self.dim), body)
             chunks += ["-" if c < 0 else "+", body]
         if not chunks:
             return "0"
@@ -420,7 +435,8 @@ class TensorElem(_Terms):
 
     def to_json_obj(self):
         return [
-            {"word": format_word(w, self.dim), "num": str(num), "den": str(den)}
+            {"word": format_word(w, self.dim), "num": _text(num, w, self.dim),
+             "den": _text(den, w, self.dim)}
             for w, num, den in self._ratios()
         ]
 

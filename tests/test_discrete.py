@@ -1,7 +1,10 @@
+import gc
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -22,11 +25,12 @@ from areasig import (
     load_timeseries,
     mixed_eval,
     pairing,
+    parse_tree,
     signature_pwl,
     word_elem,
 )
-from areasig import guard
-from areasig.discrete import EXACT, _parse_token, signature_pairing
+from areasig import discrete, guard
+from areasig.discrete import EXACT, _parse_token, _series, signature_pairing
 from areasig.errors import TermBudgetExceeded
 from areasig.tensor import TensorElem, as_scalar, concat, exp_conc, unit
 
@@ -580,3 +584,75 @@ def test_points_round_trip_as_fractions():
         column = again.coordinate(d)
         assert column[1:] == column.values[1:] == [p[-1] for p in ts.points[1:]]
         assert column[-1] == column.final() == ts.points[-1][-1]
+
+
+# -- one evaluation per subtree and path ---------------------------------------------
+
+# the area trees of the benchmark's features job: 21 distinct area subtrees
+FEATURE_TREES = [t for n in (1, 2, 3) for t in enumerate_trees(2, n)] + [
+    parse_tree("a(a(1,2),a(2,1))")
+]
+
+
+def _unshared_area_tree(tree, x):
+    """The walk before subtrees were shared, kept as an oracle: every call
+    recomputes every subtree, with the indexed integer steps."""
+    if isinstance(tree, int):
+        return x.coordinate(tree)
+    kind, left, right = tree
+    a, b = _unshared_area_tree(left, x), _unshared_area_tree(right, x)
+    p, q, den = a._nums, b._nums, a._divisor * b._divisor
+    if kind == "s":
+        return _series((u * v for u, v in zip(p, q)), den)
+    steps = (p[i] * q[i + 1] - p[i + 1] * q[i] for i in range(len(p) - 1))
+    return _series(accumulate(steps, initial=0), den)
+
+
+@pytest.mark.parametrize("d, trees", [
+    (2, FEATURE_TREES),
+    (3, [t for n in (1, 2, 3) for t in enumerate_mixed(3, n)]),
+])
+def test_shared_subtrees_match_the_unshared_walk_and_the_signature(d, trees):
+    rng = random.Random(170 + d)
+    for _ in range(4):
+        ts = _seeded_path(rng, d, rng.randint(1, 6), dens=range(1, 10))
+        sig = signature_pwl(ts, 3)
+        # twice, the second time in reverse, so that every result is read
+        # back from the path's table as well as computed
+        for tree in trees + trees[::-1]:
+            got = discrete_area_tree(tree, ts)
+            assert got == _unshared_area_tree(tree, ts)
+            assert got.final() == pairing(mixed_eval(tree, d), sig)
+            if d == 2:
+                assert got.final() == pairing(area_eval(tree, d), sig)
+
+
+def test_each_area_subtree_is_evaluated_once_per_path(monkeypatch):
+    calls = []
+    kernel = discrete.discrete_area
+
+    def spy(a, b):
+        calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(discrete, "discrete_area", spy)
+    ts = _seeded_path(random.Random(180), 2, 30)
+    assert len(FEATURE_TREES) == 23
+    for tree in FEATURE_TREES:
+        discrete_area_tree(tree, ts)
+    assert len(calls) == 21
+    for tree in FEATURE_TREES:
+        discrete_area_tree(tree, ts)
+    assert len(calls) == 21
+    discrete_area_tree(("a", 1, 2), TimeSeries(ts.points))  # another path, its own table
+    assert len(calls) == 22
+
+
+def test_the_subtree_table_does_not_keep_a_path_alive():
+    ts = _seeded_path(random.Random(190), 2, 5)
+    series = [discrete_area_tree(tree, ts) for tree in FEATURE_TREES]
+    ref = weakref.ref(ts)
+    del ts
+    gc.collect()
+    assert ref() is None
+    assert series[-1].final() == 0  # a(a(1,2),a(2,1)) = -a(a(1,2),a(1,2))

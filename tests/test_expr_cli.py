@@ -406,6 +406,19 @@ def test_cli_rejects_nonfinite_csv_tokens(tmp_path, capsys, command, text, token
     assert "Traceback" not in err
 
 
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_names_a_coefficient_too_long_to_write(tmp_path, capsys, fmt):
+    # the reader takes 1e4300 exactly; its 4301 digits cannot be written
+    csv = tmp_path / "big.csv"
+    csv.write_text("0,0\n1e4300,1\n")
+    assert main(["signature", "--csv", str(csv), "--level", "1", "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert "coefficient of word 1 has more than %d digits" % limit in err
+    assert "Traceback" not in err
+
 def test_cli_eval_deep_nesting_exits_2(capsys):
     depth = 2000
     assert main(["eval", "sh(" * depth + "1" + ",1)" * depth]) == 2

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -161,6 +162,21 @@ def test_json_round_trip():
     again = TensorElem.from_json_obj(e.to_json_obj(), 2)
     assert again == e
 
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("dim, word, value, text", [
+    (2, (1, 2), 10**4300, "word 12 "),
+    (2, (2,), F(1, 3 * 10**4300), "word 2 "),
+    (12, (1, 12), -(10**4300), "word [1,12] "),
+], ids=["numerator", "denominator", "bracketed-word"])
+def test_a_coefficient_too_long_to_write_is_named(dim, word, value, text):
+    e = TensorElem(dim, {word: value, (1,): 1})
+    message = "coefficient of %shas more than %d digits" % (text, sys.get_int_max_str_digits())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        str(e)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        e.to_json_obj()
 
 def test_alphabet_mismatch_raises():
     with pytest.raises(AlphabetMismatch):
