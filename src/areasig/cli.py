@@ -64,11 +64,12 @@ def cmd_rho_table(args):
 def cmd_discrete_area(args):
     series = _csv_series(args)
     tree = parse_tree(args.tree)
-    result = discrete_area_tree(tree, series)
-    return result.to_json_obj, lambda: [
+    obj = discrete_area_tree(tree, series).to_json_obj()
+    values = obj["values"]  # the text lines read the strings of the JSON
+    return lambda: obj, lambda: [
         "tree: %s" % format_tree(tree),
-        "series: %s" % " ".join(str(v) for v in result.values),
-        "final: %s" % result.final(),
+        "series: %s" % " ".join(values),
+        "final: %s" % values[-1],
     ]
 
 

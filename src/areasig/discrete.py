@@ -20,10 +20,10 @@ from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import add, floordiv, mul, sub
 
-from .errors import _parse_token
+from .errors import _parse_token, _text
 from .guard import check_term_budget
 from .memo import memo_per_owner
-from .tensor import EMPTY_WORD, TensorElem, _appended, _code, as_scalar, pairing
+from .tensor import EMPTY_WORD, TensorElem, _appended, _code, _over_lcm, _ratio, pairing
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
 EXACT = "exact_rational"
@@ -39,15 +39,12 @@ class ScalarSeries:
     __slots__ = ("_nums", "_divisor")
 
     def __init__(self, values):
-        values = list(values)
-        if not values:
+        ratios = [_ratio(v) for v in values]
+        if not ratios:
             raise ValueError("a series needs at least the starting value")
-        if values[0] != 0:
+        if ratios[0][0]:
             raise ValueError("series must start at zero")
-        values = [as_scalar(v) for v in values]
-        den = lcm(*(v.denominator for v in values))
-        self._nums = tuple(v.numerator * (den // v.denominator) for v in values)
-        self._divisor = den
+        self._nums, self._divisor = _over_lcm(ratios)
 
     @property
     def values(self):
@@ -72,7 +69,14 @@ class ScalarSeries:
         return Fraction(self._nums[-1], self._divisor)
 
     def to_json_obj(self):
-        return {"mode": EXACT, "values": [str(v) for v in self.values]}
+        """Each value as str writes its Fraction, with no Fraction made; a
+        value too long to write raises a ValueError naming its breakpoint."""
+        values, den = [], self._divisor
+        for i, num in enumerate(self._nums):
+            common = gcd(num, den)
+            pair = [_text(n // common, "the value at breakpoint %d", i) for n in (num, den)]
+            values.append(pair[0] if pair[1] == "1" else "/".join(pair))
+        return {"mode": EXACT, "values": values}
 
     def to_json(self):
         return json.dumps(self.to_json_obj())
@@ -98,18 +102,21 @@ class TimeSeries:
     __slots__ = ("dim", "_columns", "meta", "__weakref__")
 
     def __init__(self, points, meta=None):
-        points = [tuple(p) for p in points]
-        if not points:
+        self._fill([[_ratio(v) for v in p] for p in points], meta)
+
+    def _fill(self, rows, meta):
+        """Set the points from rows of (numerator, denominator) pairs in lowest terms."""
+        if not rows:
             raise ValueError("a time series needs at least the origin")
-        dims = {len(p) for p in points}
+        dims = set(map(len, rows))
         if len(dims) != 1:
             raise ValueError("points have mixed dimensions")
         self.dim = dims.pop()
         if self.dim < 1:
             raise ValueError("need dimension >= 1")
-        if any(v != 0 for v in points[0]):
+        if any(n for n, _ in rows[0]):
             raise ValueError("time series must start at the origin")
-        self._columns = tuple(ScalarSeries(column) for column in zip(*points))
+        self._columns = tuple(_series(*_over_lcm(column)) for column in zip(*rows))
         self.meta = dict(meta or {})
 
     def __len__(self):
@@ -311,43 +318,26 @@ def load_timeseries(source) -> TimeSeries:
     token (nan, inf, 1_000, 1e4301, a non-ASCII digit, text) raises a
     ValueError naming it.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(
-        cell.strip() for cell in row
-    )]
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError("empty csv input")
     header_skipped = not any(_is_numeric(cell) for cell in rows[0])
-    start = int(header_skipped)
-    if start == len(rows):
+    rows = rows[header_skipped:]
+    if not rows:
         raise ValueError("csv has a header but no data rows")
-    widths = {len(row) for row in rows[start:]}
+    widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise ValueError("ragged csv rows: widths %s" % sorted(widths))
-    parsed = []
-    for row in rows[start:]:
-        ratios = [_parse_token(cell) for cell in row]
+    parsed = [[_parse_token(cell) for cell in row] for row in rows]
+    for row, ratios in zip(rows, parsed):
         if None in ratios:
-            bad = row[ratios.index(None)]
-            raise ValueError(
-                "csv token %r is not a finite rational number in ASCII digits" % bad
-            )
-        parsed.append(ratios)
+            raise ValueError("csv token %r is not a finite rational number in ASCII "
+                             "digits" % row[ratios.index(None)])
     anchored = not any(num for num, _ in parsed[0])
-    if not anchored:
-        parsed.insert(0, [(0, 1)] * len(parsed[0]))
-    columns = []
-    for column in zip(*parsed):
-        den = lcm(*(d for _, d in column))
-        columns.append(_series([n * (den // d) for n, d in column], den))
-    series = object.__new__(TimeSeries)
-    series.dim, series._columns = len(columns), tuple(columns)
-    series.meta = {"zero_row_prepended": not anchored, "header_skipped": header_skipped}
+    series = TimeSeries.__new__(TimeSeries)
+    series._fill(parsed if anchored else [[(0, 1)] * len(parsed[0])] + parsed,
+                 {"zero_row_prepended": not anchored, "header_skipped": header_skipped})
     return series

@@ -28,7 +28,6 @@ from .tensor import (
     _outer,
     _r_codes,
     _Terms,
-    format_word,
     linear_combination,
     shuffle_words,  # unused here; bench/test_bench.py checks this re-import
     words_of_length,
@@ -48,17 +47,6 @@ class DoubleTensor(_Terms):
     # terms() runs in (right word, left word) order, each word by length and
     # then lexicographically, as the codes compare
     _order = staticmethod(itemgetter(1, 0))
-
-    def to_json_obj(self):
-        return [
-            {
-                "left": format_word(l, self.dim),
-                "right": format_word(r, self.dim),
-                "num": str(num),
-                "den": str(den),
-            }
-            for (l, r), num, den in self._ratios()
-        ]
 
 
 def zero_double(dim: int) -> DoubleTensor:

@@ -1,6 +1,7 @@
-"""Exceptions and the text readers shared across the package."""
+"""Exceptions, and the text readers and writer shared across the package."""
 
 import re
+import sys
 from math import gcd
 
 
@@ -87,6 +88,19 @@ def _parse_int(text: str):
     return None if ratio is None else ratio[0]
 
 
+def _text(value, name, args):
+    """str(value) for an int or Fraction; past the digits that Python writes
+    (sys.get_int_max_str_digits(), 4300 by default, the CSV exponent bound)
+    a ValueError names the value as `name % args`, not the bare error."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            "%s has more than %d digits, the limit for writing an integer as text"
+            % (name % args, sys.get_int_max_str_digits())
+        ) from None
+
+
 def is_digit(ch):
     """Whether ch is one ASCII digit (str.isdigit also holds for superscripts,
     which int() refuses)."""
@@ -122,6 +136,14 @@ class _Reader:
         while self.pos < len(self.text) and pred(self.text[self.pos]):
             self.pos += 1
         return self.text[start : self.pos]
+
+    def number(self):
+        """The int of the ASCII digits from here, None if none; too many is an error."""
+        start = self.pos
+        value = _parse_int(self.run(is_digit))
+        if value is None and self.pos > start:
+            self.error("number of more than %d digits" % sys.get_int_max_str_digits(), start)
+        return value
 
     def error(self, message, pos=None):
         raise ExpressionSyntaxError(message, self.pos if pos is None else pos)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .errors import _Reader, is_digit
+from .errors import _Reader, _text, is_digit
 from .span import arealb, vol
 from .tensor import (
     TensorElem,
@@ -72,19 +72,19 @@ def _term(r):
     # a letter atom), so read it once and give it back otherwise
     r.peek()
     start = r.pos
-    r.pos += r.text.startswith("-", start)
-    if r.run(is_digit):
-        numerator = int(r.text[start : r.pos])
+    sign = -1 if r.text.startswith("-", start) else 1
+    r.pos += sign < 0
+    if (numerator := r.number()) is not None:
         over = r.text.startswith("/", r.pos)
         r.pos += over
-        denominator = r.run(is_digit) if over else "1"
+        denominator = r.number() if over else 1
         end = r.pos
         if r.take("*"):
-            if not denominator:
+            if denominator is None:
                 r.error("expected a denominator", end)
-            if int(denominator) == 0:
+            if denominator == 0:
                 r.error("zero denominator", end)
-            return ("scaled", Fraction(numerator, int(denominator)), _atom(r))
+            return ("scaled", Fraction(sign * numerator, denominator), _atom(r))
     r.pos = start
     return _atom(r)
 
@@ -95,10 +95,10 @@ def _letters(r):
     word = []
     while True:
         r.peek()
-        digits = r.run(is_digit)
-        if not digits:
+        start = r.pos
+        word += [r.number()] if bracketed else map(int, r.run(is_digit))
+        if r.pos == start:
             r.error("expected letters")
-        word += [int(digits)] if bracketed else [int(c) for c in digits]
         if 0 in word:
             r.error("letters count from 1")
         if not (bracketed and r.take(",")):
@@ -156,7 +156,8 @@ def format_expression(node) -> str:
         return "w(%s)" % format_word(word, max(word))
     if kind == "scaled":
         # a Fraction prints as n or n/d
-        return "%s*%s" % (node[1], format_expression(node[2]))
+        inner = format_expression(node[2])
+        return "%s*%s" % (_text(node[1], "the scale of %s", inner), inner)
     if kind == "sum":
         out = format_expression(node[1][0][1])
         for sign, term in node[1][1:]:

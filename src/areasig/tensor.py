@@ -12,7 +12,7 @@ denominator, in lowest terms: the gcd of the denominator and every
 numerator is 1, and the zero value has denominator 1.  So every loop here
 runs on ints, and == and hash compare plain dicts and ints.  A
 fractions.Fraction is made only where a coefficient leaves the store
-(coeff, terms(), JSON, pairing) and where a scalar enters it; floats are
+(coeff, terms(), str, pairing) and where a scalar enters it; floats are
 rejected so that every identity in this package can be checked with
 exact equality.
 
@@ -37,13 +37,12 @@ so elements can be shared freely across threads.
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
 
-from .errors import AlphabetMismatch, EmptyWordOperand, _parse_int, _parse_token, is_digit
+from .errors import AlphabetMismatch, EmptyWordOperand, _parse_int, _parse_token, _text, is_digit
 from .guard import check_term_budget
 from .memo import memo
 
@@ -54,16 +53,7 @@ EMPTY_WORD: Word = ()
 def as_scalar(value) -> Fraction:
     """Coerce to an exact rational (text in the CSV reader's ASCII grammar);
     floats are deliberately not accepted."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        ratio = _parse_token(value)
-        if ratio is None:
-            raise ValueError("%r is not a finite rational number in ASCII digits" % value)
-        return Fraction(*ratio)
-    raise TypeError("expected an exact rational, got %r" % (value,))
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 def _json_int(value) -> int:
@@ -75,12 +65,25 @@ def _json_int(value) -> int:
 
 
 def _ratio(value):
-    """(numerator, denominator) of an exact rational scalar, without making
-    a Fraction for an int."""
+    """(numerator, denominator) in lowest terms of an exact rational scalar,
+    read as as_scalar reads it, with no Fraction made for an int or text."""
     if isinstance(value, int):
         return value, 1
-    value = as_scalar(value)
-    return value.numerator, value.denominator
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        ratio = _parse_token(value)
+        if ratio is None:
+            raise ValueError("%r is not a finite rational number in ASCII digits" % value)
+        return ratio
+    raise TypeError("expected an exact rational, got %r" % (value,))
+
+
+def _over_lcm(ratios):
+    """(numerators, lcm) of (numerator, denominator) pairs in lowest terms,
+    denominators positive: the numerators over the lcm, also in lowest terms."""
+    den = lcm(*[d for _, d in ratios])
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 def parse_word(text) -> Word:
@@ -111,18 +114,8 @@ def format_word(w: Word, dim: int = 9) -> str:
     return "[" + ",".join(str(i) for i in w) + "]"
 
 
-def _text(value, word: Word, dim: int) -> str:
-    """str(value) for the coefficient of `word`; an int of more digits than
-    Python writes (sys.get_int_max_str_digits(), 4300 by default, the bound
-    that the CSV reader puts on exponents) raises a ValueError naming the
-    word, not the bare conversion error."""
-    try:
-        return str(value)
-    except ValueError:
-        raise ValueError(
-            "the coefficient of word %s has more than %d digits, the limit for "
-            "writing an integer as text" % (format_word(word, dim), sys.get_int_max_str_digits())
-        ) from None
+_OF_WORD = "the coefficient of word %s"
+_OF_PAIR = "the coefficient of word pair (%s)x(%s)"
 
 
 def _word(word, dim) -> Word:
@@ -224,18 +217,9 @@ class _Terms:
     def __init__(self, dim: int, terms=None):
         if dim < 1:
             raise ValueError("alphabet size must be >= 1")
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                coeff = as_scalar(coeff)
-            key = self._key(key, dim)
-            if coeff:
-                clean[key] = coeff
-        # over the lcm of the reduced denominators, the numerators share no
-        # factor with it
-        den = lcm(*(c.denominator for c in clean.values()))
-        clean = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
-        self._store(dim, clean, den)
+        ratios = {self._key(key, dim): _ratio(c) for key, c in (terms or {}).items()}
+        numerators, den = _over_lcm(ratios.values())
+        self._store(dim, {k: n for k, n in zip(ratios, numerators) if n}, den)
 
     @staticmethod
     def _key(key, dim):
@@ -324,11 +308,26 @@ class _Terms:
             yield public(key, k), c // common, den // common
 
     def __repr__(self):
-        inner = " + ".join(
-            "%s*(%s)x(%s)" % (c, format_word(l, self.dim), format_word(r, self.dim))
-            for (l, r), c in self.terms()
-        )
-        return "<%s d=%d %s>" % (type(self).__name__, self.dim, inner or "0")
+        dim, terms = self.dim, []
+        for (l, r), c in self.terms():
+            l, r = format_word(l, dim), format_word(r, dim)
+            terms.append("%s*(%s)x(%s)" % (_text(c, _OF_PAIR, (l, r)), l, r))
+        return "<%s d=%d %s>" % (type(self).__name__, dim, " + ".join(terms) or "0")
+
+    def to_json_obj(self):
+        """The terms in canonical order, each the dict that _json_entry makes
+        of its key's words and its num and den as text, in lowest terms."""
+        entry, dim = self._json_entry, self.dim
+        return [entry(key, num, den, dim) for key, num, den in self._ratios()]
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj())
+
+    @staticmethod
+    def _json_entry(key, num, den, dim):
+        left, right = format_word(key[0], dim), format_word(key[1], dim)
+        return {"left": left, "right": right, "num": _text(num, _OF_PAIR, (left, right)),
+                "den": _text(den, _OF_PAIR, (left, right))}
 
     # -- linear structure ------------------------------------------------
 
@@ -426,29 +425,28 @@ class TensorElem(_Terms):
         for w, c in self.terms():
             body = format_word(w, self.dim)
             if abs(c) != 1:
-                body = "%s*%s" % (_text(abs(c), w, self.dim), body)
+                body = "%s*%s" % (_text(abs(c), _OF_WORD, body), body)
             chunks += ["-" if c < 0 else "+", body]
         if not chunks:
             return "0"
         text = " ".join(chunks)  # "+ 12 - 21 ...": the first sign sticks or goes
         return text[2:] if chunks[0] == "+" else "-" + text[2:]
 
-    def to_json_obj(self):
-        return [
-            {"word": format_word(w, self.dim), "num": _text(num, w, self.dim),
-             "den": _text(den, w, self.dim)}
-            for w, num, den in self._ratios()
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+    @staticmethod
+    def _json_entry(word, num, den, dim):
+        word = format_word(word, dim)
+        return {"word": word, "num": _text(num, _OF_WORD, word),
+                "den": _text(den, _OF_WORD, word)}
 
     @classmethod
     def from_json_obj(cls, data, dim):
         terms = {}
         for entry in data:
             word = parse_word(entry["word"])
-            terms[word] = Fraction(_json_int(entry["num"]), _json_int(entry["den"]))
+            num, den = _json_int(entry["num"]), _json_int(entry["den"])
+            if not den:
+                raise ValueError("JSON term %r has a zero denominator" % (entry,))
+            terms[word] = Fraction(num, den)
         return cls(dim, terms)
 
 

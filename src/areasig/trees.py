@@ -268,7 +268,7 @@ def parse_tree(text: str):
             return (ch, left, right)
         if is_digit(ch):
             start = r.pos
-            letter = int(r.run(is_digit))
+            letter = r.number()
             if letter < 1:
                 r.error("letters start at 1", start)
             return letter

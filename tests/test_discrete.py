@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -517,6 +518,53 @@ def test_csv_exponents_are_bounded():
 def test_series_json():
     series = ScalarSeries([0, F(1, 2)])
     assert series.to_json_obj() == {"mode": EXACT, "values": ["0", "1/2"]}
+    series = ScalarSeries([0, F(-4, 6), 3, F(5, 4), -2])
+    assert series.to_json_obj()["values"] == [str(v) for v in series.values]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+def test_a_series_value_too_long_to_write_is_named():
+    message = "the value at breakpoint 2 has more than %d digits" % sys.get_int_max_str_digits()
+    for series in (ScalarSeries([0, 1, 10**4300]), ScalarSeries([0, 1, F(1, 10**4300)])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series.to_json_obj()
+
+
+# The same points as ints, Fractions and strings, and as CSV text: columns
+# whose denominators are shared (thirds) or not (halves against sevenths).
+PARITY_POINTS = [
+    [(0, 0), (1, 2), (-3, 5)],
+    [(0, 0), (F(1, 3), F(2, 3)), (F(-4, 3), F(5, 3))],
+    [(0, 0), (F(1, 2), F(3, 7)), (F(-5, 4), 2), (3, F(-9, 14))],
+    [(0, F(0, 5)), (F(6, 4), F(-10, 15)), (F(1, 6), 4)],
+]
+
+
+@pytest.mark.parametrize("points", PARITY_POINTS)
+def test_timeseries_and_load_timeseries_agree(points):
+    csv = "".join(",".join(str(v) for v in p) + "\n" for p in points)
+    loaded = load_timeseries(csv)
+    for given in (points, [tuple(str(v) for v in p) for p in points],
+                  [tuple(F(v) for v in p) for p in points]):
+        series = TimeSeries(given)
+        assert series.dim == loaded.dim == 2
+        for i in (1, 2):
+            a, b = series.coordinate(i), loaded.coordinate(i)
+            assert (a._nums, a._divisor) == (b._nums, b._divisor)
+            assert a.values == [F(p[i - 1]) for p in points]
+            assert _in_lowest_terms(a)
+
+
+def test_fractional_path_signature_json_is_as_recorded():
+    # a byte pin: a change here is a change of the JSON format
+    path = TimeSeries([(0, 0), (F(1, 2), F(1, 3)), (F(-2, 3), F(5, 4))])
+    assert signature_pwl(path, 2).to_json() == (
+        '[{"word": "e", "num": "1", "den": "1"}, {"word": "1", "num": "-2", "den": "3"}, '
+        '{"word": "2", "num": "5", "den": "4"}, {"word": "11", "num": "2", "den": "9"}, '
+        '{"word": "12", "num": "1", "den": "144"}, {"word": "21", "num": "-121", "den": "144"}, '
+        '{"word": "22", "num": "25", "den": "32"}]')
+    loaded = load_timeseries("1/2,1/3\n-2/3,5/4\n")
+    assert signature_pwl(loaded, 2).to_json() == signature_pwl(path, 2).to_json()
 
 
 # -- one integer form ------------------------------------------------------------

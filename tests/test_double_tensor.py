@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -543,3 +546,26 @@ def test_double_series_match_the_fraction_lifts(seed):
         for got, log in [(exp_box(x, level), False), (log_box(unit_double(2) + x, level), True)]:
             assert_canonical(got)
             assert fractions_of(got) == series_oracle(low, one, _box_oracle, level, log)
+
+
+def test_r_element_json_is_as_recorded():
+    # byte pins: a change here is a change of the JSON or repr format
+    text = r_element(2, 3).to_json()
+    assert len(text) == 1018
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bd91437a57a2f724d2befc77ed1e415af3fdee5779d0d9228925ff48b1d98ebb")
+    assert text.startswith('[{"left": "1", "right": "1", "num": "1", "den": "1"}, ')
+    assert repr(r_element(2, 2)) == (
+        "<DoubleTensor d=2 1*(1)x(1) + 1*(2)x(2) + 1*(12)x(12) + -1*(21)x(12)"
+        " + -1*(12)x(21) + 1*(21)x(21)>")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+def test_a_pair_coefficient_too_long_to_write_is_named():
+    f = DoubleTensor(2, {((1,), (1,)): 10**5000})
+    message = "coefficient of word pair (1)x(1) has more than %d digits" % (
+        sys.get_int_max_str_digits())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        f.to_json_obj()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        repr(f)

@@ -2,6 +2,8 @@ import argparse
 import json
 import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -418,6 +420,92 @@ def test_cli_names_a_coefficient_too_long_to_write(tmp_path, capsys, fmt):
     limit = sys.get_int_max_str_digits()
     assert "coefficient of word 1 has more than %d digits" % limit in err
     assert "Traceback" not in err
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_names_a_breakpoint_too_long_to_write(tmp_path, capsys, fmt):
+    csv = tmp_path / "big.csv"
+    csv.write_text("0,0\n1e4300,1\n")
+    argv = ["discrete-area", "--csv", str(csv), "--tree", "1", "--format", fmt]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert out == "" and "Traceback" not in err
+    assert "the value at breakpoint 1 has more than %d digits" % limit in err
+
+
+LONG_NUMBER = "1" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["eval", LONG_NUMBER + "*w(1)"], 0),
+        (["eval", "w(1) + -%s/3*w(1)" % LONG_NUMBER], 8),
+        (["eval", "1/%s*w(1)" % LONG_NUMBER], 2),
+        (["eval", "w([%s])" % LONG_NUMBER], 3),
+        (["eval", "w([1, %s])" % LONG_NUMBER], 6),
+        (["discrete-area", "--csv", "L.csv", "--tree", LONG_NUMBER], 0),
+        (["discrete-area", "--csv", "L.csv", "--tree", "a(1,%s)" % LONG_NUMBER], 4),
+    ],
+    ids=lambda v: str(v) if isinstance(v, int) else " ".join(a[:12] for a in v),
+)
+def test_cli_numbers_too_long_to_read_exit_2(tmp_path, capsys, argv, offset):
+    (tmp_path / "L.csv").write_text("1,0\n1,1\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == "error: number of more than %d digits at offset %d\n" % (limit, offset)
+
+
+def test_format_expression_names_a_scale_too_long_to_write():
+    assert format_expression(("scaled", Fraction(-3, 4), ("word", (1, 2)))) == "-3/4*w(12)"
+    if hasattr(sys, "get_int_max_str_digits"):
+        node = ("scaled", Fraction(10**5000), ("word", (1,)))
+        with pytest.raises(ValueError, match=re.escape("the scale of 1 has more than")):
+            format_expression(node)
+
+
+def test_cli_discrete_area_output_is_as_recorded(tmp_path):
+    # byte pins: a change here is a change of the command's output
+    csv = tmp_path / "F.csv"
+    csv.write_text("1/2,0\n1/2,1/3\n")
+    argv = ["discrete-area", "--csv", str(csv), "--tree", "s(1,a(1,2))"]
+    assert run_cli(*argv) == (0, "tree: s(1,a(1,2))\nseries: 0 0 1/12\nfinal: 1/12\n")
+    assert run_cli(*argv, "--format", "json") == (
+        0, '{"mode": "exact_rational", "values": ["0", "0", "1/12"]}\n')
+
+
+def _readme_command_lines():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
+    # each line of the README's command line block that shows its output
+    # ("# -> X" or "# final: X") gives that output; printf lines write files
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for line in _readme_command_lines():
+        command, _, shown = line.partition("#")
+        argv, shown = shlex.split(command), shown.strip()
+        if argv[:1] == ["printf"]:
+            text, redirect, name = argv[1:]
+            assert redirect == ">"
+            (tmp_path / name).write_text(text.encode().decode("unicode_escape"))
+        elif shown.startswith(("-> ", "final: ")):
+            assert argv[0] == "areasig" and main(argv[1:]) == 0, line
+            out = capsys.readouterr().out
+            if shown.startswith("-> "):
+                assert out == shown[3:] + "\n", line
+            else:
+                assert shown in out.splitlines(), line
+            checked += 1
+    assert checked == 3
+
 
 def test_cli_eval_deep_nesting_exits_2(capsys):
     depth = 2000

@@ -163,6 +163,14 @@ def test_json_round_trip():
     assert again == e
 
 
+@pytest.mark.parametrize("den", ["0", 0, "-0", "+00"])
+def test_json_zero_denominator_is_refused_naming_the_entry(den):
+    entry = {"word": "1", "num": "1", "den": den}
+    message = "JSON term %r has a zero denominator" % (entry,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TensorElem.from_json_obj([{"word": "12", "num": "1", "den": "2"}, entry], 2)
+
+
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
 @pytest.mark.parametrize("dim, word, value, text", [
