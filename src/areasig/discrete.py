@@ -69,13 +69,8 @@ class ScalarSeries:
         return Fraction(self._nums[-1], self._divisor)
 
     def to_json_obj(self):
-        """Each value as str writes its Fraction, with no Fraction made; a
-        value too long to write raises a ValueError naming its breakpoint."""
-        values, den = [], self._divisor
-        for i, num in enumerate(self._nums):
-            common = gcd(num, den)
-            pair = [_text(n // common, "the value at breakpoint %d", i) for n in (num, den)]
-            values.append(pair[0] if pair[1] == "1" else "/".join(pair))
+        """A value too long to write raises a ValueError naming its breakpoint."""
+        values = [_text(v, "the value at breakpoint %d", i) for i, v in enumerate(self.values)]
         return {"mode": EXACT, "values": values}
 
     def to_json(self):
@@ -88,6 +83,11 @@ def _series(nums, den) -> ScalarSeries:
     common = gcd(den, *nums)
     if common != 1:
         nums, den = tuple(map(floordiv, nums, repeat(common))), den // common
+    return _stored(nums, den)
+
+
+def _stored(nums, den) -> ScalarSeries:
+    """The series of the int tuple `nums` over `den`, already in lowest terms."""
     series = object.__new__(ScalarSeries)
     series._nums, series._divisor = nums, den
     return series
@@ -116,7 +116,7 @@ class TimeSeries:
             raise ValueError("need dimension >= 1")
         if any(n for n, _ in rows[0]):
             raise ValueError("time series must start at the origin")
-        self._columns = tuple(_series(*_over_lcm(column)) for column in zip(*rows))
+        self._columns = tuple(_stored(*_over_lcm(column)) for column in zip(*rows))
         self.meta = dict(meta or {})
 
     def __len__(self):
