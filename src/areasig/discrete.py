@@ -316,11 +316,11 @@ def load_timeseries(source) -> TimeSeries:
     optional exponent of at most 4300 in magnitude, in ASCII digits with an
     optional sign, read exactly (the grammar is errors._TOKEN); any other
     token (nan, inf, 1_000, 1e4301, a non-ASCII digit, text) raises a
-    ValueError naming it.
+    ValueError naming it.  One leading byte-order mark, which spreadsheets
+    write for "CSV UTF-8", is skipped.
     """
     text = source if isinstance(source, (str, bytes)) else source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = text.decode("utf-8-sig") if isinstance(text, bytes) else text.removeprefix("\ufeff")
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError("empty csv input")

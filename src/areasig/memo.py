@@ -2,8 +2,9 @@
 
 Every recursive construction here (shuffles, r and rho of words, tree
 evaluations and weights, Hall duals, the discrete areas of a path's
-subtrees) caches its results through one of the two decorators below,
-keyed by the tuple of positional arguments:
+subtrees) and the table of word texts that every writer prints
+(tensor._word_text) cache their results through one of the two
+decorators below, keyed by the tuple of positional arguments:
 
 - memo: one table per function, kept for the life of the process;
 - memo_per_owner: one table per first argument, held in a

@@ -12,7 +12,7 @@ denominator, in lowest terms: the gcd of the denominator and every
 numerator is 1, and the zero value has denominator 1.  So every loop here
 runs on ints, and == and hash compare plain dicts and ints.  A
 fractions.Fraction is made only where a coefficient leaves the store
-(coeff, terms(), str, pairing) and where a scalar enters it; floats are
+(coeff, terms(), pairing) and where a scalar enters it; floats are
 rejected so that every identity in this package can be checked with
 exact equality.
 
@@ -28,7 +28,9 @@ CoproductTerms key is a pair of codes.  The word kernels run on codes and
 take k as an argument, so one memo table serves every alphabet with the
 same k; the tuple-level kernels (shuffle_words, r_word, ...) are
 encode/decode adapters over them.  Words are tuples at every public
-boundary: the constructors, coeff, terms(), words(), str and JSON.
+boundary: the constructors, coeff, terms() and words().  str, repr and
+JSON are written from int numerators and each word's memoised text
+(_word_text), with no Fraction made and no word decoded per term.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -118,6 +120,12 @@ _OF_WORD = "the coefficient of word %s"
 _OF_PAIR = "the coefficient of word pair (%s)x(%s)"
 
 
+def _ratio_text(num, den, name, args) -> str:
+    """str(Fraction(num, den)) of a ratio in lowest terms, through _text."""
+    text = _text(num, name, args)
+    return text if den == 1 else "%s/%s" % (text, _text(den, name, args))
+
+
 def _word(word, dim) -> Word:
     """`word` as a tuple, checked to use only the letters 1..dim."""
     word = tuple(word)
@@ -152,6 +160,13 @@ def _decode(code, k) -> Word:
 
 def _length(code, k) -> int:
     return (code.bit_length() + k - 1) // k
+
+
+@memo
+def _word_text(code, dim) -> str:
+    """format_word of the word with code `code` over 1..dim: every writer
+    names its words through this table, so each word is decoded once."""
+    return format_word(_decode(code, dim.bit_length()), dim)
 
 
 def _code(word, dim) -> int:
@@ -202,7 +217,8 @@ class _Terms:
     int numerator over the one positive int denominator _den, in lowest
     terms (see the module docstring); coeff and terms() give Fractions.
     Keys are pairs of word codes unless a subclass overrides _key (public
-    key to stored key) and _public (back); _grade(key, k) maps a key to
+    key to stored key), _public(key, dim) (back) and _key_text(key, dim)
+    (the key's text, for the writers); _grade(key, k) maps a key to
     its degree (the total length of a pair unless a subclass says
     otherwise) and _order to its sort key in terms(), None for the keys
     themselves (left word, then right word, each by length and then
@@ -227,8 +243,13 @@ class _Terms:
         return (_code(left, dim), _code(right, dim))
 
     @staticmethod
-    def _public(key, k):
+    def _public(key, dim):
+        k = dim.bit_length()
         return (_decode(key[0], k), _decode(key[1], k))
+
+    @staticmethod
+    def _key_text(key, dim):
+        return (_word_text(key[0], dim), _word_text(key[1], dim))
 
     @staticmethod
     def _grade(key, k):
@@ -294,40 +315,47 @@ class _Terms:
 
     def terms(self):
         """Yield (key, coefficient) pairs in canonical order."""
-        for key, num, den in self._ratios():
+        for key, num, den in self._ratios(self._public):
             yield key, Fraction(num, den)
 
-    def _ratios(self):
+    def _ratios(self, form=None):
         """Yield (key, numerator, denominator) in canonical order, each
-        coefficient in lowest terms, with no Fraction made (JSON needs
-        none)."""
-        terms, den, k, public = self._terms, self._den, self.dim.bit_length(), self._public
-        for key in sorted(terms, key=self._order):
+        coefficient in lowest terms, from ints alone: the key as
+        form(key, dim), by default its text (_key_text).  The writers below
+        make no Fraction and decode no word."""
+        terms, den, dim = self._terms, self._den, self.dim
+        form = form or self._key_text
+        keys = sorted(terms, key=self._order)
+        if den == 1:
+            for key in keys:
+                yield form(key, dim), terms[key], 1
+            return
+        for key in keys:
             c = terms[key]
             common = gcd(c, den)
-            yield public(key, k), c // common, den // common
+            yield form(key, dim), c // common, den // common
 
     def __repr__(self):
-        dim, terms = self.dim, []
-        for (l, r), c in self.terms():
-            l, r = format_word(l, dim), format_word(r, dim)
-            terms.append("%s*(%s)x(%s)" % (_text(c, _OF_PAIR, (l, r)), l, r))
-        return "<%s d=%d %s>" % (type(self).__name__, dim, " + ".join(terms) or "0")
+        terms = [
+            "%s*(%s)x(%s)" % (_ratio_text(num, den, _OF_PAIR, (l, r)), l, r)
+            for (l, r), num, den in self._ratios()
+        ]
+        return "<%s d=%d %s>" % (type(self).__name__, self.dim, " + ".join(terms) or "0")
 
     def to_json_obj(self):
         """The terms in canonical order, each the dict that _json_entry makes
-        of its key's words and its num and den as text, in lowest terms."""
-        entry, dim = self._json_entry, self.dim
-        return [entry(key, num, den, dim) for key, num, den in self._ratios()]
+        of its key's text and its num and den as text, in lowest terms."""
+        entry = self._json_entry
+        return [entry(key, num, den) for key, num, den in self._ratios()]
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
     @staticmethod
-    def _json_entry(key, num, den, dim):
-        left, right = format_word(key[0], dim), format_word(key[1], dim)
-        return {"left": left, "right": right, "num": _text(num, _OF_PAIR, (left, right)),
-                "den": _text(den, _OF_PAIR, (left, right))}
+    def _json_entry(key, num, den):
+        left, right = key
+        return {"left": left, "right": right, "num": _text(num, _OF_PAIR, key),
+                "den": _text(den, _OF_PAIR, key)}
 
     # -- linear structure ------------------------------------------------
 
@@ -392,8 +420,12 @@ class TensorElem(_Terms):
     __slots__ = ()
 
     _key = staticmethod(_code)
-    _public = staticmethod(_decode)
+    _key_text = staticmethod(_word_text)
     _grade = staticmethod(_length)
+
+    @staticmethod
+    def _public(code, dim):
+        return _decode(code, dim.bit_length())
 
     # -- inspection ------------------------------------------------------
 
@@ -422,30 +454,33 @@ class TensorElem(_Terms):
     def __str__(self):
         """Terms as "12 - 1/2*21 + ...", or "0"."""
         chunks = []
-        for w, c in self.terms():
-            body = format_word(w, self.dim)
-            if abs(c) != 1:
-                body = "%s*%s" % (_text(abs(c), _OF_WORD, body), body)
-            chunks += ["-" if c < 0 else "+", body]
+        for word, num, den in self._ratios():
+            if den != 1 or num not in (1, -1):
+                word = "%s*%s" % (_ratio_text(abs(num), den, _OF_WORD, word), word)
+            chunks += ["-" if num < 0 else "+", word]
         if not chunks:
             return "0"
         text = " ".join(chunks)  # "+ 12 - 21 ...": the first sign sticks or goes
         return text[2:] if chunks[0] == "+" else "-" + text[2:]
 
     @staticmethod
-    def _json_entry(word, num, den, dim):
-        word = format_word(word, dim)
+    def _json_entry(word, num, den):
         return {"word": word, "num": _text(num, _OF_WORD, word),
                 "den": _text(den, _OF_WORD, word)}
 
     @classmethod
     def from_json_obj(cls, data, dim):
+        """The element of to_json_obj's list of terms; a zero denominator or
+        a word given twice (in any spelling) raises a ValueError."""
         terms = {}
         for entry in data:
             word = parse_word(entry["word"])
             num, den = _json_int(entry["num"]), _json_int(entry["den"])
             if not den:
                 raise ValueError("JSON term %r has a zero denominator" % (entry,))
+            if word in terms:
+                raise ValueError("JSON term %r repeats the word %s"
+                                 % (entry, format_word(word, max((dim,) + word))))
             terms[word] = Fraction(num, den)
         return cls(dim, terms)
 

@@ -1,4 +1,5 @@
 import gc
+import io
 import random
 import re
 import sys
@@ -434,6 +435,16 @@ def test_load_header_and_floats():
             load_timeseries(text)
     with pytest.raises(ValueError, match="header but no data rows"):
         load_timeseries("x,y\n")
+
+
+@pytest.mark.parametrize("source", [
+    b"\xef\xbb\xbf1,2\n3,4\n", "\ufeff1,2\n3,4\n", io.BytesIO(b"\xef\xbb\xbf1,2\n3,4\n"),
+], ids=["bytes", "str", "binary-file"])
+def test_load_skips_one_leading_byte_order_mark(source):
+    plain = load_timeseries(b"1,2\n3,4\n")
+    loaded = load_timeseries(source)
+    assert loaded.points == plain.points == [(0, 0), (1, 2), (3, 4)]
+    assert loaded.meta == plain.meta
 
 
 def test_load_rejects_bad_input():

@@ -172,6 +172,17 @@ def test_json_zero_denominator_is_refused_naming_the_entry(den):
 
 
 
+@pytest.mark.parametrize("dim, first, again, shown", [
+    (2, "1", "1", "1"), (2, "12", "[1, 2]", "12"), (2, "e", "[]", "e"), (12, "[1,12]", [1, 12], "[1,12]"),
+])
+def test_json_repeated_word_is_refused_naming_it(dim, first, again, shown):
+    entries = [{"word": first, "num": "1", "den": "2"}, {"word": "2", "num": "5", "den": "1"}]
+    repeat = {"word": again, "num": "1", "den": "3"}
+    message = "JSON term %r repeats the word %s" % (repeat, shown)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TensorElem.from_json_obj(entries + [repeat], dim)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int text limit")
 @pytest.mark.parametrize("dim, word, value, text", [
     (2, (1, 2), 10**4300, "word 12 "),
