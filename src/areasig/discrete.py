@@ -23,7 +23,7 @@ from operator import add, floordiv, mul, sub
 from .errors import _parse_token, _text
 from .guard import check_term_budget
 from .memo import memo_per_owner
-from .tensor import EMPTY_WORD, TensorElem, _appended, _code, _over_lcm, _ratio, pairing
+from .tensor import EMPTY_WORD, TensorElem, _appended, _code, _over_lcm, _ratio
 from .trees import SHUFFLE, is_leaf, is_valid_mixed
 
 EXACT = "exact_rational"
@@ -291,11 +291,6 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
         for terms, power in zip(levels, powers)
         for w, c in terms.items()
     }, scale * powers[0])
-
-
-def signature_pairing(phi: TensorElem, x: TimeSeries):
-    """<phi, signature of x>, at the level needed by phi."""
-    return pairing(phi, signature_pwl(x, max(phi.degree(), 1)))
 
 
 def _is_numeric(cell: str) -> bool:

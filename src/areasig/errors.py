@@ -108,7 +108,8 @@ def is_digit(ch):
 
 
 class _Reader:
-    """Cursor over expression or tree text; both grammars read through it."""
+    """Cursor over expression, tree or word text; every grammar reads
+    through it."""
 
     def __init__(self, text):
         self.text = text
@@ -144,6 +145,25 @@ class _Reader:
         if value is None and self.pos > start:
             self.error("number of more than %d digits" % sys.get_int_max_str_digits(), start)
         return value
+
+    def letters(self):
+        """A word's letters: one per ASCII digit, or the bracketed list
+        '[' int (',' int)* ']' that format_word writes; they count from 1."""
+        bracketed = self.take("[")
+        word = []
+        while True:
+            self.peek()
+            start = self.pos
+            word += [self.number()] if bracketed else map(int, self.run(is_digit))
+            if self.pos == start:
+                self.error("expected letters")
+            if 0 in word:
+                self.error("letters count from 1")
+            if not (bracketed and self.take(",")):
+                break
+        if bracketed:
+            self.expect("]")
+        return tuple(word)
 
     def error(self, message, pos=None):
         raise ExpressionSyntaxError(message, self.pos if pos is None else pos)

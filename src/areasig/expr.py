@@ -89,32 +89,13 @@ def _term(r):
     return _atom(r)
 
 
-def _letters(r):
-    # one letter per digit, or the bracketed list that format_word writes
-    bracketed = r.take("[")
-    word = []
-    while True:
-        r.peek()
-        start = r.pos
-        word += [r.number()] if bracketed else map(int, r.run(is_digit))
-        if r.pos == start:
-            r.error("expected letters")
-        if 0 in word:
-            r.error("letters count from 1")
-        if not (bracketed and r.take(",")):
-            break
-    if bracketed:
-        r.expect("]")
-    return tuple(word)
-
-
 def _atom(r):
     ch = r.peek()
     start = r.pos
     if ch == "w":
         r.pos += 1
         r.expect("(")
-        word = _letters(r)
+        word = r.letters()
         r.expect(")")
         return ("word", word)
     if is_digit(ch):

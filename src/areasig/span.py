@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, permutations
+from itertools import permutations
 import json
 
 from . import linalg
@@ -26,7 +26,6 @@ from .tensor import (
     linear_combination,
     pairing,
     rho,
-    shuffle,
     word_elem,
     words_of_length,
 )
@@ -89,14 +88,6 @@ def area_span_membership(x: TensorElem):
             return None
         pairs[key] = plus
     return {"letters": letters, "pairs": pairs}
-
-
-def membership_to_elem(d: int, decomposition) -> TensorElem:
-    pairs = decomposition["pairs"].items()
-    return linear_combination(TensorElem(d, {}), chain(
-        ((letter_elem(i, d), c) for i, c in decomposition["letters"].items()),
-        ((TensorElem(d, {w + (i, j): 1, w + (j, i): -1}), c) for (w, i, j), c in pairs),
-    ))
 
 
 # -- left bracketing ----------------------------------------------------------
@@ -343,13 +334,6 @@ def _rho_shuffle_terms(w):
         for blocks, c in _rho_shuffle_terms(w[cut:]).items():
             out[(w[:cut],) + blocks] = c / n
     return out
-
-
-def eval_rho_shuffle_expansion(w, dim: int) -> TensorElem:
-    return linear_combination(TensorElem(dim, {}), (
-        (reduce(shuffle, (rho(word_elem(block, dim)) for block in blocks)), coefficient)
-        for blocks, coefficient in words_as_rho_shuffles(w)
-    ))
 
 
 def rho_image_in_area_span(w, dim: int) -> bool:

@@ -44,7 +44,15 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
 
-from .errors import AlphabetMismatch, EmptyWordOperand, _parse_int, _parse_token, _text, is_digit
+from .errors import (
+    AlphabetMismatch,
+    EmptyWordOperand,
+    _parse_int,
+    _parse_token,
+    _Reader,
+    _text,
+    is_digit,
+)
 from .guard import check_term_budget
 from .memo import memo
 
@@ -90,14 +98,16 @@ def _over_lcm(ratios):
 
 def parse_word(text) -> Word:
     """Read a word from its text form: ASCII digits, 'e', or a bracketed list
-    of ints; a list or tuple of ints is taken as it is.  Any other letter (a
-    bool, a float, a non-ASCII digit) raises a ValueError naming it."""
+    of ints, read as an expression's w(...) reads it (so '[]' is refused,
+    and the empty word is 'e'); a list or tuple of ints is taken as it is.
+    Any other letter (a bool, a float, a non-ASCII digit) raises a
+    ValueError naming it or, in brackets, the offset where reading stopped."""
     if isinstance(text, str):
+        if text.lstrip().startswith("["):
+            return _Reader(text).read_all(_Reader.letters, "word")
         text = text.strip()
         if text in ("", "e"):
             return EMPTY_WORD
-        text = json.loads(text) if text.startswith("[") else text
-    if isinstance(text, str):
         bad = [ch for ch in text if not is_digit(ch)]
         if bad:
             raise ValueError("word letter %r is not an ASCII digit" % bad[0])
@@ -515,11 +525,6 @@ def letter_elem(letter: int, dim: int) -> TensorElem:
 def words_of_length(dim: int, n: int):
     """All words of exactly length n, lexicographic order."""
     return (tuple(w) for w in product(range(1, dim + 1), repeat=n))
-
-
-def all_words(dim: int, max_len: int):
-    for n in range(max_len + 1):
-        yield from words_of_length(dim, n)
 
 
 # -- word-level kernels on codes (integer coefficients, memoized) ----------

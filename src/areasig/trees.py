@@ -10,11 +10,18 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .double_tensor import DoubleTensor, tensor_pair, zero_double
+from .double_tensor import (
+    DoubleTensor,
+    box_bracket,
+    coeval_at,
+    pre_lie_sym,
+    tensor_pair,
+    zero_double,
+)
 from .errors import ExpressionSyntaxError, _Reader, is_digit
 from .guard import check_term_budget
 from .memo import memo, memo_per_owner
@@ -24,7 +31,6 @@ from .tensor import (
     letter_elem,
     lie_bracket,
     linear_combination,
-    pairing,
     shuffle,
 )
 
@@ -102,39 +108,13 @@ def _multinomial(word):
     return count
 
 
-def _anagrams(word):
-    """The distinct anagrams of `word` in lexicographic order, each one
-    found from the last by the next-permutation step."""
-    letters = sorted(word)
-    while True:
-        yield tuple(letters)
-        i = len(letters) - 2
-        while i >= 0 and letters[i] >= letters[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(letters) - 1
-        while letters[j] <= letters[i]:
-            j -= 1
-        letters[i], letters[j] = letters[j], letters[i]
-        letters[i + 1 :] = reversed(letters[i + 1 :])
-
-
-def _labeled(shapes, d, n, word=None):
+def _labeled(shapes, d, n):
     """(shape, tree) for each shape labeled by each word of length n over
-    1..d, canonical order; given a `word`, by its sorted anagrams alone.
-
-    The dual s(h) of a Hall word h pairs to zero with a tree of other
-    letter content, and so does _q_coefficient, as bracket terms keep
-    content: so the expansions at h label by the anagrams of h."""
+    1..d, canonical order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if word is None:
-        check_term_budget(len(shapes) * d**n)
-        labelings = list(product(range(1, d + 1), repeat=n))
-    else:
-        check_term_budget(len(shapes) * _multinomial(word))
-        labelings = list(_anagrams(word))
+    check_term_budget(len(shapes) * d**n)
+    labelings = list(product(range(1, d + 1), repeat=n))
     return [
         (shape, _label(shape, iter(letters)))
         for shape in shapes
@@ -283,61 +263,103 @@ def parse_tree(text: str):
 # -- tree-indexed expansions -----------------------------------------------------
 
 
-# The weights coeff_b, coeff_c and coeff_e depend on a tree's shape alone,
-# so the expansions below weigh each shape once and then label it.
+# Each expansion sums f(T) (x) lie_eval(T) over labeled trees T, weighted by
+# the shape alone, and both sides are multilinear in the leaves.  So the sum
+# over one shape's labelings with one letter content is built node by node
+# (_label_sum), and the Hall-word forms contract one content's sums with the
+# dual s(h), which pairs to zero with every other content.
+
+
+@memo
+def _splits(content, k):
+    """The distinct ways to split the sorted tuple `content` into k letters
+    and the rest, as pairs of sorted tuples."""
+    out = {}
+    for chosen in combinations(range(len(content)), k):
+        left = tuple(content[i] for i in chosen)
+        if left not in out:
+            out[left] = tuple(c for i, c in enumerate(content) if i not in chosen)
+    return tuple(out.items())
+
+
+@memo
+def _label_sum(shape, content, dim) -> DoubleTensor:
+    """Sum of mixed_eval(T) (x) lie_eval(T) over the labelings T of `shape`
+    whose letters form `content` (a sorted tuple), by the label-sum
+    identity: a leaf gives a (x) a, and a node the product of its children's
+    sums (pre_lie_sym at an area node, box_bracket at a shuffle node),
+    summed over the ways to split the content between them."""
+    if is_leaf(shape):
+        letter = letter_elem(content[0], dim)
+        return tensor_pair(letter, letter)
+    kind, left, right = shape
+    op = pre_lie_sym if kind == AREA else box_bracket
+    return linear_combination(zero_double(dim), (
+        (op(_label_sum(left, c1, dim), _label_sum(right, c2, dim)), 1)
+        for c1, c2 in _splits(content, leaf_count(left))
+    ))
+
+
+def _shape_sum(shapes, weight, dim, contents, labelings):
+    """Sum of weight(shape) * _label_sum(shape, content, dim) over the shapes
+    of nonzero weight and the contents, once the estimate of `labelings`
+    labeled trees per shape passes the term budget."""
+    check_term_budget(len(shapes) * labelings)
+    return linear_combination(zero_double(dim), (
+        (_label_sum(shape, content, dim), w)
+        for shape in shapes
+        if (w := weight(shape))
+        for content in contents
+    ))
+
+
+def _inverse_c(shape) -> Fraction:
+    return Fraction(1, coeff_c(shape))
+
+
+def _level_sum(shapes, weight, d, n) -> DoubleTensor:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    contents = list(combinations_with_replacement(range(1, d + 1), n))
+    return _shape_sum(shapes, weight, d, contents, d**n)
 
 
 def r_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the right-bracketing element as a sum over area trees."""
-    trees = _labeled(_plain_shapes(n), d, n)
-    weights = {shape: Fraction(1, coeff_c(shape)) for shape in _plain_shapes(n)}
-    return linear_combination(zero_double(d), (
-        (tensor_pair(area_eval(tree, d), lie_eval(tree, d)), weights[shape])
-        for shape, tree in trees
-    ))
+    return _level_sum(_plain_shapes(n), _inverse_c, d, n)
 
 
 def lambda_via_trees(d: int, n: int) -> DoubleTensor:
     """Level-n part of the logarithm element as a sum over mixed trees."""
-    trees = _labeled(_mixed_shapes(n), d, n)
-    weights = {shape: coeff_e(shape) for shape in _mixed_shapes(n)}
-    return linear_combination(zero_double(d), (
-        (tensor_pair(mixed_eval(tree, d), lie_eval(tree, d)), weight)
-        for shape, tree in trees
-        if (weight := weights[shape])
-    ))
+    return _level_sum(_mixed_shapes(n), coeff_e, d, n)
+
+
+def _hall_sum(basis: HallBasis, h: HallWord, shapes, weight) -> TensorElem:
+    """Sum of weight(shape) f(T) <s(h), lie_eval(T)> over the labeled trees
+    T: the contraction of s(h) with the label sums of h's content."""
+    content = tuple(sorted(h.word))
+    block = _shape_sum(shapes, weight, basis.dim, [content], _multinomial(h.word))
+    return coeval_at(basis.dual_pbw(h), block)
 
 
 def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
-    """First-kind coordinate as shuffles of iterated areas, anagram-labeled."""
-    d = basis.dim
-    s_h = basis.dual_pbw(h)
-    return linear_combination(TensorElem(d, {}), (
-        (mixed_eval(tree, d), weight * factor)
-        for shape, tree in _labeled(_mixed_shapes(len(h)), d, len(h), h.word)
-        if (weight := coeff_e(shape))  # the weight does not depend on the labels
-        if (factor := pairing(s_h, lie_eval(tree, d)))
-    ))
+    """First-kind coordinate as shuffles of iterated areas."""
+    return _hall_sum(basis, h, _mixed_shapes(len(h)), coeff_e)
 
 
 def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
     """The image of the dual element s(h) under rho, three computable ways."""
-    d, n = basis.dim, len(h)
+    n = len(h)
     if method == "recursion":
         return _rho_hall_recursive(basis, h)
     if method == "q_trees":
-        return linear_combination(TensorElem(d, {}), (
-            (area_eval(tree, d), Fraction(q, coeff_b(shape)))
-            for shape, tree in _labeled(_plain_shapes(n), d, n, h.word)
-            if (q := _q_coefficient(basis, tree, h))
+        shapes = _plain_shapes(n)
+        check_term_budget(len(shapes) * _multinomial(h.word))
+        return linear_combination(TensorElem(basis.dim, {}), (
+            (_q_sum(basis, shape, h), Fraction(1, coeff_b(shape))) for shape in shapes
         ))
     if method == "p_trees":
-        s_h = basis.dual_pbw(h)
-        return linear_combination(TensorElem(d, {}), (
-            (area_eval(tree, d), p / coeff_c(shape))
-            for shape, tree in _labeled(_plain_shapes(n), d, n, h.word)
-            if (p := pairing(s_h, lie_eval(tree, d)))
-        ))
+        return _hall_sum(basis, h, _plain_shapes(n), _inverse_c)
     raise ValueError("unknown rho_hall method %r" % method)
 
 
@@ -353,15 +375,18 @@ def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
 
 
 @memo_per_owner
-def _q_coefficient(basis: HallBasis, tree, h: HallWord) -> Fraction:
-    if is_leaf(tree):
-        return Fraction(int(h.word == (tree,)))
-    # h has as many letters as the tree has leaves, so h2 as many as right
-    result = Fraction(0)
-    _, left, right = tree
+def _q_sum(basis: HallBasis, shape, h: HallWord) -> TensorElem:
+    """Sum of q(T, h) area_eval(T) over the labelings T of `shape`.  At a
+    leaf q is 1 if h is its letter and 0 otherwise; at a node it is the sum
+    over the bracket terms (h1, h2, c) of h, with h1 as long as the left
+    subtree, of c q(left, h1) q(right, h2).  Area is bilinear, so the sum
+    over T follows the same recursion on the children's sums."""
+    if is_leaf(shape):
+        return letter_elem(h.word[0], basis.dim)
+    _, left, right = shape
     n_left = leaf_count(left)
-    for h1, h2, c in basis._bracket_terms(len(h))[h]:
-        if len(h1) == n_left:
-            q1 = _q_coefficient(basis, left, h1)
-            result += q1 * _q_coefficient(basis, right, h2) * c
-    return result
+    return linear_combination(TensorElem(basis.dim, {}), (
+        (area(_q_sum(basis, left, h1), _q_sum(basis, right, h2)), c)
+        for h1, h2, c in basis._bracket_terms(len(h))[h]
+        if len(h1) == n_left
+    ))

@@ -13,17 +13,47 @@ concatenation products, discrete areas, the trapezoid rule and the tree
 walk by plain Fraction sums and products, and the bilinear, linear and
 contraction lifts and the exp/log series by plain pair loops on dicts of
 Fractions, and the grouplike law by comparing the two sides at every pair
-of words.
+of words.  The tree-indexed expansions are summed one labeled tree at a
+time, each tree evaluated and paired on its own.
+
+Helpers that only tests call live here too: every word up to a length,
+the pairing of a word-side element with a path's signature, an area-span
+membership decomposition put back together, and the expansion of a word as
+shuffles of rho images evaluated.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from itertools import combinations, product
+from functools import cmp_to_key, lru_cache, reduce
+from itertools import chain, combinations, permutations, product
 from math import factorial, gcd
 
 import random
 
-from areasig import DoubleTensor, ScalarSeries, TensorElem, concat, exp_conc, unit
+from areasig import (
+    DoubleTensor,
+    ScalarSeries,
+    TensorElem,
+    area_eval,
+    coeff_b,
+    coeff_c,
+    coeff_e,
+    concat,
+    enumerate_mixed,
+    enumerate_trees,
+    exp_conc,
+    letter_elem,
+    lie_eval,
+    mixed_eval,
+    pairing,
+    rho,
+    shuffle,
+    signature_pwl,
+    tensor_pair,
+    unit,
+    word_elem,
+    words_as_rho_shuffles,
+)
+from areasig.tensor import linear_combination, words_of_length
 
 
 def shuffle_oracle(u, v):
@@ -439,3 +469,126 @@ def foliage(tree):
     if isinstance(tree, int):
         return (tree,)
     return foliage(tree[1]) + foliage(tree[2])
+
+
+def all_words(dim, max_len):
+    """Every word over 1..dim of length at most max_len, shortest first."""
+    for n in range(max_len + 1):
+        yield from words_of_length(dim, n)
+
+
+def signature_pairing(phi, x):
+    """<phi, signature of x>, at the level needed by phi."""
+    return pairing(phi, signature_pwl(x, max(phi.degree(), 1)))
+
+
+def membership_to_elem(d, decomposition):
+    """The element an area_span_membership decomposition writes: its letters
+    plus w(ij - ji) for each (w, i, j), times their coefficients."""
+    pairs = decomposition["pairs"].items()
+    return linear_combination(TensorElem(d, {}), chain(
+        ((letter_elem(i, d), c) for i, c in decomposition["letters"].items()),
+        ((TensorElem(d, {w + (i, j): 1, w + (j, i): -1}), c) for (w, i, j), c in pairs),
+    ))
+
+
+def eval_rho_shuffle_expansion(w, dim):
+    """words_as_rho_shuffles(w) evaluated: the sum of its coefficients times
+    the shuffles of the rho images of its blocks."""
+    return linear_combination(TensorElem(dim, {}), (
+        (reduce(shuffle, (rho(word_elem(block, dim)) for block in blocks)), coefficient)
+        for blocks, coefficient in words_as_rho_shuffles(w)
+    ))
+
+
+# -- tree-indexed expansions, one labeled tree at a time ------------------------
+
+
+def label_oracle(shape, letters):
+    """The tree `shape` with its leaves, left to right, labeled by `letters`."""
+    it = iter(letters)
+
+    def walk(node):
+        if isinstance(node, int):
+            return next(it)
+        return (node[0], walk(node[1]), walk(node[2]))
+
+    return walk(shape)
+
+
+def label_sum_oracle(shape, content, dim):
+    """Sum of mixed_eval(T) (x) lie_eval(T), one outer product per labeling
+    T of `shape` by a distinct anagram of `content`."""
+    total = DoubleTensor(dim, {})
+    for letters in sorted(set(permutations(content))):
+        tree = label_oracle(shape, letters)
+        total = total + tensor_pair(mixed_eval(tree, dim), lie_eval(tree, dim))
+    return total
+
+
+def _of_content(trees, word):
+    return [tree for tree in trees if sorted(foliage(tree)) == sorted(word)]
+
+
+def r_via_trees_oracle(d, n):
+    """Sum over the area trees T with n leaves labeled from 1..d of
+    area_eval(T) (x) lie_eval(T) / coeff_c(T)."""
+    total = DoubleTensor(d, {})
+    for tree in enumerate_trees(d, n):
+        pair = tensor_pair(area_eval(tree, d), lie_eval(tree, d))
+        total = total + pair * Fraction(1, coeff_c(tree))
+    return total
+
+
+def lambda_via_trees_oracle(d, n):
+    """Sum over the mixed trees T with n leaves labeled from 1..d of
+    coeff_e(T) mixed_eval(T) (x) lie_eval(T)."""
+    total = DoubleTensor(d, {})
+    for tree in enumerate_mixed(d, n):
+        total = total + tensor_pair(mixed_eval(tree, d), lie_eval(tree, d)) * coeff_e(tree)
+    return total
+
+
+def zeta_via_trees_oracle(basis, h):
+    """Sum over the mixed trees T labeled by anagrams of h of
+    coeff_e(T) <S_h, lie_eval(T)> mixed_eval(T)."""
+    d, s_h = basis.dim, basis.dual_pbw(h)
+    total = TensorElem(d, {})
+    for tree in _of_content(enumerate_mixed(d, len(h)), h.word):
+        total = total + mixed_eval(tree, d) * (coeff_e(tree) * pairing(s_h, lie_eval(tree, d)))
+    return total
+
+
+def rho_p_trees_oracle(basis, h):
+    """Sum over the area trees T labeled by anagrams of h of
+    <S_h, lie_eval(T)> area_eval(T) / coeff_c(T)."""
+    d, s_h = basis.dim, basis.dual_pbw(h)
+    total = TensorElem(d, {})
+    for tree in _of_content(enumerate_trees(d, len(h)), h.word):
+        total = total + area_eval(tree, d) * (pairing(s_h, lie_eval(tree, d)) / coeff_c(tree))
+    return total
+
+
+def q_coefficient_oracle(basis, tree, h):
+    """q(T, h): at a leaf, 1 if h is its letter and 0 otherwise; at a node,
+    the sum over the bracket terms (h1, h2, c) of h, h1 as long as the left
+    subtree, of c q(left, h1) q(right, h2)."""
+    if isinstance(tree, int):
+        return Fraction(int(h.word == (tree,)))
+    _, left, right = tree
+    n_left = len(foliage(left))
+    return sum((
+        c * q_coefficient_oracle(basis, left, h1) * q_coefficient_oracle(basis, right, h2)
+        for h1, h2, c in basis._bracket_terms(len(h))[h]
+        if len(h1) == n_left
+    ), Fraction(0))
+
+
+def rho_q_trees_oracle(basis, h):
+    """Sum over the area trees T labeled by anagrams of h of
+    q(T, h) area_eval(T) / coeff_b(T)."""
+    d = basis.dim
+    total = TensorElem(d, {})
+    for tree in _of_content(enumerate_trees(d, len(h)), h.word):
+        total = total + area_eval(tree, d) * (q_coefficient_oracle(basis, tree, h) / coeff_b(tree))
+    return total

@@ -42,7 +42,7 @@ from areasig.double_tensor import zero_double
 from areasig.tensor import parse_word, words_of_length
 from areasig.trees import rho_hall
 
-from conftest import random_elem
+from conftest import eval_rho_shuffle_expansion, random_elem
 from reference_tables import (
     INTRO_EXPANSIONS_123,
     RHO_D2_HALL,
@@ -306,8 +306,6 @@ def test_criterion_12_leftbracket_spanning():
 
 
 def test_criterion_13_words_as_rho_shuffles():
-    from areasig.span import eval_rho_shuffle_expansion
-
     ok = True
     for n in range(1, 6):
         for w in words_of_length(2, n):

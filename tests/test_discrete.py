@@ -32,7 +32,7 @@ from areasig import (
     word_elem,
 )
 from areasig import discrete, guard
-from areasig.discrete import EXACT, _parse_token, _series, signature_pairing
+from areasig.discrete import EXACT, _parse_token, _series
 from areasig.errors import TermBudgetExceeded
 from areasig.tensor import TensorElem, as_scalar, concat, exp_conc, unit
 
@@ -42,6 +42,7 @@ from conftest import (
     discrete_integral_oracle,
     is_grouplike_oracle,
     signature_oracle,
+    signature_pairing,
     solve_oracle,
 )
 

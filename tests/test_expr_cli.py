@@ -20,6 +20,7 @@ from areasig import (
 from areasig import checks, cli
 from areasig.cli import main
 from areasig.errors import ExpressionSyntaxError
+from areasig.tensor import parse_word
 
 
 def test_parse_basic_nodes():
@@ -152,6 +153,32 @@ def test_malformed_bracketed_word(text, message, offset):
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression(text)
     assert str(err.value) == "%s at offset %d" % (message, offset)
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("[]", "expected letters", 1),
+        (" [ ]", "expected letters", 3),
+        ("[1,]", "expected letters", 3),
+        ("[1,0]", "letters count from 1", 4),
+        ("[1,2", "expected ']'", 4),
+        ("[1;2]", "expected ']'", 2),
+        ("[1.5, true]", "expected ']'", 2),
+        ("[true]", "expected letters", 1),
+        ('["1"]', "expected letters", 1),
+    ],
+)
+def test_bracketed_word_text_reads_as_in_expressions(text, message, offset):
+    # a word's text form and an expression's w(...) share one reader of
+    # bracketed letters: the same refusal, two characters further on in w(
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_word(text)
+    assert str(err.value) == "%s at offset %d" % (message, offset)
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("w(%s)" % text)
+    assert str(err.value) == "%s at offset %d" % (message, offset + 2)
+    assert parse_word(" [1, 12] ") == (1, 12) == parse_expression("w( [1, 12] )")[1]
 
 
 def test_bracketed_words_take_letters_past_nine():

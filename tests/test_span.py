@@ -35,10 +35,10 @@ from areasig import (
     word_elem,
     words_as_rho_shuffles,
 )
-from areasig.span import area_span_dim, arealb_word, interval_permutations, membership_to_elem
+from areasig.span import area_span_dim, arealb_word, interval_permutations
 from areasig.tensor import words_of_length
 
-from conftest import rank_oracle
+from conftest import eval_rho_shuffle_expansion, membership_to_elem, rank_oracle
 from reference_tables import TORTKARA_INSTANCE, VOL_123, el
 
 F = Fraction
@@ -353,8 +353,6 @@ def test_words_as_rho_shuffles_coefficients():
 
 
 def test_rho_shuffle_expansion_reproduces_words():
-    from areasig.span import eval_rho_shuffle_expansion
-
     for n in range(1, 6):
         for w in words_of_length(2, n):
             assert eval_rho_shuffle_expansion(w, 2) == word_elem(w, 2)

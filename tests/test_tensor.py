@@ -66,6 +66,7 @@ from areasig.tensor import (
 )
 
 from conftest import (
+    all_words,
     assert_canonical,
     bilinear_oracle,
     concat_oracle,
@@ -140,21 +141,24 @@ def test_canonical_term_order():
 def test_words_take_only_ints(word, item):
     message = "letter %s is not an" % re.escape(item)
     entry = {"word": word, "num": "1", "den": "1"}
+    if word.startswith("["):
+        # the same word as a JSON array names the item; as text it is read as
+        # bracketed letters (test_bracketed_word_text_reads_as_in_expressions)
+        with pytest.raises(ValueError, match=message):
+            TensorElem.from_json_obj([dict(entry, word=json.loads(word))], 2)
+        message = "at offset"
     with pytest.raises(ValueError, match=message):
         tensor.parse_word(word)
     with pytest.raises(ValueError, match=message):
         word_elem(word, 2)
     with pytest.raises(ValueError, match=message):
         TensorElem.from_json_obj([entry], 2)
-    if word.startswith("["):  # the same word as a JSON array instead of text
-        with pytest.raises(ValueError, match=message):
-            TensorElem.from_json_obj([dict(entry, word=json.loads(word))], 2)
 
 
 def test_word_text_forms():
     assert tensor.parse_word("[1, 12]") == (1, 12) == tensor.parse_word([1, 12])
     assert tensor.parse_word(" 12 ") == (1, 2) == tensor.parse_word((1, 2))
-    assert tensor.parse_word("e") == () == tensor.parse_word("[]")
+    assert tensor.parse_word("e") == () == tensor.parse_word("") == tensor.parse_word([])
 
 
 def test_json_round_trip():
@@ -173,7 +177,7 @@ def test_json_zero_denominator_is_refused_naming_the_entry(den):
 
 
 @pytest.mark.parametrize("dim, first, again, shown", [
-    (2, "1", "1", "1"), (2, "12", "[1, 2]", "12"), (2, "e", "[]", "e"), (12, "[1,12]", [1, 12], "[1,12]"),
+    (2, "1", "1", "1"), (2, "12", "[1, 2]", "12"), (2, "e", [], "e"), (12, "[1,12]", [1, 12], "[1,12]"),
 ])
 def test_json_repeated_word_is_refused_naming_it(dim, first, again, shown):
     entries = [{"word": first, "num": "1", "den": "2"}, {"word": "2", "num": "5", "den": "1"}]
@@ -577,7 +581,7 @@ def test_exp_preconditions():
 def test_series_obey_the_term_budget():
     rng = random.Random(5)
     dense = TensorElem(3, {
-        u: F(rng.randint(1, 9), rng.randint(1, 9)) for u in tensor.all_words(3, 4)
+        u: F(rng.randint(1, 9), rng.randint(1, 9)) for u in all_words(3, 4)
     })
     g = unit(3) + dense.proj_at_least(1)
     size = len(log_conc(g, 4))  # the 120 words of grades 1 to 4
@@ -699,7 +703,7 @@ def _check_products_against_the_fraction_lifts(rng, d):
 
 def test_shuffle_words_shares_one_dict_between_both_orders():
     for d, top in ((2, 4), (3, 3)):
-        words = list(tensor.all_words(d, top))
+        words = list(all_words(d, top))
         for u in words:
             for v in words:
                 got = shuffle_words(u, v)
@@ -1065,7 +1069,7 @@ def test_memoised_code_kernels_store_no_zero():
     assert 0 not in rho_word_via_d((1, 2, 1, 2)).values()
     for d in (1, 2, 3):
         k = d.bit_length()
-        for u in tensor.all_words(d, 5):
+        for u in all_words(d, 5):
             code = tensor._encode(u, k)
             for kernel in (tensor._r_codes, tensor._rho_codes,
                            tensor._pi1_numerators, tensor._pi1_transpose_numerators):

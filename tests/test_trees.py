@@ -1,7 +1,5 @@
-import random
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,10 +15,12 @@ from areasig import (
     format_tree,
     hall_set,
     lambda_element,
+    lambda_via_trees,
     letter_elem,
     lie_bracket,
     lie_eval,
     mixed_eval,
+    pairing,
     parse_tree,
     r_element,
     r_via_trees,
@@ -34,15 +34,23 @@ from areasig import (
 from areasig import guard
 from areasig.errors import ExpressionSyntaxError, TermBudgetExceeded
 from areasig.trees import (
-    _label,
-    _labeled,
+    _label_sum,
     _mixed_shapes,
     _plain_shapes,
     is_valid_mixed,
     leaf_count,
 )
 
-from conftest import foliage
+from conftest import (
+    foliage,
+    label_sum_oracle,
+    lambda_via_trees_oracle,
+    q_coefficient_oracle,
+    r_via_trees_oracle,
+    rho_p_trees_oracle,
+    rho_q_trees_oracle,
+    zeta_via_trees_oracle,
+)
 
 F = Fraction
 
@@ -177,35 +185,79 @@ def test_every_mixed_tree_round_trips_through_text():
         assert parse_tree(format_tree(tree)) == tree
 
 
-def _labeled_oracle(shapes, word):
-    # the labeling by anagrams as first written: every ordering, deduplicated
-    return [
-        (shape, _label(shape, iter(letters)))
-        for shape in shapes
-        for letters in sorted(set(permutations(word)))
-    ]
+def test_label_sums_match_the_sums_over_labeled_trees():
+    # every shape at d <= 3, n <= 4, and the plain shapes at d = 2, n <= 6
+    cases = [(d, n, _mixed_shapes(n)) for d in (1, 2, 3) for n in range(1, 5)]
+    cases += [(2, n, _plain_shapes(n)) for n in (5, 6)]
+    for d, n, shapes in cases:
+        for content in combinations_with_replacement(range(1, d + 1), n):
+            for shape in shapes:
+                block = _label_sum(shape, content, d)
+                assert block == label_sum_oracle(shape, content, d)
+                # both words of every pair have the block's letter content
+                for (u, v), _ in block.terms():
+                    assert tuple(sorted(u)) == tuple(sorted(v)) == content
 
 
-def test_anagram_labeling_matches_every_permutation():
-    rng = random.Random(19)
-    for n in range(1, 8):
-        shapes = _plain_shapes(n)[:3] + _mixed_shapes(n)[-2:]
-        for _ in range(6):
-            word = tuple(rng.randint(1, 3) for _ in range(n))
-            assert _labeled(shapes, 3, n, word) == _labeled_oracle(shapes, word)
+def test_level_expansions_match_the_sums_over_labeled_trees():
+    for d in (1, 2, 3):
+        for n in range(1, 5):
+            assert r_via_trees(d, n) == r_via_trees_oracle(d, n)
+            assert lambda_via_trees(d, n) == lambda_via_trees_oracle(d, n)
+    for n in (5, 6):
+        assert r_via_trees(2, n) == r_via_trees_oracle(2, n)
 
 
-def test_anagram_labeling_checks_the_budget_before_building():
-    word = (1,) * 9 + (2,)
-    shapes = _plain_shapes(10)
+@pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
+def test_hall_expansions_match_the_sums_over_labeled_trees(kind):
+    for d, top in ((2, 5), (3, 4)):
+        basis = hall_set(d, top, kind)
+        for h in basis.all_hall_words():
+            assert zeta_via_trees(basis, h) == zeta_via_trees_oracle(basis, h)
+            assert rho_hall(basis, h, "p_trees") == rho_p_trees_oracle(basis, h)
+            assert rho_hall(basis, h, "q_trees") == rho_q_trees_oracle(basis, h)
+
+
+def _refuse_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product ran before the budget check")
+
+    for name in ("pre_lie_sym", "box_bracket", "area"):
+        monkeypatch.setattr("areasig.trees." + name, refuse)
+
+
+def test_level_expansion_checks_the_budget_before_building(monkeypatch):
+    _refuse_products(monkeypatch)
     previous = guard.get_term_budget()
     guard.set_term_budget(1000)
     try:
         with pytest.raises(TermBudgetExceeded) as caught:
-            _labeled(shapes, 2, 10, word)
+            r_via_trees(2, 10)
     finally:
         guard.set_term_budget(previous)
-    assert caught.value.needed == len(shapes) * factorial(10) // factorial(9)
+    # every shape labeled by every word
+    assert caught.value.needed == len(_plain_shapes(10)) * 2**10
+
+
+def test_hall_expansions_check_the_budget_before_building(monkeypatch):
+    basis = hall_set(2, 6)
+    h = basis.find((1, 1, 1, 1, 1, 2))
+    expansions = [
+        (lambda: zeta_via_trees(basis, h), _mixed_shapes(6)),
+        (lambda: rho_hall(basis, h, "p_trees"), _plain_shapes(6)),
+        (lambda: rho_hall(basis, h, "q_trees"), _plain_shapes(6)),
+    ]
+    _refuse_products(monkeypatch)
+    previous = guard.get_term_budget()
+    guard.set_term_budget(100)
+    try:
+        for expansion, shapes in expansions:
+            with pytest.raises(TermBudgetExceeded) as caught:
+                expansion()
+            # every shape labeled by each of the 6 anagrams of 111112
+            assert caught.value.needed == len(shapes) * 6
+    finally:
+        guard.set_term_budget(previous)
 
 
 def test_r_via_trees_matches_direct():
@@ -247,8 +299,6 @@ def test_hall_tree_delta_property():
     # on trees mirroring a hall factorization, both coefficient families
     # are kronecker deltas against the hall words
     basis = hall_set(2, 4)
-    from areasig.trees import _q_coefficient
-
     for h in basis.all_hall_words():
         if len(h) > 4:
             continue
@@ -256,9 +306,7 @@ def test_hall_tree_delta_property():
         assert foliage(tree) == h.word
         for h0 in basis.level(len(h)):
             expected = F(1 if h0 == h else 0)
-            assert _q_coefficient(basis, tree, h0) == expected
-            from areasig import pairing
-
+            assert q_coefficient_oracle(basis, tree, h0) == expected
             assert pairing(basis.dual_pbw(h0), lie_eval(tree, 2)) == expected
 
 
