@@ -69,7 +69,7 @@ def tensor_pair(left: TensorElem, right: TensorElem, level=None) -> DoubleTensor
 
 def box_mul(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Shuffle the left components, concatenate the right ones."""
-    return _bilinear(a, b, level=level)
+    return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), level=level)
 
 
 def _check_left_nonempty(x: DoubleTensor, role):
@@ -86,30 +86,42 @@ def dendriform(a: DoubleTensor, b: DoubleTensor, which: str, level=None) -> Doub
     """
     if which == "succ":
         _check_left_nonempty(b, "succ right operand")
-        return _bilinear(a, b, cut=1, level=level)
+        return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), cut=1, level=level)
     if which == "prec":
         _check_left_nonempty(a, "prec left operand")
-        return _bilinear(a, b, cut=0, level=level)
+        return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), cut=0, level=level)
     raise ValueError("which must be 'succ' or 'prec'")
+
+
+def pre_lie_sum(dim: int, pairs, level=None) -> DoubleTensor:
+    """The sum of s * pre_lie(a, b) over the (a, b, s) in `pairs`, each over
+    the alphabet 1..dim, in one accumulator."""
+    pairs = list(pairs)
+    for _, b, _ in pairs:
+        _check_left_nonempty(b, "pre-Lie right operand")
+    return _bilinear(DoubleTensor, dim, pairs, cut=1, bracket=True, level=level)
 
 
 def pre_lie(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Half-shuffle on the left, commutator on the right."""
-    _check_left_nonempty(b, "pre-Lie right operand")
-    return _bilinear(a, b, cut=1, bracket=True, level=level)
+    return pre_lie_sum(a.dim, ((a, b, 1),), level)
 
 
 def pre_lie_sym(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Symmetrized pre-Lie product: area on the left, commutator on the right.
     pre_lie(a, b) + pre_lie(b, a), both orders in one accumulator."""
-    _check_left_nonempty(b, "pre-Lie right operand")
-    _check_left_nonempty(a, "pre-Lie right operand")
-    return _bilinear(a, b, cut=1, bracket=True, level=level, both=True)
+    return pre_lie_sum(a.dim, ((a, b, 1), (b, a, 1)), level)
+
+
+def box_bracket_sum(dim: int, pairs, level=None) -> DoubleTensor:
+    """The sum of s * box_bracket(a, b) over the (a, b, s) in `pairs`, each
+    over the alphabet 1..dim, in one accumulator."""
+    return _bilinear(DoubleTensor, dim, pairs, bracket=True, level=level)
 
 
 def box_bracket(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     """Commutator of box_mul: shuffle left, bracket right."""
-    return _bilinear(a, b, bracket=True, level=level)
+    return box_bracket_sum(a.dim, ((a, b, 1),), level)
 
 
 def nested_box_bracket(items) -> DoubleTensor:
@@ -163,12 +175,13 @@ def r_element(d: int, level: int, method: str = "direct") -> DoubleTensor:
     if method == "direct":
         return r_hat(s_element(d, level))
     if method == "recursion":
+        # level n of the fixed point D(R) - R = pre_lie(R, R): (n-1) R_n is
+        # the sum over the splits s of pre_lie(R_s, R_(n-s))
         parts = [r_level_one(d)]
         for n in range(2, level + 1):
-            weight = Fraction(1, 2 * (n - 1))
-            parts.append(linear_combination(zero_double(d), (
-                (pre_lie_sym(parts[split - 1], parts[n - split - 1]), weight)
-                for split in range(1, n)
+            weight = Fraction(1, n - 1)
+            parts.append(pre_lie_sum(d, (
+                (parts[split - 1], parts[n - split - 1], weight) for split in range(1, n)
             )))
         return linear_combination(zero_double(d), ((part, 1) for part in parts))
     raise ValueError("unknown r_element method %r" % method)
@@ -233,12 +246,13 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
         parts = [r_level_one(d)]
         r_full = r_element(d, level)
         for n in range(2, level + 1):
-            brackets = (
-                (nested_box_bracket([parts[m - 1] for m in comp]),
+            # each nested bracket's outer bracket, summed in one accumulator
+            brackets = box_bracket_sum(d, (
+                (parts[comp[0] - 1], nested_box_bracket([parts[m - 1] for m in comp[1:]]),
                  Fraction(-comp[-1], n * factorial(i)))
                 for i in range(2, n + 1)
                 for comp in _compositions(n, i)
-            )
-            parts.append(linear_combination(r_full.proj(n) * Fraction(1, n), brackets))
+            ))
+            parts.append(r_full.proj(n) * Fraction(1, n) + brackets)
         return linear_combination(zero_double(d), ((part, 1) for part in parts))
     raise ValueError("unknown lambda_element method %r" % method)

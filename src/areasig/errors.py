@@ -29,13 +29,21 @@ class TermBudgetExceeded(RuntimeError):
         self.needed = needed
         self.ceiling = ceiling
 
+    def __reduce__(self):
+        # pickle rebuilds from the constructor arguments, not from args
+        return type(self), (self.needed, self.ceiling)
+
 
 class ExpressionSyntaxError(ValueError):
     """Parse failure in the expression front end, with a character offset."""
 
     def __init__(self, message, position):
         super().__init__("%s at offset %d" % (message, position))
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        return type(self), (self.message, self.position)
 
 
 # Every number read from text, in ASCII only: an optional sign, then p,

@@ -129,7 +129,7 @@ def parse_expression(text: str):
 
 def format_expression(node) -> str:
     kind = node[0]
-    if kind == "word":
+    if kind == "word" and node[1]:  # no text parses to the empty word
         word = node[1]
         if len(word) == 1 and word[0] <= 9:
             return str(word[0])

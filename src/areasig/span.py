@@ -21,7 +21,9 @@ from .memo import memo
 from .tensor import (
     TensorElem,
     area,
+    area_sum,
     half_shuffle,
+    half_shuffle_sum,
     letter_elem,
     linear_combination,
     pairing,
@@ -175,8 +177,18 @@ def rho_permutation(w, dim: int) -> TensorElem:
 
 
 def vol(a: TensorElem, b: TensorElem, c: TensorElem) -> TensorElem:
-    """Cyclic sum of left-nested areas; pairs to six times a signed volume."""
-    return area(area(a, b), c) + area(area(b, c), a) + area(area(c, a), b)
+    """Cyclic sum of left-nested areas, area(area(a, b), c) + area(area(b, c),
+    a) + area(area(c, a), b); pairs to six times a signed volume.
+
+    Computed as the cyclic sum of area(a, b) > c, the first halves of the
+    outer areas, in one accumulator.  The second halves cancel: by the
+    Zinbiel law x > (y > z) = (x ш y) > z, c > area(a, b) is
+    (c ш a) > b - (c ш b) > a, and the cyclic sum of these is zero because
+    the shuffle is commutative.
+    """
+    return half_shuffle_sum(a.dim, (
+        (area(a, b), c, 1), (area(b, c), a, 1), (area(c, a), b, 1),
+    ))
 
 
 def vol_n(args) -> TensorElem:
@@ -216,17 +228,29 @@ def tortkara_check(a, b, c, d_elem=None) -> bool:
 
     With three arguments checks
         area(area(a,b), area(c,b)) = area(vol(a,b,c), b);
-    a fourth argument switches to the two four-variable forms.
+    a fourth argument d switches to the two four-variable forms
+        area(area(a,b), area(c,d)) + area(area(a,d), area(c,b))
+            = area(vol(a,b,c), d) + area(vol(a,d,c), b),
+        2 area(area(a,b), area(c,d)) = area(vol(a,b,c), d) + area(vol(a,d,c), b)
+            + area(vol(b,a,d), c) + area(vol(b,c,d), a).
+    Each form is one area_sum of its two sides' difference, tested with
+    is_zero(); where the first holds, the second is the difference of the
+    two, area(area(a,b), area(c,d)) - area(area(a,d), area(c,b))
+    = area(vol(b,a,d), c) + area(vol(b,c,d), a), which is summed instead.
     """
+    dim = a.dim
     if d_elem is None:
-        return area(area(a, b), area(c, b)) == area(vol(a, b, c), b)
-    ab_cd = area(area(a, b), area(c, d_elem))
-    abc_d = area(vol(a, b, c), d_elem)
-    adc_b = area(vol(a, d_elem, c), b)
-    if ab_cd + area(area(a, d_elem), area(c, b)) != abc_d + adc_b:
+        return area_sum(dim, (
+            (area(a, b), area(c, b), 1), (vol(a, b, c), b, -1),
+        )).is_zero()
+    ab, cd, ad, cb = area(a, b), area(c, d_elem), area(a, d_elem), area(c, b)
+    if not area_sum(dim, (
+        (ab, cd, 1), (ad, cb, 1), (vol(a, b, c), d_elem, -1), (vol(a, d_elem, c), b, -1),
+    )).is_zero():
         return False
-    rhs2 = abc_d + adc_b + area(vol(b, a, d_elem), c) + area(vol(b, c, d_elem), a)
-    return ab_cd * 2 == rhs2
+    return area_sum(dim, (
+        (ab, cd, 1), (ad, cb, -1), (vol(b, a, d_elem), c, -1), (vol(b, c, d_elem), a, -1),
+    )).is_zero()
 
 
 # -- rank reports -----------------------------------------------------------------

@@ -773,23 +773,47 @@ def _split(code, cut, k):
     return (code >> k, code & ((1 << k) - 1)) if cut else (code, 0)
 
 
-def _bilinear(a, b, cut=None, bracket=False, level=None, both=False):
-    """The product of the pair-keyed a and b, as a's kind, that shuffles the
-    left words and concatenates the right words s, t, skipping pairs whose
-    grades add up to more than `level`: cut=0 or 1 half-shuffles into the
-    last letter of the first or the second factor's left word, and bracket
-    makes s t - t s.  With `both`, the product of b and a goes into the
-    same accumulator.  The shuffle of each pair's left heads streams times
-    its right words into one int accumulator, with no dict per pair.
+def _scaled(dim, triples):
+    """([(a, b, multiplier)], den) for the (a, b, scalar) in `triples`, each
+    a and b over the alphabet 1..dim: the nonzero scalars as int
+    multipliers over den, the lcm of every a._den * b._den * (the scalar's
+    denominator), with no lcm taken when they are all one value.  An int
+    scalar is read as it is, with no _ratio call.  Backs the sums of
+    products of the two pair loops."""
+    out, dens = [], []
+    for a, b, scalar in triples:
+        if a.dim != dim or b.dim != dim:
+            raise AlphabetMismatch("alphabet sizes differ: %d vs %d"
+                                   % (dim, b.dim if a.dim == dim else a.dim))
+        num, den = (scalar, 1) if type(scalar) is int else _ratio(scalar)
+        if num:
+            out.append((a, b, num))
+            dens.append(a._den * b._den * den)
+    den = dens[0] if dens else 1
+    if dens.count(den) != len(dens):
+        den = lcm(*dens)
+        out = [(a, b, num * (den // d)) for (a, b, num), d in zip(out, dens)]
+    return out, den
+
+
+def _bilinear(kind, dim, pairs, cut=None, bracket=False, level=None):
+    """The sum of scalar * (the product of a and b) over the (a, b, scalar)
+    in `pairs`, as the pair-keyed `kind` over the alphabet 1..dim.  The
+    product shuffles the left words and concatenates the right words s, t,
+    skipping pairs whose grades add up to more than `level`: cut=0 or 1
+    half-shuffles into the last letter of the first or the second factor's
+    left word, and bracket makes s t - t s.  Every pair streams the shuffle
+    of its left heads times its right words into one int accumulator, with
+    no dict per pair, and the term budget is checked after each pair.
     Backs the box products."""
-    a._same_alphabet(b)
-    k = a.dim.bit_length()
+    pairs, den = _scaled(dim, pairs)
+    k = dim.bit_length()
     shift = 0 if cut is None else k  # room for the one cut letter
     acc: dict = {}
     get = acc.get
-    for x, y in ((a, b), (b, a)) if both else ((a, b),):
+    for x, y, mul in pairs:
         entries = [
-            (key, c) + _split(key[0], cut == 1, k) + (k * _length(key[1], k),)
+            (key, c * mul) + _split(key[0], cut == 1, k) + (k * _length(key[1], k),)
             for key, c in y._terms.items()
         ]
         for (p, s), cp, terms in _pairs(x, entries, level):
@@ -810,7 +834,8 @@ def _bilinear(a, b, cut=None, bracket=False, level=None, both=False):
                     if bracket:
                         key = (w, ts)
                         acc[key] = get(key, 0) - c * m
-    return type(a)._over(a.dim, acc, a._den * b._den)
+        check_term_budget(len(acc))
+    return kind._over(dim, acc, den)
 
 
 def _outer(x, y, kind):
@@ -896,9 +921,10 @@ def linear_combination(start, pairs):
     return kind._over(start.dim, acc, den)
 
 
-def _reject_empty(x: TensorElem, role: str):
-    if 0 in x._terms:
-        raise EmptyWordOperand("%s must have no empty-word component" % role)
+def _reject_empty(role: str, *xs):
+    for x in xs:
+        if 0 in x._terms:
+            raise EmptyWordOperand("%s must have no empty-word component" % role)
 
 
 # -- public operations -----------------------------------------------------
@@ -919,42 +945,75 @@ def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
 
 
 def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
-    return _shuffles(x, y, ((x, y, 1, False),))
-
-
-def _shuffles(x, y, orders):
-    """The sum of sign * (a shuffled with b, cut as _split says) over the
-    (a, b, sign, cut) in `orders`, each a pair of x and y, in one
-    accumulator over x._den * y._den.  A word pair (u, v) walks the
-    memoised shuffle of u with v's head and appends v's last letter."""
     x._same_alphabet(y)
-    k = x.dim.bit_length()
+    return _shuffles(x.dim, ((x, y, 1, False),), x._den * y._den)
+
+
+def _shuffles(dim, orders, den):
+    """The sum of m * (a shuffled with b, cut as _split says) over the
+    (a, b, m, cut) in `orders`, the int multipliers m over the common
+    denominator `den` of every product, in one int accumulator brought to
+    lowest terms once, with the term budget checked after each order.  A
+    word pair (u, v) walks the memoised shuffle of u with v's head and
+    appends v's last letter."""
+    k = dim.bit_length()
     acc: dict = {}
     get = acc.get
-    for a, b, sign, cut in orders:
+    mask = (1 << k) - 1
+    for a, b, mul, cut in orders:
         shift = k if cut else 0
-        right = [_split(v, cut, k) + (cv * sign,) for v, cv in b._terms.items()]
+        if cut:
+            right = [(v >> k, v & mask, cv * mul) for v, cv in b._terms.items()]
+        else:
+            right = [(v, 0, cv * mul) for v, cv in b._terms.items()]
         for u, cu in a._terms.items():
             for head, last, cv in right:
                 c = cu * cv
                 for w, m in _shuffled(u, head, k).items():
                     w = (w << shift) | last
                     acc[w] = get(w, 0) + c * m
-    return TensorElem._over(x.dim, acc, x._den * y._den)
+        check_term_budget(len(acc))
+    return TensorElem._over(dim, acc, den)
 
 
 def half_shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     """x > y: shuffles of x and y ending with the final letter of y."""
-    _reject_empty(y, "right half-shuffle factor")
-    return _shuffles(x, y, ((x, y, 1, True),))
+    _reject_empty("right half-shuffle factor", y)
+    x._same_alphabet(y)
+    return _shuffles(x.dim, ((x, y, 1, True),), x._den * y._den)
+
+
+def half_shuffle_sum(dim: int, triples) -> TensorElem:
+    """The sum of s * (x > y) over the (x, y, s) in `triples`, each x and y
+    over the alphabet 1..dim, in one accumulator: no product is built as an
+    element of its own."""
+    triples = list(triples)
+    for _, y, _ in triples:
+        _reject_empty("right half-shuffle factor", y)
+    triples, den = _scaled(dim, triples)
+    return _shuffles(dim, [(x, y, m, True) for x, y, m in triples], den)
 
 
 def area(x: TensorElem, y: TensorElem) -> TensorElem:
     """Antisymmetrized half-shuffle x > y - y > x, the signed-area operation,
     both orders in one pass."""
-    _reject_empty(x, "area operand")
-    _reject_empty(y, "area operand")
-    return _shuffles(x, y, ((x, y, 1, True), (y, x, -1, True)))
+    _reject_empty("area operand", x, y)
+    x._same_alphabet(y)
+    return _shuffles(x.dim, ((x, y, 1, True), (y, x, -1, True)), x._den * y._den)
+
+
+def area_sum(dim: int, triples) -> TensorElem:
+    """The sum of s * area(x, y) over the (x, y, s) in `triples`, each x and
+    y over the alphabet 1..dim, in one accumulator: no product is built as
+    an element of its own."""
+    triples = list(triples)
+    for x, y, _ in triples:
+        _reject_empty("area operand", x, y)
+    triples, den = _scaled(dim, triples)
+    orders = []
+    for x, y, m in triples:
+        orders += ((x, y, m, True), (y, x, -m, True))
+    return _shuffles(dim, orders, den)
 
 
 def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:

@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 from .double_tensor import (
     DoubleTensor,
-    box_bracket,
+    box_bracket_sum,
     coeval_at,
-    pre_lie_sym,
+    pre_lie_sum,
     tensor_pair,
     zero_double,
 )
@@ -28,6 +28,7 @@ from .memo import memo, memo_per_owner
 from .tensor import (
     TensorElem,
     area,
+    area_sum,
     letter_elem,
     lie_bracket,
     linear_combination,
@@ -288,16 +289,19 @@ def _label_sum(shape, content, dim) -> DoubleTensor:
     whose letters form `content` (a sorted tuple), by the label-sum
     identity: a leaf gives a (x) a, and a node the product of its children's
     sums (pre_lie_sym at an area node, box_bracket at a shuffle node),
-    summed over the ways to split the content between them."""
+    summed over the ways to split the content between them in one
+    accumulator."""
     if is_leaf(shape):
         letter = letter_elem(content[0], dim)
         return tensor_pair(letter, letter)
     kind, left, right = shape
-    op = pre_lie_sym if kind == AREA else box_bracket
-    return linear_combination(zero_double(dim), (
-        (op(_label_sum(left, c1, dim), _label_sum(right, c2, dim)), 1)
+    children = [
+        (_label_sum(left, c1, dim), _label_sum(right, c2, dim))
         for c1, c2 in _splits(content, leaf_count(left))
-    ))
+    ]
+    if kind == AREA:  # pre_lie_sym(x, y) = pre_lie(x, y) + pre_lie(y, x)
+        return pre_lie_sum(dim, (p for x, y in children for p in ((x, y, 1), (y, x, 1))))
+    return box_bracket_sum(dim, ((x, y, 1) for x, y in children))
 
 
 def _shape_sum(shapes, weight, dim, contents, labelings):
@@ -368,8 +372,8 @@ def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
     n = len(h)
     if n == 1:
         return letter_elem(h.word[0], basis.dim)
-    return linear_combination(TensorElem(basis.dim, {}), (
-        (area(_rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2)), c / (n - 1))
+    return area_sum(basis.dim, (
+        (_rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2), c / (n - 1))
         for h1, h2, c in basis._bracket_terms(n)[h]
     ))
 
@@ -385,8 +389,8 @@ def _q_sum(basis: HallBasis, shape, h: HallWord) -> TensorElem:
         return letter_elem(h.word[0], basis.dim)
     _, left, right = shape
     n_left = leaf_count(left)
-    return linear_combination(TensorElem(basis.dim, {}), (
-        (area(_q_sum(basis, left, h1), _q_sum(basis, right, h2)), c)
+    return area_sum(basis.dim, (
+        (_q_sum(basis, left, h1), _q_sum(basis, right, h2), c)
         for h1, h2, c in basis._bracket_terms(len(h))[h]
         if len(h1) == n_left
     ))

@@ -14,7 +14,9 @@ walk by plain Fraction sums and products, and the bilinear, linear and
 contraction lifts and the exp/log series by plain pair loops on dicts of
 Fractions, and the grouplike law by comparing the two sides at every pair
 of words.  The tree-indexed expansions are summed one labeled tree at a
-time, each tree evaluated and paired on its own.
+time, each tree evaluated and paired on its own.  The volume and the
+degree-four identity are built as whole elements, one area at a time, and
+compared with ==.
 
 Helpers that only tests call live here too: every word up to a length,
 the pairing of a word-side element with a path's signature, an area-span
@@ -33,6 +35,7 @@ from areasig import (
     DoubleTensor,
     ScalarSeries,
     TensorElem,
+    area,
     area_eval,
     coeff_b,
     coeff_c,
@@ -592,3 +595,26 @@ def rho_q_trees_oracle(basis, h):
     for tree in _of_content(enumerate_trees(d, len(h)), h.word):
         total = total + area_eval(tree, d) * (q_coefficient_oracle(basis, tree, h) / coeff_b(tree))
     return total
+
+
+# -- the volume and the degree-four identity as whole elements -------------------
+
+
+def vol_oracle(a, b, c):
+    """The cyclic sum of left-nested areas, every area built as an element."""
+    return area(area(a, b), c) + area(area(b, c), a) + area(area(c, a), b)
+
+
+def tortkara_oracle(a, b, c, d=None, vol=vol_oracle):
+    """The three-variable Tortkara identity, or with d both four-variable
+    forms, each side an element of its own and the sides compared with ==;
+    the volumes come from `vol`."""
+    if d is None:
+        return area(area(a, b), area(c, b)) == area(vol(a, b, c), b)
+    ab_cd = area(area(a, b), area(c, d))
+    abc_d = area(vol(a, b, c), d)
+    adc_b = area(vol(a, d, c), b)
+    if ab_cd + area(area(a, d), area(c, b)) != abc_d + adc_b:
+        return False
+    rhs2 = abc_d + adc_b + area(vol(b, a, d), c) + area(vol(b, c, d), a)
+    return ab_cd * 2 == rhs2

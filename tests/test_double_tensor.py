@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from areasig import (
+    AlphabetMismatch,
     CoproductTerms,
     DoubleTensor,
     EmptyWordOperand,
@@ -16,6 +17,7 @@ from areasig import (
     TermBudgetExceeded,
     area,
     box_bracket,
+    box_bracket_sum,
     box_mul,
     checks,
     coeval_at,
@@ -32,6 +34,7 @@ from areasig import (
     log_box,
     nested_box_bracket,
     pre_lie,
+    pre_lie_sum,
     pre_lie_sym,
     r_element,
     rho,
@@ -46,7 +49,7 @@ from areasig import (
 from areasig import guard
 from areasig.double_tensor import r_hat, unit_double, zero_double
 from areasig.discrete import TimeSeries
-from areasig.tensor import words_of_length
+from areasig.tensor import _bilinear, linear_combination, words_of_length
 
 from conftest import (
     assert_canonical,
@@ -512,6 +515,57 @@ def _check_double_products_against_the_fraction_lifts(rng, d):
     ]:
         assert_canonical(got)
         assert fractions_of(got) == expected
+
+
+_LEFT_RULES = {
+    None: shuffle_oracle,
+    0: lambda u, v: _half_shuffle(v, u),
+    1: _half_shuffle,
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("cut", [None, 0, 1])
+@pytest.mark.parametrize("bracket", [False, True])
+def test_multi_pair_bilinear_is_the_sum_of_its_pair_products(d, cut, bracket):
+    rng = random.Random("%s %s %s" % (d, cut, bracket))
+    op = _pair_op(_LEFT_RULES[cut], _bracket if bracket else _concat)
+    scalars = (1, -3, 0, F(2, 5), F(-7, 4))
+    values = [random_double(rng, d, 2, 2, min_left=1) for _ in range(3)]
+    pairs = [(rng.choice(values), rng.choice(values), rng.choice(scalars)) for _ in range(4)]
+    for level in (None, 1, 3):
+        got = _bilinear(DoubleTensor, d, iter(pairs), cut, bracket, level)
+        assert_canonical(got)
+        expected = {}
+        for a, b, s in pairs:
+            for key, c in bilinear_oracle(
+                fractions_of(a), fractions_of(b), op, level, _right_grade
+            ).items():
+                expected[key] = expected.get(key, 0) + s * c
+        assert fractions_of(got) == {key: c for key, c in expected.items() if c}
+        one_by_one = linear_combination(zero_double(d), (
+            (_bilinear(DoubleTensor, d, [(a, b, 1)], cut, bracket, level), s)
+            for a, b, s in pairs
+        ))
+        assert got == one_by_one
+    assert _bilinear(DoubleTensor, d, [], cut, bracket) == zero_double(d)
+
+
+def test_pre_lie_and_box_bracket_sums_are_sums_of_their_products():
+    rng = random.Random(12)
+    values = [random_double(rng, 3, 2, 2, min_left=1) for _ in range(4)]
+    pairs = [(rng.choice(values), rng.choice(values), F(rng.randint(-3, 3), 4)) for _ in range(5)]
+    for fused, single in ((pre_lie_sum, pre_lie), (box_bracket_sum, box_bracket)):
+        for level in (None, 2):
+            expected = linear_combination(zero_double(3), (
+                (single(a, b, level), s) for a, b, s in pairs
+            ))
+            assert fused(3, pairs, level) == expected
+    with_empty = DoubleTensor(3, {((), (1,)): 1})
+    with pytest.raises(EmptyWordOperand):
+        pre_lie_sum(3, [(values[0], values[1], 1), (values[0], with_empty, 0)])
+    with pytest.raises(AlphabetMismatch):
+        box_bracket_sum(3, [(values[0], random_double(rng, 2, 1, 1), 1)])
 
 
 @pytest.mark.parametrize("seed", range(4))

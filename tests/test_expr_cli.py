@@ -1,6 +1,7 @@
 import argparse
 import json
 import pathlib
+import pickle
 import random
 import re
 import shlex
@@ -19,7 +20,7 @@ from areasig import (
 )
 from areasig import checks, cli
 from areasig.cli import main
-from areasig.errors import ExpressionSyntaxError
+from areasig.errors import ExpressionSyntaxError, TermBudgetExceeded
 from areasig.tensor import parse_word
 
 
@@ -493,6 +494,34 @@ def test_format_expression_names_a_scale_too_long_to_write():
         node = ("scaled", Fraction(10**5000), ("word", (1,)))
         with pytest.raises(ValueError, match=re.escape("the scale of 1 has more than")):
             format_expression(node)
+
+
+def test_format_expression_refuses_the_empty_word():
+    # no text parses to the empty word, so no text is written for it
+    node = ("scaled", Fraction(2), ("word", ()))
+    with pytest.raises(ValueError, match=re.escape("bad expression node ('word', ())")):
+        format_expression(node)
+    assert format_expression(("word", (1,))) == "1"
+
+
+@pytest.mark.parametrize("error, attributes", [
+    (TermBudgetExceeded(10, 5), {"needed": 10, "ceiling": 5}),
+    (TermBudgetExceeded(2**300, 7), {"needed": 2**300, "ceiling": 7}),
+    (ExpressionSyntaxError("expected ')'", 4), {"message": "expected ')'", "position": 4}),
+])
+def test_errors_survive_pickling(error, attributes):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert {name: getattr(copy, name) for name in attributes} == attributes
+
+
+@pytest.mark.parametrize("budget, code", [(300, 1), (1000, 1), (3000, 0)])
+def test_cli_tortkara_suite_under_a_term_budget(capsys, budget, code):
+    argv = ["--term-budget", str(budget), "verify", "--suite", "tortkara", "--d", "2", "--level", "4"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: ") if code else err == ""
 
 
 def test_cli_discrete_area_output_is_as_recorded(tmp_path):

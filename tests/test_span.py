@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from areasig import (
+    EmptyWordOperand,
     TensorElem,
     area,
     area_span_basis,
@@ -35,10 +36,19 @@ from areasig import (
     word_elem,
     words_as_rho_shuffles,
 )
+from areasig import span
 from areasig.span import area_span_dim, arealb_word, interval_permutations
 from areasig.tensor import words_of_length
 
-from conftest import eval_rho_shuffle_expansion, membership_to_elem, rank_oracle
+from conftest import (
+    assert_canonical,
+    eval_rho_shuffle_expansion,
+    membership_to_elem,
+    random_elem,
+    rank_oracle,
+    tortkara_oracle,
+    vol_oracle,
+)
 from reference_tables import TORTKARA_INSTANCE, VOL_123, el
 
 F = Fraction
@@ -214,6 +224,54 @@ def test_tortkara_random_elements(data):
 
     a, b, c, d = mk(), mk(), mk(), mk()
     assert checks.tortkara_holds([(a, b, c), (a, b, c, d)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_vol_by_the_zinbiel_law_matches_the_area_form(d):
+    rng = random.Random(30 + d)
+    for _ in range(20):
+        a, b, c = (random_elem(rng, d, 3, min_deg=1, max_den=6) for _ in range(3))
+        got = vol(a, b, c)
+        assert_canonical(got)
+        assert got == vol_oracle(a, b, c) == vol_n([a, b, c])
+
+
+def test_vol_refuses_an_empty_word_in_every_operand():
+    one, two = letter_elem(1, 2), letter_elem(2, 2)
+    with_empty = TensorElem(2, {(): 1, (1,): 2})
+    for args in ((with_empty, one, two), (one, with_empty, two), (one, two, with_empty)):
+        with pytest.raises(EmptyWordOperand, match="^area operand must have no"):
+            vol(*args)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tortkara_check_agrees_with_its_oracle(d):
+    rng = random.Random(40 + d)
+    for _ in range(6):
+        a, b, c, e = (random_elem(rng, d, 2, min_deg=1) for _ in range(4))
+        assert tortkara_check(a, b, c) is tortkara_oracle(a, b, c) is True
+        assert tortkara_check(a, b, c, e) is tortkara_oracle(a, b, c, e) is True
+
+
+def test_tortkara_check_fails_with_its_oracle_on_a_perturbed_volume(monkeypatch):
+    a, b, c, e = (
+        letter_elem(1, 3), letter_elem(2, 3) + word_elem("31", 3),
+        letter_elem(3, 3), letter_elem(1, 3) - word_elem("2", 3) * 2,
+    )
+
+    def everywhere(x, y, z):
+        return vol_oracle(x, y, z) + area(x, y)
+
+    def led_by_b(x, y, z):
+        # the first four-variable form holds, since none of its volumes
+        # starts with b, and the second fails
+        return vol_oracle(x, y, z) + (area(x, z) if x is b else TensorElem(3, {}))
+
+    for perturbed, quadruple in ((everywhere, (a, b, c, e)), (led_by_b, (a, b, c, e))):
+        monkeypatch.setattr(span, "vol", perturbed)
+        assert tortkara_check(*quadruple) is tortkara_oracle(*quadruple, vol=perturbed) is False
+    monkeypatch.setattr(span, "vol", everywhere)
+    assert tortkara_check(a, b, c) is tortkara_oracle(a, b, c, vol=everywhere) is False
 
 
 def test_vol_n_stays_in_span():

@@ -18,12 +18,14 @@ from areasig import (
     antipode,
     checks,
     area,
+    area_sum,
     concat,
     dynkin_r,
     exp_conc,
     grading_d,
     grading_d_inv,
     half_shuffle,
+    half_shuffle_sum,
     invert_r,
     is_lie_element,
     letter_elem,
@@ -44,6 +46,8 @@ from areasig import (
 from areasig.double_tensor import (
     DoubleTensor,
     box_mul,
+    pre_lie,
+    pre_lie_sum,
     pre_lie_sym,
     tensor_pair,
     unit_double,
@@ -775,6 +779,62 @@ def test_area_of_an_element_with_itself_is_zero(seed):
         value = area(x, x)
         assert value.is_zero() and value == zero(x.dim)
         assert_canonical(value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_area_and_half_shuffle_sums_are_sums_of_single_products(d):
+    rng = random.Random(20 + d)
+    scalars = (1, -2, 0, Fraction(3, 4), Fraction(-5, 9), "7/6")
+    for _ in range(10):
+        xs = [random_elem(rng, d, 3, min_deg=1, max_den=12) for _ in range(4)]
+        triples = [
+            (rng.choice(xs), rng.choice(xs), rng.choice(scalars))
+            for _ in range(rng.randint(1, 5))
+        ]
+        for fused, single in ((area_sum, area), (half_shuffle_sum, half_shuffle)):
+            got = fused(d, iter(triples))
+            assert_canonical(got)
+            assert got == linear_combination(zero(d), ((single(x, y), s) for x, y, s in triples))
+    assert area_sum(d, []) == half_shuffle_sum(d, []) == zero(d)
+
+
+def test_area_and_half_shuffle_sums_check_every_operand():
+    one, two = letter_elem(1, 2), letter_elem(2, 2)
+    with_empty = unit(2) + one
+    # a zero scalar does not exempt a product from the operand checks
+    for triples in ([(one, two, 1), (with_empty, two, 0)], [(one, two, 1), (two, with_empty, 0)]):
+        with pytest.raises(EmptyWordOperand, match="^area operand"):
+            area_sum(2, triples)
+    with pytest.raises(EmptyWordOperand, match="^right half-shuffle factor"):
+        half_shuffle_sum(2, [(one, with_empty, 0)])
+    assert half_shuffle_sum(2, [(with_empty, two, 1)]) == half_shuffle(with_empty, two)
+    for fused in (area_sum, half_shuffle_sum):
+        for triples in ([(one, letter_elem(1, 3), 1)], [(letter_elem(1, 3), one, 1)]):
+            with pytest.raises(AlphabetMismatch, match="^alphabet sizes differ: 2 vs 3$"):
+                fused(2, triples)
+
+
+def test_sums_of_products_check_the_budget_as_the_accumulator_grows():
+    rng = random.Random(8)
+    x = random_elem(rng, 3, 3, min_deg=2, terms=8)
+    y = random_elem(rng, 3, 3, min_deg=2, terms=8)
+    a = tensor_pair(x, y)
+    b = tensor_pair(y, x)
+    cancelling = [
+        (lambda: area_sum(3, [(x, y, 1), (x, y, -1)]), len(half_shuffle(x, y))),
+        (lambda: pre_lie_sum(3, [(a, b, 2), (a, b, -2)]), len(pre_lie(a, b))),
+    ]
+    previous = guard.get_term_budget()
+    try:
+        for build, first in cancelling:
+            assert build().is_zero()
+            # the first product alone outgrows this budget, the sum is zero
+            guard.set_term_budget(first - 1)
+            with pytest.raises(TermBudgetExceeded):
+                build()
+            guard.set_term_budget(previous)
+    finally:
+        guard.set_term_budget(previous)
 
 
 def test_area_and_half_shuffle_errors_name_the_operand():

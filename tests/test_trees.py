@@ -222,7 +222,7 @@ def _refuse_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product ran before the budget check")
 
-    for name in ("pre_lie_sym", "box_bracket", "area"):
+    for name in ("pre_lie_sum", "box_bracket_sum", "area_sum", "area"):
         monkeypatch.setattr("areasig.trees." + name, refuse)
 
 
