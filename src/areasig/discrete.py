@@ -18,13 +18,13 @@ import json
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, mul, neg, sub
 
 from .errors import _parse_token, _text
 from .guard import check_term_budget
 from .memo import memo_per_owner
 from .tensor import EMPTY_WORD, TensorElem, _appended, _code, _over_lcm, _ratio
-from .trees import SHUFFLE, is_leaf, is_valid_mixed
+from .trees import SHUFFLE, is_leaf, signed_form
 
 EXACT = "exact_rational"
 
@@ -168,17 +168,27 @@ def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     character of the shuffle product and shuffle nodes only form the crown
     at the root, so the series is exact at every breakpoint.
 
-    Each distinct subtree is evaluated once per path: its series is kept in
-    a table that belongs to x and lives as long as x, and every later call
-    on x whose tree contains that subtree reuses it.
+    The discrete area is antisymmetric and vanishes on equal series, as
+    integers, since its step is p_i q_(i+1) - p_(i+1) q_i, and the
+    pointwise product commutes.  So each tree is evaluated as its
+    trees.signed_form: the result is the canonical tree's series, its exact
+    negation, or the all-zero series over 1.  Each distinct canonical
+    subtree is evaluated once per path: its series is kept in a table that
+    belongs to x and lives as long as x, and every later call on x whose
+    tree shares that subtree, up to sign, reuses it.
     """
-    if not is_valid_mixed(tree):
-        raise ValueError("shuffle nodes must be connected to the root")
-    return _discrete_area_tree(x, tree)
+    sign, canonical = signed_form(tree)
+    if not sign:
+        return _stored((0,) * len(x), 1)
+    series = _discrete_area_tree(x, canonical)
+    if sign < 0:
+        return _stored(tuple(map(neg, series._nums)), series._divisor)
+    return series
 
 
 @memo_per_owner
 def _discrete_area_tree(x: TimeSeries, tree) -> ScalarSeries:
+    """The series of a canonical tree, whose subtrees are all canonical."""
     if is_leaf(tree):
         return x.coordinate(tree)
     kind, left, right = tree

@@ -245,10 +245,23 @@ def lambda_element(d: int, level: int, method: str = "log_of_s") -> DoubleTensor
     if method == "recursion":
         parts = [r_level_one(d)]
         r_full = r_element(d, level)
+        # composition tail -> its nested box bracket, built once per call:
+        # many compositions, at this level and above, share a tail
+        nested = {}
+
+        def tail_bracket(tail):
+            got = nested.get(tail)
+            if got is None:
+                first = parts[tail[0] - 1]
+                got = nested[tail] = (
+                    first if len(tail) == 1 else box_bracket(first, tail_bracket(tail[1:]))
+                )
+            return got
+
         for n in range(2, level + 1):
             # each nested bracket's outer bracket, summed in one accumulator
             brackets = box_bracket_sum(d, (
-                (parts[comp[0] - 1], nested_box_bracket([parts[m - 1] for m in comp[1:]]),
+                (parts[comp[0] - 1], tail_bracket(comp[1:]),
                  Fraction(-comp[-1], n * factorial(i)))
                 for i in range(2, n + 1)
                 for comp in _compositions(n, i)

@@ -8,6 +8,7 @@ every level is exactly the condition for shuffle generation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
@@ -31,7 +32,7 @@ from .tensor import (
     word_elem,
     words_of_length,
 )
-from .trees import AREA, _labeled, area_eval
+from .trees import AREA, _labeled, area_eval, signed_form
 
 
 # -- the area span -----------------------------------------------------------
@@ -384,15 +385,19 @@ def special_tree_reduction(n: int, d: int) -> SpanReport:
 
     generators counts the left-bracket generators, rank the number of
     solvable labelings, target the number of labelings tested.  The
-    generators are reduced to echelon form once, and each labeled tree
-    against it.
+    generators are reduced to echelon form once, and one labeled tree per
+    class of trees.signed_form against it, which decides every labeling in
+    the class: a labeling is its class's tree times 1 or -1, or zero, and
+    a span holds 0 and holds -v when it holds v.
     """
     _check_alphabet(d)
     trees = [tree for _, tree in _labeled([special_tree(n)], d, n)]
+    classes = Counter(signed_form(tree)[1] for tree in trees)  # None is the zero class
     rows = linalg.echelon(
         dict(arealb_word(w, d).terms()) for w in words_of_length(d, n)
     )
     solvable = sum(
-        linalg.in_span(rows, dict(area_eval(tree, d).terms())) for tree in trees
+        count for tree, count in classes.items()
+        if tree is None or linalg.in_span(rows, dict(area_eval(tree, d).terms()))
     )
     return SpanReport(d, n, d**n, solvable, len(trees), solvable == len(trees))

@@ -132,6 +132,48 @@ def enumerate_mixed(d: int, n: int):
     return [tree for _, tree in _labeled(_mixed_shapes(n), d, n)]
 
 
+# -- signed canonical form -------------------------------------------------------
+
+
+def _order_key(tree):
+    """A total order on trees: leaves before nodes, letters by value, nodes
+    by kind and then children, left first."""
+    if is_leaf(tree):
+        return (0, tree)
+    kind, left, right = tree
+    return (1, kind, _order_key(left), _order_key(right))
+
+
+@memo
+def signed_form(tree):
+    """(sign, canonical tree) with tree = sign * canonical tree, sign in
+    {-1, 0, 1}, and None for the canonical tree when the sign is 0.
+
+    It rests on three laws, which hold for the area and the discrete area
+    alike: area is antisymmetric, so an area node puts its children in
+    _order_key order and flips the sign when it swaps them; the shuffle
+    product commutes, so a shuffle node orders them without a sign; and
+    area(x, x) = 0, so an area node with equal children is 0, as is every
+    node with a zero child.  The canonical tree is its own form, and so is
+    each of its subtrees.  A tree with a shuffle node under an area node
+    raises a ValueError, on every call, as errors are not cached.
+    """
+    if not is_valid_mixed(tree):
+        raise ValueError("shuffle nodes must be connected to the root")
+    if is_leaf(tree):
+        return 1, tree
+    kind, left, right = tree
+    (s1, t1), (s2, t2) = signed_form(left), signed_form(right)
+    sign = s1 * s2
+    if not sign or (kind == AREA and t1 == t2):
+        return 0, None
+    if _order_key(t1) > _order_key(t2):
+        t1, t2 = t2, t1
+        if kind == AREA:
+            sign = -sign
+    return sign, (kind, t1, t2)
+
+
 # -- evaluation ---------------------------------------------------------------
 
 _OPS = {

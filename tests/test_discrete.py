@@ -648,7 +648,8 @@ def test_points_round_trip_as_fractions():
 
 # -- one evaluation per subtree and path ---------------------------------------------
 
-# the area trees of the benchmark's features job: 21 distinct area subtrees
+# the area trees of the benchmark's features job: 21 distinct area subtrees,
+# in 3 classes up to sign: a(1,2), a(1,a(1,2)) and a(2,a(1,2))
 FEATURE_TREES = [t for n in (1, 2, 3) for t in enumerate_trees(2, n)] + [
     parse_tree("a(a(1,2),a(2,1))")
 ]
@@ -656,7 +657,8 @@ FEATURE_TREES = [t for n in (1, 2, 3) for t in enumerate_trees(2, n)] + [
 
 def _unshared_area_tree(tree, x):
     """The walk before subtrees were shared, kept as an oracle: every call
-    recomputes every subtree, with the indexed integer steps."""
+    recomputes every subtree of the tree as given, with the indexed integer
+    steps."""
     if isinstance(tree, int):
         return x.coordinate(tree)
     kind, left, right = tree
@@ -666,6 +668,17 @@ def _unshared_area_tree(tree, x):
         return _series((u * v for u, v in zip(p, q)), den)
     steps = (p[i] * q[i + 1] - p[i + 1] * q[i] for i in range(len(p) - 1))
     return _series(accumulate(steps, initial=0), den)
+
+
+def _path_with_zero_segments(rng, d, segments):
+    """A seeded path on which every third segment, counting from the first,
+    stands still."""
+    pts = [(F(0),) * d]
+    for k in range(segments):
+        pts.append(pts[-1] if k % 3 == 0 else tuple(
+            c + F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5))) for c in pts[-1]
+        ))
+    return TimeSeries(pts)
 
 
 @pytest.mark.parametrize("d, trees", [
@@ -687,6 +700,32 @@ def test_shared_subtrees_match_the_unshared_walk_and_the_signature(d, trees):
                 assert got.final() == pairing(area_eval(tree, d), sig)
 
 
+@pytest.mark.parametrize("d, trees", [
+    *((d, [t for n in range(1, 5) for t in enumerate_trees(d, n)]) for d in (1, 2, 3)),
+    (2, [t for n in range(1, 5) for t in enumerate_mixed(2, n)]),
+])
+def test_every_tree_matches_the_unshared_walk_at_every_breakpoint(d, trees):
+    rng = random.Random(175 + d + len(trees))
+    for segments in (1, 4, 7):
+        ts = _path_with_zero_segments(rng, d, segments)
+        for tree in trees:
+            got = discrete_area_tree(tree, ts)
+            # equal series: the same numerators at every breakpoint over one divisor
+            assert len(got) == len(ts)
+            assert got == _unshared_area_tree(tree, ts) and _in_lowest_terms(got)
+
+
+def test_a_zero_class_is_all_zeros_over_one_and_an_invalid_tree_always_raises():
+    ts = _path_with_zero_segments(random.Random(185), 2, 5)
+    for text in ("a(1,1)", "a(a(1,2),a(1,2))", "a(a(1,2),a(2,1))", "s(a(2,2),1)"):
+        zero = discrete_area_tree(parse_tree(text), ts)
+        assert zero._nums == (0,) * len(ts) and zero._divisor == 1
+    invalid = ("a", 1, ("s", 1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="connected to the root"):
+            discrete_area_tree(invalid, ts)
+
+
 def test_each_area_subtree_is_evaluated_once_per_path(monkeypatch):
     calls = []
     kernel = discrete.discrete_area
@@ -700,12 +739,12 @@ def test_each_area_subtree_is_evaluated_once_per_path(monkeypatch):
     assert len(FEATURE_TREES) == 23
     for tree in FEATURE_TREES:
         discrete_area_tree(tree, ts)
-    assert len(calls) == 21
+    assert len(calls) == 3
     for tree in FEATURE_TREES:
         discrete_area_tree(tree, ts)
-    assert len(calls) == 21
+    assert len(calls) == 3
     discrete_area_tree(("a", 1, 2), TimeSeries(ts.points))  # another path, its own table
-    assert len(calls) == 22
+    assert len(calls) == 4
 
 
 def test_the_subtree_table_does_not_keep_a_path_alive():

@@ -46,7 +46,7 @@ from areasig import (
     word_elem,
     zero,
 )
-from areasig import guard
+from areasig import double_tensor, guard
 from areasig.double_tensor import r_hat, unit_double, zero_double
 from areasig.discrete import TimeSeries
 from areasig.tensor import _bilinear, linear_combination, words_of_length
@@ -624,3 +624,18 @@ def test_a_pair_coefficient_too_long_to_write_is_named():
         f.to_json_obj()
     with pytest.raises(ValueError, match=re.escape(message)):
         repr(f)
+
+
+def test_lambda_recursion_builds_each_tail_bracket_once(monkeypatch):
+    calls = []
+    kernel = double_tensor.box_bracket
+
+    def spy(a, b, level=None):
+        calls.append(level)
+        return kernel(a, b, level)
+
+    monkeypatch.setattr(double_tensor, "box_bracket", spy)
+    got = lambda_element(2, 6, "recursion")
+    # 72 inner brackets over the compositions of levels 2 to 6, 26 distinct tails
+    assert len(calls) == 26
+    assert got == lambda_element(2, 6)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import time
 from fractions import Fraction
@@ -36,8 +38,16 @@ from areasig import (
     word_elem,
     words_as_rho_shuffles,
 )
-from areasig import span
-from areasig.span import area_span_dim, arealb_word, interval_permutations
+from areasig import linalg, span
+from areasig.cli import main
+from areasig.span import (
+    SpanReport,
+    area_span_dim,
+    arealb_word,
+    interval_permutations,
+    special_tree,
+)
+from areasig.trees import _labeled, area_eval
 from areasig.tensor import words_of_length
 
 from conftest import (
@@ -455,3 +465,24 @@ def test_special_tree_reduction_small():
     assert report.full_rank
     report5 = special_tree_reduction(5, 2)
     assert report5.full_rank and report5.target == 32
+
+
+def _special_tree_reduction_per_labeling(n, d):
+    """The report with every labeled special tree tested on its own."""
+    trees = [tree for _, tree in _labeled([special_tree(n)], d, n)]
+    rows = linalg.echelon(dict(arealb_word(w, d).terms()) for w in words_of_length(d, n))
+    solvable = sum(linalg.in_span(rows, dict(area_eval(t, d).terms())) for t in trees)
+    return SpanReport(d, n, d**n, solvable, len(trees), solvable == len(trees))
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in (4, 5)])
+def test_special_tree_reduction_per_class_matches_per_labeling(d, n):
+    assert special_tree_reduction(n, d) == _special_tree_reduction_per_labeling(n, d)
+
+
+def test_span_check_special_prints_the_per_labeling_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["span-check", "special", "--d", "3", "--level", "5"])
+    assert code == 0
+    assert out.getvalue() == _special_tree_reduction_per_labeling(5, 3).to_json() + "\n"

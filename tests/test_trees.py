@@ -27,6 +27,7 @@ from areasig import (
     rho,
     rho_hall,
     shuffle,
+    signed_form,
     tensor_pair,
     word_elem,
     zeta_via_trees,
@@ -85,6 +86,57 @@ def test_shuffle_crown_constraint():
         is_valid_mixed(("a", 1, ("x", 1, 2)))
     with pytest.raises(ExpressionSyntaxError):
         parse_tree("a(s(1,2),1)")
+
+
+def _inner_nodes(tree, out):
+    if not isinstance(tree, int):
+        out.add(tree)
+        _inner_nodes(tree[1], out)
+        _inner_nodes(tree[2], out)
+    return out
+
+
+@pytest.mark.parametrize("d, n, trees, zero, classes, nodes", [
+    (2, 5, 448, 288, 10, 17),
+    (3, 4, 405, 165, 30, 42),
+])
+def test_signed_classes_of_the_labeled_trees(d, n, trees, zero, classes, nodes):
+    forms = [signed_form(tree) for tree in enumerate_trees(d, n)]
+    canonical = {tree for sign, tree in forms if sign}
+    assert len(forms) == trees
+    assert sum(not sign for sign, _ in forms) == zero
+    assert len(canonical) == classes
+    assert len(set().union(*(_inner_nodes(tree, set()) for tree in canonical))) == nodes
+
+
+def test_signed_form_obeys_the_three_laws():
+    assert signed_form(3) == (1, 3)
+    assert signed_form(("a", 2, 1)) == (-1, ("a", 1, 2))
+    assert signed_form(("a", ("a", 1, 2), 1)) == (-1, ("a", 1, ("a", 1, 2)))
+    assert signed_form(("s", ("a", 2, 1), 1)) == (-1, ("s", 1, ("a", 1, 2)))
+    assert signed_form(("s", 2, 1)) == (1, ("s", 1, 2))
+    for zero in (("a", 1, 1), ("a", ("a", 1, 2), ("a", 2, 1)), ("s", 1, ("a", 2, 2))):
+        assert signed_form(zero) == (0, None)
+    trees = [t for n in range(1, 5) for t in enumerate_mixed(2, n)] + [
+        t for n in range(1, 5) for t in enumerate_trees(3, n)
+    ]
+    for tree in trees:
+        sign, canonical = signed_form(tree)
+        image = mixed_eval(tree, 3)
+        if not sign:
+            assert image.is_zero()
+            continue
+        assert image == mixed_eval(canonical, 3) * sign
+        assert signed_form(canonical) == (1, canonical)
+        assert all(signed_form(t) == (1, t) for t in _inner_nodes(canonical, set()))
+
+
+def test_an_invalid_tree_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="connected to the root"):
+            signed_form(("a", 1, ("s", 1, 2)))
+        with pytest.raises(ValueError, match="unknown node kind"):
+            signed_form(("x", 1, 2))
 
 
 def test_eval_examples():
