@@ -175,15 +175,28 @@ def discrete_area_tree(tree, x: TimeSeries) -> ScalarSeries:
     negation, or the all-zero series over 1.  Each distinct canonical
     subtree is evaluated once per path: its series is kept in a table that
     belongs to x and lives as long as x, and every later call on x whose
-    tree shares that subtree, up to sign, reuses it.
+    tree shares that subtree, up to sign, reuses it.  A letter outside
+    1..x.dim raises a ValueError, in a zero class too.
     """
     sign, canonical = signed_form(tree)
     if not sign:
+        _check_letters(tree, x)
         return _stored((0,) * len(x), 1)
     series = _discrete_area_tree(x, canonical)
     if sign < 0:
         return _stored(tuple(map(neg, series._nums)), series._divisor)
     return series
+
+
+def _check_letters(tree, x: TimeSeries) -> None:
+    """Raise as x.coordinate does for a leaf outside 1..x.dim.  A zero
+    class reads no leaf, and a canonical tree has the same leaves as the
+    tree it stands for, so this is only needed for a zero class."""
+    if is_leaf(tree):
+        x.coordinate(tree)
+    else:
+        _check_letters(tree[1], x)
+        _check_letters(tree[2], x)
 
 
 @memo_per_owner

@@ -125,7 +125,12 @@ def box_bracket(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
 
 
 def nested_box_bracket(items) -> DoubleTensor:
-    """Right-nested box bracket [x1,[x2,...[x_{n-1},xn]...]]."""
+    """Right-nested box bracket [x1,[x2,...[x_{n-1},xn]...]].
+
+    Public API only: lambda_element's recursion builds its brackets through
+    a per-call table of composition tails, so no caller in the library
+    uses this fold.
+    """
     items = list(items)
     if not items:
         raise ValueError("need at least one element")

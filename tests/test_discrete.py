@@ -35,6 +35,7 @@ from areasig import discrete, guard
 from areasig.discrete import EXACT, _parse_token, _series
 from areasig.errors import TermBudgetExceeded
 from areasig.tensor import TensorElem, as_scalar, concat, exp_conc, unit
+from areasig.trees import leaf_count
 
 from conftest import (
     discrete_area_oracle,
@@ -121,8 +122,13 @@ def test_tree_iteration_example():
 
 
 def test_tree_labels_validated():
-    with pytest.raises(ValueError):
-        discrete_area_tree(3, L_PATH)
+    # a zero class reads no coordinate, yet its letters are checked
+    for tree in (3, ("a", 3, 3), ("s", 1, ("a", 3, 3)), parse_tree("a(a(1,3),a(1,3))")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coordinate 3 outside 1..2"):
+                discrete_area_tree(tree, L_PATH)
+    with pytest.raises(ValueError, match="coordinate 0 outside 1..2"):
+        discrete_area_tree(("a", 0, 0), L_PATH)
 
 
 def test_unknown_node_kind_is_rejected():
@@ -681,38 +687,35 @@ def _path_with_zero_segments(rng, d, segments):
     return TimeSeries(pts)
 
 
+def _has_shuffle(tree):
+    return not isinstance(tree, int) and (
+        tree[0] == "s" or _has_shuffle(tree[1]) or _has_shuffle(tree[2])
+    )
+
+
 @pytest.mark.parametrize("d, trees", [
     (2, FEATURE_TREES),
     (3, [t for n in (1, 2, 3) for t in enumerate_mixed(3, n)]),
+    *((d, [t for n in range(1, 5) for t in enumerate_trees(d, n)]) for d in (1, 2, 3)),
+    (2, [t for n in range(1, 5) for t in enumerate_mixed(2, n)]),
 ])
 def test_shared_subtrees_match_the_unshared_walk_and_the_signature(d, trees):
     rng = random.Random(170 + d)
-    for _ in range(4):
-        ts = _seeded_path(rng, d, rng.randint(1, 6), dens=range(1, 10))
-        sig = signature_pwl(ts, 3)
+    paths = [_seeded_path(rng, d, rng.randint(1, 6), dens=range(1, 10)) for _ in range(4)]
+    paths += [_path_with_zero_segments(rng, d, segments) for segments in (1, 4, 7)]
+    level = max(map(leaf_count, trees))
+    for ts in paths:
+        sig = signature_pwl(ts, level)
         # twice, the second time in reverse, so that every result is read
         # back from the path's table as well as computed
         for tree in trees + trees[::-1]:
             got = discrete_area_tree(tree, ts)
+            # equal series: the same numerators at every breakpoint over one divisor
+            assert len(got) == len(ts) and _in_lowest_terms(got)
             assert got == _unshared_area_tree(tree, ts)
             assert got.final() == pairing(mixed_eval(tree, d), sig)
-            if d == 2:
+            if not _has_shuffle(tree):
                 assert got.final() == pairing(area_eval(tree, d), sig)
-
-
-@pytest.mark.parametrize("d, trees", [
-    *((d, [t for n in range(1, 5) for t in enumerate_trees(d, n)]) for d in (1, 2, 3)),
-    (2, [t for n in range(1, 5) for t in enumerate_mixed(2, n)]),
-])
-def test_every_tree_matches_the_unshared_walk_at_every_breakpoint(d, trees):
-    rng = random.Random(175 + d + len(trees))
-    for segments in (1, 4, 7):
-        ts = _path_with_zero_segments(rng, d, segments)
-        for tree in trees:
-            got = discrete_area_tree(tree, ts)
-            # equal series: the same numerators at every breakpoint over one divisor
-            assert len(got) == len(ts)
-            assert got == _unshared_area_tree(tree, ts) and _in_lowest_terms(got)
 
 
 def test_a_zero_class_is_all_zeros_over_one_and_an_invalid_tree_always_raises():

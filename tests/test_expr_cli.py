@@ -569,6 +569,16 @@ def test_cli_eval_deep_nesting_exits_2(capsys):
     assert "expression nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tree", ["3", "a(3,3)", "s(1,a(3,3))", "a(a(1,3),a(1,3))"])
+def test_cli_discrete_area_letter_outside_the_path_exits_2(tmp_path, capsys, tree):
+    # a zero class is rejected like any other tree with such a letter
+    csv = tmp_path / "L.csv"
+    csv.write_text("1,0\n1,1\n")
+    assert main(["discrete-area", "--csv", str(csv), "--tree", tree]) == 2
+    captured = capsys.readouterr()
+    assert "coordinate 3 outside 1..2" in captured.err and captured.out == ""
+
+
 def test_cli_discrete_area_deep_tree_exits_2(tmp_path, capsys):
     csv = tmp_path / "L.csv"
     csv.write_text("1,0\n1,1\n")
