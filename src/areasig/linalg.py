@@ -1,40 +1,47 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-One sparse row echelon over Fraction answers every rank and span-membership
+One sparse fraction-free row echelon answers every rank and span-membership
 question, so there is never a tolerance question.  Vectors are dicts
-key -> coefficient with comparable keys (words or indices).  `echelon`
-keeps one row per pivot key: the row's smallest key, at which the row is
-normalised to 1.  A vector lies in the span of the rows exactly when it
-reduces to zero against them.
+key -> int or rational coefficient with comparable keys (words or indices).
+Each enters once as a primitive int row: scaled by the lcm of its
+denominators, then divided by the gcd of its entries.  `echelon` keeps one
+row per pivot key, the row's smallest key, where its entry is positive.  A
+vector lies in the span of the rows exactly when it reduces to zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
+
+
+def _primitive(row):
+    """The nonzero entries of an int row, divided by their gcd."""
+    common = gcd(*row.values())
+    return {key: value // common for key, value in row.items() if value}
 
 
 def _reduce(rows, vector):
-    """The nonzero remainder of `vector` after eliminating every pivot.
-
-    Pivots are taken in ascending order; each row has no key below its
-    pivot, so a later step never brings back a key already eliminated.
-    """
-    left = {key: Fraction(value) for key, value in vector.items() if value}
+    """The remainder of `vector` after eliminating every pivot in ascending
+    order, fraction-free (Bareiss 1968): at a row's pivot entry h, a left
+    entry f becomes 0 by left = (h/g) left - (f/g) row, g = gcd(h, f).  No
+    row has a key below its pivot, so no eliminated key comes back."""
+    scale = lcm(*(value.denominator for value in vector.values()))
+    left = _primitive({k: v.numerator * (scale // v.denominator) for k, v in vector.items()})
     for pivot in sorted(rows):
         factor = left.get(pivot)
-        if not factor:
-            continue
-        for key, value in rows[pivot].items():
-            new = left.get(key, 0) - factor * value
-            if new:
-                left[key] = new
-            else:
-                left.pop(key, None)
+        if factor:
+            row = rows[pivot]
+            common = gcd(row[pivot], factor)
+            head, factor = row[pivot] // common, factor // common
+            left = {key: head * value for key, value in left.items()}
+            for key, value in row.items():
+                left[key] = left.get(key, 0) - factor * value
+            left = _primitive(left)
     return left
 
 
 def echelon(vectors):
-    """Pivot key -> normalised row spanning the same space as `vectors`.
+    """Pivot key -> primitive int row spanning the same space as `vectors`.
 
     Each vector is reduced against the rows so far and stored only if
     something is left, so the number of rows is the rank.
@@ -44,8 +51,7 @@ def echelon(vectors):
         left = _reduce(rows, vector)
         if left:
             pivot = min(left)
-            head = left[pivot]
-            rows[pivot] = {key: value / head for key, value in left.items()}
+            rows[pivot] = left if left[pivot] > 0 else {k: -v for k, v in left.items()}
     return rows
 
 

@@ -16,7 +16,7 @@ Fractions, and the grouplike law by comparing the two sides at every pair
 of words.  The tree-indexed expansions are summed one labeled tree at a
 time, each tree evaluated and paired on its own.  The volume and the
 degree-four identity are built as whole elements, one area at a time, and
-compared with ==.
+compared with ==; the n-volume as the signed sum over all n! orderings.
 
 Helpers that only tests call live here too: every word up to a length,
 the pairing of a word-side element with a path's signature, an area-span
@@ -44,6 +44,7 @@ from areasig import (
     enumerate_mixed,
     enumerate_trees,
     exp_conc,
+    half_shuffle,
     letter_elem,
     lie_eval,
     mixed_eval,
@@ -603,6 +604,17 @@ def rho_q_trees_oracle(basis, h):
 def vol_oracle(a, b, c):
     """The cyclic sum of left-nested areas, every area built as an element."""
     return area(area(a, b), c) + area(area(b, c), a) + area(area(c, a), b)
+
+
+def vol_n_oracle(args):
+    """The signed sum over all n! orderings of the left-nested half-shuffles
+    ((x_s1 > x_s2) > ...) > x_sn, the sign that of the ordering."""
+    args = list(args)
+    total = TensorElem(args[0].dim, {})
+    for sigma in permutations(range(len(args))):
+        inversions = sum(a > b for a, b in combinations(sigma, 2))
+        total = total + reduce(half_shuffle, (args[i] for i in sigma)) * (-1) ** inversions
+    return total
 
 
 def tortkara_oracle(a, b, c, d=None, vol=vol_oracle):

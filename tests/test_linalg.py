@@ -1,9 +1,14 @@
-"""The sparse echelon of linalg against the Gauss-Jordan oracles."""
+"""The sparse integer echelon of linalg against the Gauss-Jordan oracles."""
 
 import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from areasig import linalg
+from areasig.span import arealb_word, leftbracket_span_check
+from areasig.tensor import words_of_length
 
 from conftest import rank_oracle, solve_oracle
 
@@ -47,7 +52,9 @@ def test_echelon_matches_gauss_jordan_oracles():
         rows = linalg.echelon(family)
         assert len(rows) == linalg.rank_of_vectors(family) == rank_oracle(family)
         for pivot, row in rows.items():
-            assert pivot == min(row) and row[pivot] == 1
+            assert all(type(value) is int for value in row.values())
+            assert gcd(*row.values()) == 1
+            assert pivot == min(row) and row[pivot] > 0
         combination = {}
         for vec in family:
             c = rng.randint(-2, 2)
@@ -65,8 +72,21 @@ def test_echelon_matches_gauss_jordan_oracles():
 
 def test_echelon_keeps_integer_input_exact():
     rows = linalg.echelon([{2: 2, 5: 3}, {2: 4, 5: 6}, {}])
-    assert rows == {2: {2: 1, 5: F(3, 2)}}
-    assert all(isinstance(v, Fraction) for v in rows[2].values())
+    assert rows == {2: {2: 2, 5: 3}}
+    assert all(type(v) is int for v in rows[2].values())
     assert linalg.in_span(rows, {2: 1, 5: F(3, 2)})
+    assert linalg.in_span(rows, {2: F(-2, 7), 5: F(-3, 7)})
+    assert not linalg.in_span(rows, {2: F(1, 2), 5: 1})
     assert not linalg.in_span(rows, {5: 1})
     assert linalg.in_span({}, {}) and linalg.rank_of_vectors([]) == 0
+    # rational input becomes the same primitive row, its pivot entry positive
+    assert linalg.echelon([{2: F(-2, 3), 5: -1}]) == rows
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 4)])
+def test_rank_matches_the_oracle_on_left_bracket_rows(d, n):
+    vectors = [
+        dict(arealb_word(w, d).terms()) for w in words_of_length(d, n) if w[0] < w[1]
+    ]
+    rank = linalg.rank_of_vectors(vectors)
+    assert rank == rank_oracle(vectors) == leftbracket_span_check(d, n).rank == len(vectors)

@@ -57,6 +57,7 @@ from conftest import (
     random_elem,
     rank_oracle,
     tortkara_oracle,
+    vol_n_oracle,
     vol_oracle,
 )
 from reference_tables import TORTKARA_INSTANCE, VOL_123, el
@@ -246,6 +247,24 @@ def test_vol_by_the_zinbiel_law_matches_the_area_form(d):
         assert got == vol_oracle(a, b, c) == vol_n([a, b, c])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_vol_n_recursion_matches_the_ordering_fold(d):
+    rng = random.Random(50 + d)
+    for n in range(2, 6):
+        for _ in range(3):
+            args = [
+                random_elem(rng, d, 2 if n <= 4 else 1, min_deg=1, terms=2)
+                for _ in range(n)
+            ]
+            got = vol_n(args)
+            assert_canonical(got)
+            assert got == vol_n_oracle(args)
+        letters = [letter_elem(i, n) for i in range(1, n + 1)]
+        assert vol_n(letters) == vol_n_oracle(letters) == volume_invariant(n, n)
+    with pytest.raises(ValueError, match="at least two"):
+        vol_n([letter_elem(1, d)])
+
+
 def test_vol_refuses_an_empty_word_in_every_operand():
     one, two = letter_elem(1, 2), letter_elem(2, 2)
     with_empty = TensorElem(2, {(): 1, (1,): 2})
@@ -372,8 +391,9 @@ def test_leftbracket_span_check():
     assert report.generators == 2 and report.rank == 2 and report.full_rank
     report6 = leftbracket_span_check(2, 6)
     assert report6.full_rank and report6.rank == 2**4
-    report_d3 = leftbracket_span_check(3, 3)
-    assert report_d3.rank <= report_d3.target
+    for d, n in [(3, n) for n in range(2, 7)] + [(4, 5)]:
+        report = leftbracket_span_check(d, n)
+        assert report.full_rank and report.rank == report.target == area_span_dim(d, n)
 
 
 @pytest.mark.parametrize(
