@@ -20,6 +20,7 @@ from .errors import EmptyWordOperand
 from .tensor import (
     EMPTY_WORD,
     TensorElem,
+    _areas,
     _bilinear,
     _contract,
     _empty_left,
@@ -27,6 +28,7 @@ from .tensor import (
     _map_right,
     _outer,
     _r_codes,
+    _scaled,
     _Terms,
     linear_combination,
     shuffle_words,  # unused here; bench/test_bench.py checks this re-import
@@ -72,8 +74,8 @@ def box_mul(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), level=level)
 
 
-def _check_left_nonempty(x: DoubleTensor, role):
-    if _empty_left(x):
+def _check_left_nonempty(role, *xs):
+    if any(map(_empty_left, xs)):
         raise EmptyWordOperand("%s must have empty-word-free left factors" % role)
 
 
@@ -85,10 +87,10 @@ def dendriform(a: DoubleTensor, b: DoubleTensor, which: str, level=None) -> Doub
     box_mul.
     """
     if which == "succ":
-        _check_left_nonempty(b, "succ right operand")
+        _check_left_nonempty("succ right operand", b)
         return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), cut=1, level=level)
     if which == "prec":
-        _check_left_nonempty(a, "prec left operand")
+        _check_left_nonempty("prec left operand", a)
         return _bilinear(DoubleTensor, a.dim, ((a, b, 1),), cut=0, level=level)
     raise ValueError("which must be 'succ' or 'prec'")
 
@@ -97,8 +99,7 @@ def pre_lie_sum(dim: int, pairs, level=None) -> DoubleTensor:
     """The sum of s * pre_lie(a, b) over the (a, b, s) in `pairs`, each over
     the alphabet 1..dim, in one accumulator."""
     pairs = list(pairs)
-    for _, b, _ in pairs:
-        _check_left_nonempty(b, "pre-Lie right operand")
+    _check_left_nonempty("pre-Lie right operand", *(b for _, b, _ in pairs))
     return _bilinear(DoubleTensor, dim, pairs, cut=1, bracket=True, level=level)
 
 
@@ -107,10 +108,18 @@ def pre_lie(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
     return pre_lie_sum(a.dim, ((a, b, 1),), level)
 
 
+def pre_lie_sym_sum(dim: int, pairs, level=None) -> DoubleTensor:
+    """The sum of s * pre_lie_sym(a, b) over the (a, b, s) in `pairs`, each
+    over the alphabet 1..dim, in one accumulator: the area of the left
+    words (x) the commutator of the right words, each pair visited once."""
+    pairs = list(pairs)
+    _check_left_nonempty("pre-Lie right operand", *(z for a, b, _ in pairs for z in (b, a)))
+    return _areas(DoubleTensor, dim, *_scaled(dim, pairs), level)
+
+
 def pre_lie_sym(a: DoubleTensor, b: DoubleTensor, level=None) -> DoubleTensor:
-    """Symmetrized pre-Lie product: area on the left, commutator on the right.
-    pre_lie(a, b) + pre_lie(b, a), both orders in one accumulator."""
-    return pre_lie_sum(a.dim, ((a, b, 1), (b, a, 1)), level)
+    """pre_lie(a, b) + pre_lie(b, a): area on the left, bracket on the right."""
+    return pre_lie_sym_sum(a.dim, ((a, b, 1),), level)
 
 
 def box_bracket_sum(dim: int, pairs, level=None) -> DoubleTensor:

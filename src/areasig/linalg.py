@@ -11,6 +11,7 @@ vector lies in the span of the rows exactly when it reduces to zero.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd, lcm
 
 
@@ -21,18 +22,23 @@ def _primitive(row):
 
 
 def _reduce(rows, vector):
-    """The remainder of `vector` after eliminating every pivot in ascending
+    """The remainder of `vector` after eliminating its pivots in ascending
     order, fraction-free (Bareiss 1968): at a row's pivot entry h, a left
-    entry f becomes 0 by left = (h/g) left - (f/g) row, g = gcd(h, f).  No
-    row has a key below its pivot, so no eliminated key comes back."""
+    entry f becomes 0 by left = (h/g) left - (f/g) row, g = gcd(h, f).  A
+    sorted worklist holds the remainder's pivot keys, the only ones visited.
+    No row has a key below its pivot, so no eliminated key comes back."""
     scale = lcm(*(value.denominator for value in vector.values()))
     left = _primitive({k: v.numerator * (scale // v.denominator) for k, v in vector.items()})
-    for pivot in sorted(rows):
+    todo, i = sorted(key for key in left if key in rows), 0
+    while i < len(todo):
+        pivot, i = todo[i], i + 1
         factor = left.get(pivot)
         if factor:
             row = rows[pivot]
             common = gcd(row[pivot], factor)
             head, factor = row[pivot] // common, factor // common
+            for key in (row.keys() - left.keys()) & rows.keys():
+                insort(todo, key, lo=i)  # every new key lies above the pivot
             left = {key: head * value for key, value in left.items()}
             for key, value in row.items():
                 left[key] = left.get(key, 0) - factor * value

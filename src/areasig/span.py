@@ -192,18 +192,21 @@ def vol_n(args) -> TensorElem:
 
     Grouping the orderings by their last argument x_i gives the recursion
     vol_n(x_1..x_n) = sum_i (-1)^(n-i) vol_n(x without x_i) > x_i, in one
-    half_shuffle_sum, down to vol_n(x, y) = area(x, y).
+    half_shuffle_sum, down to vol_n(x, y) = area(x, y).  Each of the
+    2^n - n - 1 volumes is built once, keyed by its subset of arguments.
     """
     args = tuple(args)
     n = len(args)
     if n < 2:
         raise ValueError("need at least two arguments")
-    if n == 2:
-        return area(*args)
-    return half_shuffle_sum(args[0].dim, [
-        (vol_n(args[:i] + args[i + 1:]), args[i], (-1) ** (n - 1 - i))
-        for i in range(n)
-    ])
+    vols = {pair: area(args[pair[0]], args[pair[1]]) for pair in combinations(range(n), 2)}
+    for size in range(3, n + 1):
+        for subset in combinations(range(n), size):
+            vols[subset] = half_shuffle_sum(args[0].dim, [
+                (vols[subset[:j] + subset[j + 1:]], args[i], (-1) ** (size - 1 - j))
+                for j, i in enumerate(subset)
+            ])
+    return vols[tuple(range(n))]
 
 
 def volume_invariant(d: int, n: int) -> TensorElem:

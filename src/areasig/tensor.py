@@ -4,8 +4,8 @@ _Terms is the one coefficient store of the package: TensorElem (finite
 combinations of words, for the tensor algebra and its level-truncated
 completion), CoproductTerms here and double_tensor.DoubleTensor are its
 subclasses.  Only this module reads a value's coefficient map: other
-modules go through coeff, terms() and the lifts below (one bilinear, one
-linear, one contraction).
+modules go through coeff, terms() and the lifts below (the shuffle, area
+and bilinear pair loops, one linear lift, one contraction).
 
 A value is held as nonzero integer numerators over one positive integer
 denominator, in lowest terms: the gcd of the denominator and every
@@ -779,7 +779,7 @@ def _scaled(dim, triples):
     multipliers over den, the lcm of every a._den * b._den * (the scalar's
     denominator), with no lcm taken when they are all one value.  An int
     scalar is read as it is, with no _ratio call.  Backs the sums of
-    products of the two pair loops."""
+    products of the pair loops."""
     out, dens = [], []
     for a, b, scalar in triples:
         if a.dim != dim or b.dim != dim:
@@ -946,26 +946,20 @@ def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
 
 def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     x._same_alphabet(y)
-    return _shuffles(x.dim, ((x, y, 1, False),), x._den * y._den)
+    return _shuffles(x.dim, ((x, y, 1),), x._den * y._den, False)
 
 
-def _shuffles(dim, orders, den):
-    """The sum of m * (a shuffled with b, cut as _split says) over the
-    (a, b, m, cut) in `orders`, the int multipliers m over the common
-    denominator `den` of every product, in one int accumulator brought to
-    lowest terms once, with the term budget checked after each order.  A
-    word pair (u, v) walks the memoised shuffle of u with v's head and
-    appends v's last letter."""
+def _shuffles(dim, triples, den, cut):
+    """The sum of m * (a shuffled with b), or with `cut` of m * (a > b), over
+    the (a, b, m) in `triples`, int multipliers over the denominator `den`,
+    in one int accumulator held to the term budget after each product.  A
+    pair (u, v) walks the memoised u ш v, or u ш v' then v's last letter."""
     k = dim.bit_length()
     acc: dict = {}
     get = acc.get
-    mask = (1 << k) - 1
-    for a, b, mul, cut in orders:
-        shift = k if cut else 0
-        if cut:
-            right = [(v >> k, v & mask, cv * mul) for v, cv in b._terms.items()]
-        else:
-            right = [(v, 0, cv * mul) for v, cv in b._terms.items()]
+    shift, mask = (k, (1 << k) - 1) if cut else (0, 0)
+    for a, b, mul in triples:
+        right = [(v >> shift, v & mask, cv * mul) for v, cv in b._terms.items()]
         for u, cu in a._terms.items():
             for head, last, cv in right:
                 c = cu * cv
@@ -980,7 +974,7 @@ def half_shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     """x > y: shuffles of x and y ending with the final letter of y."""
     _reject_empty("right half-shuffle factor", y)
     x._same_alphabet(y)
-    return _shuffles(x.dim, ((x, y, 1, True),), x._den * y._den)
+    return _shuffles(x.dim, ((x, y, 1),), x._den * y._den, True)
 
 
 def half_shuffle_sum(dim: int, triples) -> TensorElem:
@@ -988,18 +982,21 @@ def half_shuffle_sum(dim: int, triples) -> TensorElem:
     over the alphabet 1..dim, in one accumulator: no product is built as an
     element of its own."""
     triples = list(triples)
-    for _, y, _ in triples:
-        _reject_empty("right half-shuffle factor", y)
-    triples, den = _scaled(dim, triples)
-    return _shuffles(dim, [(x, y, m, True) for x, y, m in triples], den)
+    _reject_empty("right half-shuffle factor", *(y for _, y, _ in triples))
+    return _shuffles(dim, *_scaled(dim, triples), True)
 
 
 def area(x: TensorElem, y: TensorElem) -> TensorElem:
-    """Antisymmetrized half-shuffle x > y - y > x, the signed-area operation,
-    both orders in one pass."""
+    """Antisymmetrized half-shuffle x > y - y > x, the signed-area operation.
+
+    For words u = u'a and v = v'b, area(u, v) = (u ш v') b - (v ш u') a.  If
+    a = b = l, both halves hold (u' ш v') l l with opposite signs, so with
+    u' = u''e and v' = v''c, area(u, v) = (u ш v'') c l - (v ш u'') e l, a
+    half absent if its word is one letter; and area(u, u) = 0.
+    """
     _reject_empty("area operand", x, y)
     x._same_alphabet(y)
-    return _shuffles(x.dim, ((x, y, 1, True), (y, x, -1, True)), x._den * y._den)
+    return _areas(TensorElem, x.dim, ((x, y, 1),), x._den * y._den)
 
 
 def area_sum(dim: int, triples) -> TensorElem:
@@ -1007,13 +1004,68 @@ def area_sum(dim: int, triples) -> TensorElem:
     y over the alphabet 1..dim, in one accumulator: no product is built as
     an element of its own."""
     triples = list(triples)
-    for x, y, _ in triples:
-        _reject_empty("area operand", x, y)
-    triples, den = _scaled(dim, triples)
-    orders = []
-    for x, y, m in triples:
-        orders += ((x, y, m, True), (y, x, -m, True))
-    return _shuffles(dim, orders, den)
+    _reject_empty("area operand", *(z for x, y, _ in triples for z in (x, y)))
+    return _areas(TensorElem, dim, *_scaled(dim, triples))
+
+
+def _areas(kind, dim, triples, den, level=None):
+    """The sum of m * area(x, y) over the (x, y, m) in `triples`, summed as
+    in _shuffles through _area_words; for a pair-keyed kind, of area(x_s,
+    y_t) (x) (s t - t s) over the non-commuting right words s of x and t of
+    y with |s| + |t| <= level, x_s being the left words x pairs with s."""
+    k = dim.bit_length()
+    acc: dict = {}
+    get = acc.get
+    for x, y, mul in triples:
+        if kind is TensorElem:
+            _area_words(acc, x._terms.items(), ((v, c * mul) for v, c in y._terms.items()), k)
+        else:
+            lefts, rights = {}, {}
+            for side, z, scale in ((lefts, x, 1), (rights, y, mul)):
+                for (p, s), c in z._terms.items():
+                    side.setdefault(s, []).append((p, c * scale))
+            for s, xs in lefts.items():
+                s_len = _length(s, k)
+                for t, ys in rights.items():
+                    t_len = _length(t, k)
+                    st, ts = (s << k * t_len) | t, (t << k * s_len) | s
+                    if st == ts or (level is not None and s_len + t_len > level):
+                        continue
+                    for w, c in _area_words({}, xs, ys, k).items():
+                        if c:
+                            key = (w, st)
+                            acc[key] = get(key, 0) + c
+                            key = (w, ts)
+                            acc[key] = get(key, 0) - c
+        check_term_budget(len(acc))
+    return kind._over(dim, acc, den)
+
+
+def _area_words(acc, left, right, k):
+    """acc (code -> int) plus the sum of cu * cv * area(u, v) over the
+    (u, cu) in `left` and the (v, cv) in `right`, all nonempty codes, by
+    the rule in area's docstring."""
+    get, mask = acc.get, (1 << k) - 1
+    right = [(v, cv, v & mask, v >> k) for v, cv in right]
+    for u, cu in left:
+        a, u_head = u & mask, u >> k
+        for v, cv, b, v_head in right:
+            if u == v:
+                continue
+            # cut each word before its last letter, or its last two if they agree
+            c, cut = cu * cv, k if a != b else 2 * k
+            tails = (1 << cut) - 1
+            if v_head or cut == k:
+                tail = v & tails
+                for w, m in _shuffled(u, v >> cut, k).items():
+                    w = (w << cut) | tail
+                    acc[w] = get(w, 0) + c * m
+            if u_head or cut == k:
+                tail = u & tails
+                for w, m in _shuffled(v, u >> cut, k).items():
+                    w = (w << cut) | tail
+                    acc[w] = get(w, 0) - c * m
+    return acc
 
 
 def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:

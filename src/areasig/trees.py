@@ -18,7 +18,7 @@ from .double_tensor import (
     DoubleTensor,
     box_bracket_sum,
     coeval_at,
-    pre_lie_sum,
+    pre_lie_sym_sum,
     tensor_pair,
     zero_double,
 )
@@ -341,9 +341,8 @@ def _label_sum(shape, content, dim) -> DoubleTensor:
         (_label_sum(left, c1, dim), _label_sum(right, c2, dim))
         for c1, c2 in _splits(content, leaf_count(left))
     ]
-    if kind == AREA:  # pre_lie_sym(x, y) = pre_lie(x, y) + pre_lie(y, x)
-        return pre_lie_sum(dim, (p for x, y in children for p in ((x, y, 1), (y, x, 1))))
-    return box_bracket_sum(dim, ((x, y, 1) for x, y in children))
+    product = pre_lie_sym_sum if kind == AREA else box_bracket_sum
+    return product(dim, ((x, y, 1) for x, y in children))
 
 
 def _shape_sum(shapes, weight, dim, contents, labelings):

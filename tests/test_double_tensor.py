@@ -36,6 +36,7 @@ from areasig import (
     pre_lie,
     pre_lie_sum,
     pre_lie_sym,
+    pre_lie_sym_sum,
     r_element,
     rho,
     s_element,
@@ -549,6 +550,35 @@ def test_multi_pair_bilinear_is_the_sum_of_its_pair_products(d, cut, bracket):
         ))
         assert got == one_by_one
     assert _bilinear(DoubleTensor, d, [], cut, bracket) == zero_double(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_pre_lie_sym_sum_is_the_sum_of_both_pre_lie_orders(d):
+    def oracle(a, b, level):
+        return pre_lie(a, b, level) + pre_lie(b, a, level)
+
+    rng = random.Random(60 + d)
+    # left words that end in one letter, with an empty and a nonempty head
+    top = DoubleTensor(d, {((d,), (1,)): F(1, 2), ((1, d), (d,)): 3, ((d, d), (1, d)): F(-2, 5)})
+    values = [random_double(rng, d, 3, 2, min_left=1, terms=5) for _ in range(3)] + [top]
+    values.append(values[0] * 3 + top)  # shares words with values[0] and top
+    pairs = [(rng.choice(values), rng.choice(values), F(rng.randint(-3, 3), rng.randint(1, 4)))
+             for _ in range(6)]
+    pairs += [(values[1], values[1], 1), (top, values[4], 2)]
+    for level in (None, 1, 2, 3):
+        for a, b, _ in pairs:
+            assert pre_lie_sym(a, b, level) == oracle(a, b, level)
+        got = pre_lie_sym_sum(d, pairs, level)
+        assert_canonical(got)
+        assert got == linear_combination(zero_double(d), (
+            (oracle(a, b, level), s) for a, b, s in pairs
+        ))
+    assert pre_lie_sym_sum(d, [], 2) == zero_double(d)
+    with_empty = DoubleTensor(d, {((), (1,)): 1})
+    for bad in ([(values[0], with_empty, 0)], [(with_empty, values[0], 1)]):
+        with pytest.raises(EmptyWordOperand, match="^pre-Lie right operand must have "
+                                                   "empty-word-free left factors$"):
+            pre_lie_sym_sum(d, bad)
 
 
 def test_pre_lie_and_box_bracket_sums_are_sums_of_their_products():

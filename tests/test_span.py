@@ -248,19 +248,34 @@ def test_vol_by_the_zinbiel_law_matches_the_area_form(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_vol_n_recursion_matches_the_ordering_fold(d):
+def test_vol_n_recursion_matches_the_ordering_fold(d, monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return area(x, y)
+
+    # one area per pair of arguments, C(n, 2), where a recursion that
+    # rebuilt each sub-volume per ordering would make n!/2
+    monkeypatch.setattr(span, "area", counted)
     rng = random.Random(50 + d)
-    for n in range(2, 6):
-        for _ in range(3):
+    for n in range(2, 7):
+        for _ in range(3 if n < 6 else 0):
             args = [
                 random_elem(rng, d, 2 if n <= 4 else 1, min_deg=1, terms=2)
                 for _ in range(n)
             ]
+            calls.clear()
             got = vol_n(args)
+            assert len(calls) == n * (n - 1) // 2
             assert_canonical(got)
             assert got == vol_n_oracle(args)
         letters = [letter_elem(i, n) for i in range(1, n + 1)]
-        assert vol_n(letters) == vol_n_oracle(letters) == volume_invariant(n, n)
+        calls.clear()
+        assert vol_n(letters) == volume_invariant(n, n)
+        assert len(calls) == n * (n - 1) // 2
+        if n < 6:
+            assert vol_n(letters) == vol_n_oracle(letters)
     with pytest.raises(ValueError, match="at least two"):
         vol_n([letter_elem(1, d)])
 

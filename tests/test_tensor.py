@@ -781,6 +781,45 @@ def test_area_of_an_element_with_itself_is_zero(seed):
         assert_canonical(value)
 
 
+def _edge_words(d):
+    """Words that reach every branch of the one-pass area: single letters,
+    equal last letters with an empty or nonempty u'' and v'', and
+    distinct last letters."""
+    top, low = d, 1
+    return [
+        (top,), (low,), (top, top), (low, top), (top, low), (top, top, top),
+        (low, low, top), (top, low, top), (low, top, top), (top, top, low, top),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9, 12])
+def test_area_is_the_difference_of_the_half_shuffles(d):
+    # d = 1, 2, 3, 4, 9 and 12 take 1 to 4 bits per letter
+    def oracle(x, y):
+        return half_shuffle(x, y) - half_shuffle(y, x)
+
+    words = sorted(set(_edge_words(d)))
+    for u in words:
+        for v in words:
+            x, y = TensorElem(d, {u: 1}), TensorElem(d, {v: 1})
+            assert area(x, y) == oracle(x, y), (u, v)
+    rng = random.Random(70 + d)
+    edges = TensorElem(d, {u: Fraction(rng.randint(1, 5), rng.randint(1, 7)) for u in words})
+    for _ in range(12):
+        x = random_elem(rng, d, 4, min_deg=1, terms=6, max_den=12)
+        y = random_elem(rng, d, 4, min_deg=1, terms=6, max_den=12)
+        # x + y shares every word with both, and edges shares many of its own
+        for a, b in ((x, y), (y, x), (x, x + y), (x + y * 3, y), (x, edges), (edges, y)):
+            got = area(a, b)
+            assert_canonical(got)
+            assert got == oracle(a, b)
+        assert area(x, x).is_zero() and area(edges, edges).is_zero()
+        triples = [(x, y, 2), (y, edges, Fraction(-1, 3)), (x + y, x, 1), (x, x, 5)]
+        got = area_sum(d, triples)
+        assert_canonical(got)
+        assert got == linear_combination(zero(d), ((area(a, b), s) for a, b, s in triples))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_area_and_half_shuffle_sums_are_sums_of_single_products(d):
     rng = random.Random(20 + d)

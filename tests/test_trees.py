@@ -274,7 +274,7 @@ def _refuse_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product ran before the budget check")
 
-    for name in ("pre_lie_sum", "box_bracket_sum", "area_sum", "area"):
+    for name in ("pre_lie_sym_sum", "box_bracket_sum", "area_sum", "area"):
         monkeypatch.setattr("areasig.trees." + name, refuse)
 
 
