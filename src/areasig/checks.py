@@ -65,6 +65,7 @@ from .trees import (
     mixed_eval,
     r_via_trees,
     rho_hall,
+    rho_via_q_trees,
     zeta_via_trees,
 )
 
@@ -202,13 +203,13 @@ def zeta_via_trees_agrees(basis, top) -> bool:
 
 
 def rho_on_dual_elements(basis, top) -> bool:
-    """rho_hall by its area recursion, and by q-trees up to length top,
-    equals rho of the dual element."""
+    """rho_hall, and rho_via_q_trees up to length top, equal rho of the
+    dual element."""
     for h in basis.all_hall_words():
         direct = rho(basis.dual_pbw(h))
-        if rho_hall(basis, h, "recursion") != direct:
+        if rho_hall(basis, h) != direct:
             return False
-        if len(h) <= top and rho_hall(basis, h, "q_trees") != direct:
+        if len(h) <= top and rho_via_q_trees(basis, h) != direct:
             return False
     return True
 

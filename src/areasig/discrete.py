@@ -23,8 +23,9 @@ from operator import add, floordiv, mul, neg, sub
 from .errors import _parse_token, _text
 from .guard import check_term_budget
 from .memo import memo_per_owner
-from .tensor import EMPTY_WORD, TensorElem, _appended, _code, _over_lcm, _ratio
+from .tensor import EMPTY_WORD, TensorElem, _code, _over_lcm, _ratio
 from .trees import SHUFFLE, is_leaf, signed_form
+from .words import appended
 
 EXACT = "exact_rational"
 
@@ -245,7 +246,7 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     step is linear.  A chain value that cancels to zero replaces the word's
     old series rather than falling back to it.  So an axis-aligned path
     stays sparse.  Words are the tensor store's codes, extended by
-    tensor._appended; the levels go to the store as int numerators over
+    words.appended; the levels go to the store as int numerators over
     their one denominator L! D^L.
 
     The term budget is checked before anything is built, against the
@@ -268,7 +269,7 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
     levels = [{_code(EMPTY_WORD, dim): scale}]
     for n in range(1, level + 1):
         check_term_budget(sum(map(len, levels)) + len(levels[-1]) * len(first))
-        levels.append({w: c * z // n for w, c, z in _appended(levels[-1], first, dim)})
+        levels.append({w: c * z // n for w, c, z in appended(levels[-1], first, dim)})
     for b in range(1, len(steps), _BLOCK):
         block = steps[b : b + _BLOCK]
         m = len(block)
@@ -280,7 +281,7 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
                 check_term_budget(len(acc) * len(letters))
                 div = n - j + 1
                 nxt = dict(series[j])
-                for w, c, z in _appended(acc, letters, dim):
+                for w, c, z in appended(acc, letters, dim):
                     old = nxt.get(w)
                     if old is None:
                         step = [p * q // div for p, q in zip(c, z)]
@@ -296,12 +297,12 @@ def signature_pwl(x: TimeSeries, level: int = 5) -> TensorElem:
             if n == level:
                 top = start | {
                     w: start.get(w, 0) + sum(map(mul, c, z))
-                    for w, c, z in _appended(acc, letters, dim)
+                    for w, c, z in appended(acc, letters, dim)
                 }
                 levels[n] = {w: c for w, c in top.items() if c}
             else:
                 grown = {
-                    w: values for w, c, z in _appended(acc, letters, dim)
+                    w: values for w, c, z in appended(acc, letters, dim)
                     if any(values := list(accumulate(map(mul, c, z), initial=start.get(w, 0))))
                 }
                 grown.update((w, [c] * (m + 1)) for w, c in start.items() if w not in grown)

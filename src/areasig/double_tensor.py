@@ -24,16 +24,15 @@ from .tensor import (
     _bilinear,
     _contract,
     _empty_left,
-    _length,
     _map_right,
     _outer,
-    _r_codes,
     _scaled,
     _Terms,
     linear_combination,
     shuffle_words,  # unused here; bench/test_bench.py checks this re-import
     words_of_length,
 )
+from .words import length, r_codes
 
 
 class DoubleTensor(_Terms):
@@ -44,7 +43,7 @@ class DoubleTensor(_Terms):
 
     @staticmethod
     def _grade(key, k):
-        return _length(key[1], k)
+        return length(key[1], k)
 
     # terms() runs in (right word, left word) order, each word by length and
     # then lexicographically, as the codes compare
@@ -154,7 +153,7 @@ def nested_box_bracket(items) -> DoubleTensor:
 
 def r_hat(a: DoubleTensor) -> DoubleTensor:
     """Apply the right-bracketing operator to every right word."""
-    return _map_right(a, _r_codes)
+    return _map_right(a, r_codes)
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -16,21 +16,15 @@ fractions.Fraction is made only where a coefficient leaves the store
 rejected so that every identity in this package can be checked with
 exact equality.
 
-Inside the store a word is one packed int, its code.  With k =
-dim.bit_length() bits per letter, the word (l1, ..., ln) is the sum of
-li << k(n-i), and the empty word is 0.  Letters are nonzero k-bit digits,
-so the length of a code is (code.bit_length() + k - 1) // k, and the
-numeric order of codes is the word order by length, then
-lexicographic: terms() sorts plain ints.  Appending the letter a to u is
-(u << k) | a, the head and last letter of u are u >> k and u & mask, and
-u v is (u << k|v|) | v.  A TensorElem key is one code; a DoubleTensor or
-CoproductTerms key is a pair of codes.  The word kernels run on codes and
-take k as an argument, so one memo table serves every alphabet with the
-same k; the tuple-level kernels (shuffle_words, r_word, ...) are
-encode/decode adapters over them.  Words are tuples at every public
-boundary: the constructors, coeff, terms() and words().  str, repr and
-JSON are written from int numerators and each word's memoised text
-(_word_text), with no Fraction made and no word decoded per term.
+Inside the store a word is one packed int, its code, in the format of
+areasig.words, whose kernels (shuffles, r, rho, unshuffle, pi1) run on
+codes.  A TensorElem key is one code; a DoubleTensor or CoproductTerms key
+is a pair of codes, so terms() sorts plain ints.  The tuple-level kernels
+(shuffle_words, r_word, ...) are encode/decode adapters over the code
+kernels.  Words are tuples at every public boundary: the constructors,
+coeff, terms() and words().  str, repr and JSON are written from int
+numerators and each word's memoised text (_word_text), with no Fraction
+made and no word decoded per term.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -55,6 +49,21 @@ from .errors import (
 )
 from .guard import check_term_budget
 from .memo import memo
+from .words import (
+    area_words,
+    decode,
+    encode,
+    length,
+    log_den,
+    nonzero,
+    pi1_numerators,
+    pi1_transpose_numerators,
+    r_codes,
+    rho_codes,
+    shuffle_codes,
+    shuffled,
+    unshuffle_codes,
+)
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -148,40 +157,19 @@ def _word(word, dim) -> Word:
     return word
 
 
-# -- packed words ------------------------------------------------------------
-
-
-def _encode(word, k) -> int:
-    """The code of a word of positive letters below 2**k."""
-    code = 0
-    for letter in word:
-        code = (code << k) | letter
-    return code
-
-
-def _decode(code, k) -> Word:
-    mask = (1 << k) - 1
-    letters = []
-    while code:
-        letters.append(code & mask)
-        code >>= k
-    return tuple(reversed(letters))
-
-
-def _length(code, k) -> int:
-    return (code.bit_length() + k - 1) // k
+# -- words at the boundary: tuples to codes and text ---------------------------
 
 
 @memo
 def _word_text(code, dim) -> str:
     """format_word of the word with code `code` over 1..dim: every writer
     names its words through this table, so each word is decoded once."""
-    return format_word(_decode(code, dim.bit_length()), dim)
+    return format_word(decode(code, dim.bit_length()), dim)
 
 
 def _code(word, dim) -> int:
     """The code of `word`, checked to use only the letters 1..dim."""
-    return _encode(_word(word, dim), dim.bit_length())
+    return encode(_word(word, dim), dim.bit_length())
 
 
 def _find(word, dim) -> int:
@@ -189,7 +177,7 @@ def _find(word, dim) -> int:
     1..dim."""
     word = tuple(word)
     if all(isinstance(letter, int) and 1 <= letter <= dim for letter in word):
-        return _encode(word, dim.bit_length())
+        return encode(word, dim.bit_length())
     return -1
 
 
@@ -201,20 +189,11 @@ def _encode_words(*words):
         shown = ", ".join(format_word(word, 10) for word in words)
         raise ValueError("words %s use letters below 1" % shown)
     k = max(letters, default=1).bit_length()
-    return [_encode(word, k) for word in words], k
+    return [encode(word, k) for word in words], k
 
 
 def _decoded(table, k) -> dict:
-    return {_decode(w, k): c for w, c in table.items()}
-
-
-def _appended(acc, step, dim):
-    """(u a, c, z) for each code u -> c of acc and each (letter a, z) of
-    step, u by u: the words u a are distinct.  c and z are opaque here (ints,
-    or per-segment int series), so the caller does the arithmetic.  The step
-    kernel of discrete.signature_pwl."""
-    k = dim.bit_length()
-    return (((u << k) | a, c, z) for u, c in acc.items() for a, z in step)
+    return {decode(w, k): c for w, c in table.items()}
 
 
 class _Terms:
@@ -255,7 +234,7 @@ class _Terms:
     @staticmethod
     def _public(key, dim):
         k = dim.bit_length()
-        return (_decode(key[0], k), _decode(key[1], k))
+        return (decode(key[0], k), decode(key[1], k))
 
     @staticmethod
     def _key_text(key, dim):
@@ -263,7 +242,7 @@ class _Terms:
 
     @staticmethod
     def _grade(key, k):
-        return _length(key[0], k) + _length(key[1], k)
+        return length(key[0], k) + length(key[1], k)
 
     def _store(self, dim, numerators, den):
         check_term_budget(len(numerators))
@@ -283,7 +262,7 @@ class _Terms:
     def _over(cls, dim, numerators, den=1):
         """The value with int `numerators` (zeros allowed) over the positive
         int `den`, brought to lowest terms; keys must be canonical."""
-        numerators = _nonzero(numerators)
+        numerators = nonzero(numerators)
         if den != 1:
             common = gcd(den, *numerators.values())
             if common != 1:
@@ -431,11 +410,11 @@ class TensorElem(_Terms):
 
     _key = staticmethod(_code)
     _key_text = staticmethod(_word_text)
-    _grade = staticmethod(_length)
+    _grade = staticmethod(length)
 
     @staticmethod
     def _public(code, dim):
-        return _decode(code, dim.bit_length())
+        return decode(code, dim.bit_length())
 
     # -- inspection ------------------------------------------------------
 
@@ -444,14 +423,14 @@ class TensorElem(_Terms):
 
     def words(self):
         k = self.dim.bit_length()
-        return [_decode(w, k) for w in sorted(self._terms)]
+        return [decode(w, k) for w in sorted(self._terms)]
 
     def degree(self) -> int:
         """Maximal word length present; 0 for the zero element."""
-        return _length(max(self._terms, default=0), self.dim.bit_length())
+        return length(max(self._terms, default=0), self.dim.bit_length())
 
     def min_degree(self) -> int:
-        return _length(min(self._terms, default=0), self.dim.bit_length())
+        return length(min(self._terms, default=0), self.dim.bit_length())
 
     def empty_coeff(self) -> Fraction:
         return self._coeff(0)
@@ -495,13 +474,6 @@ class TensorElem(_Terms):
         return cls(dim, terms)
 
 
-def _nonzero(acc: dict) -> dict:
-    """acc without its zero values (acc itself if it has none)."""
-    if 0 in acc.values():
-        return {key: c for key, c in acc.items() if c}
-    return acc
-
-
 # -- constructors ---------------------------------------------------------
 
 
@@ -527,146 +499,6 @@ def words_of_length(dim: int, n: int):
     return (tuple(w) for w in product(range(1, dim + 1), repeat=n))
 
 
-# -- word-level kernels on codes (integer coefficients, memoized) ----------
-
-
-@memo
-def _shuffle_codes(u: int, v: int, k: int) -> dict:
-    """All interleavings of the words with codes u <= v, as code -> int.
-    Callers go through _shuffled, which puts the pair in order with one int
-    comparison, so the memo holds each unordered pair once."""
-    if not u:
-        return {v: 1}
-    mask = (1 << k) - 1
-    out: dict = {}
-    get = out.get
-    for first, second, last in ((u >> k, v, u & mask), (u, v >> k, v & mask)):
-        for w, c in _shuffled(first, second, k).items():
-            w = (w << k) | last
-            out[w] = get(w, 0) + c
-    return out
-
-
-def _shuffled(u: int, v: int, k: int) -> dict:
-    """The shuffle of the codes u and v in either order."""
-    return _shuffle_codes(u, v, k) if u <= v else _shuffle_codes(v, u, k)
-
-
-@memo
-def _r_codes(w: int, k: int) -> dict:
-    """Right-nested bracketing at the code of w = l w': l r(w') - r(w') l."""
-    if not w:
-        return {}
-    shift = k * (_length(w, k) - 1)
-    if not shift:
-        return {w: 1}
-    head = w >> shift
-    out: dict = {}
-    get = out.get
-    for t, c in _r_codes(w & ((1 << shift) - 1), k).items():
-        front, back = (head << shift) | t, (t << k) | head
-        out[front] = get(front, 0) + c
-        out[back] = get(back, 0) - c
-    return _nonzero(out)
-
-
-@memo
-def _rho_codes(w: int, k: int) -> dict:
-    """Adjoint of r at the code of w = i m j: i rho(m j) - j rho(i m)."""
-    if not w:
-        return {}
-    shift = k * (_length(w, k) - 1)
-    if not shift:
-        return {w: 1}
-    first, last = (w >> shift) << shift, (w & ((1 << k) - 1)) << shift
-    out: dict = {}
-    get = out.get
-    for t, c in _rho_codes(w & ((1 << shift) - 1), k).items():
-        t |= first
-        out[t] = get(t, 0) + c
-    for t, c in _rho_codes(w >> k, k).items():
-        t |= last
-        out[t] = get(t, 0) - c
-    return _nonzero(out)
-
-
-@memo
-def _unshuffle_codes(w: int, k: int) -> dict:
-    """All splittings of the positions of the word with code w into two
-    complementary subsequences, as (u, v) -> int, by its last letter a:
-    unshuffle(w a) = unshuffle(w) (a (x) e + e (x) a)."""
-    if not w:
-        return {(0, 0): 1}
-    a = w & ((1 << k) - 1)
-    out: dict = {}
-    get = out.get
-    for (u, v), c in _unshuffle_codes(w >> k, k).items():
-        for key in (((u << k) | a, v), (u, (v << k) | a)):
-            out[key] = get(key, 0) + c
-    return out
-
-
-def _concat_codes(u: int, v: int, k: int) -> dict:
-    return {(u << (k * _length(v, k))) | v: 1}
-
-
-def _deconcat_codes(w: int, k: int) -> dict:
-    """Every splitting w = u v, empty factors included, as (u, v) -> 1."""
-    return {
-        (w >> cut, w & ((1 << cut) - 1)): 1
-        for cut in range(0, k * _length(w, k) + 1, k)
-    }
-
-
-@memo
-def _convolution_power(w: int, power: int, k: int, coproduct, product) -> dict:
-    """(id - unit counit)^{*power} at the nonempty code w, for the
-    convolution of `coproduct` and `product`: w itself at power 1, else
-    the sum over the coproduct terms (u, v) of w with u and v nonempty of
-    u times the (power-1)-st power at v."""
-    if power == 1:
-        return {w: 1}
-    out: dict = {}
-    get = out.get
-    for (u, v), m in coproduct(w, k).items():
-        if not (u and v) or _length(v, k) < power - 1:
-            continue
-        for t, c in _convolution_power(v, power - 1, k, coproduct, product).items():
-            for s, n in product(u, t, k).items():
-                out[s] = get(s, 0) + m * c * n
-    return _nonzero(out)
-
-
-def _log_den(w: int, k: int) -> int:
-    """lcm(1, ..., |w|): the denominator of log(id) at the code w."""
-    return lcm(*range(1, _length(w, k) + 1))
-
-
-def _log_id(w: int, k: int, coproduct, product) -> dict:
-    """log(id) at the code w in the convolution algebra of `coproduct` and
-    `product`, times _log_den(w, k): the sum over powers p of (-1)^(p-1)
-    _log_den(w, k)/p times the p-th convolution power, so every value is
-    an int."""
-    den = _log_den(w, k)
-    out: dict = {}
-    get = out.get
-    for power in range(1, _length(w, k) + 1):
-        weight = (-1) ** (power - 1) * (den // power)
-        for t, c in _convolution_power(w, power, k, coproduct, product).items():
-            out[t] = get(t, 0) + weight * c
-    return _nonzero(out)
-
-
-@memo
-def _pi1_numerators(u: int, k: int) -> dict:
-    return _log_id(u, k, _unshuffle_codes, _concat_codes)
-
-
-@memo
-def _pi1_transpose_numerators(w: int, k: int) -> dict:
-    return _log_id(w, k, _deconcat_codes, _shuffled)
-
-
 # -- word-level kernels on tuples: adapters over the code kernels ----------
 
 
@@ -677,7 +509,7 @@ def shuffle_words(u: Word, v: Word) -> dict:
     if len(u) > len(v) or (len(u) == len(v) and u > v):
         return shuffle_words(v, u)
     (cu, cv), k = _encode_words(u, v)
-    return _decoded(_shuffle_codes(cu, cv, k), k)
+    return _decoded(shuffle_codes(cu, cv, k), k)
 
 
 def half_shuffle_words(u: Word, v: Word) -> dict:
@@ -695,17 +527,17 @@ def _on_word(kernel, w: Word, den=None) -> dict:
     if den is None:
         return _decoded(kernel(code, k), k)
     den = den(code, k)
-    return {_decode(t, k): Fraction(c, den) for t, c in kernel(code, k).items()}
+    return {decode(t, k): Fraction(c, den) for t, c in kernel(code, k).items()}
 
 
 def r_word(w: Word) -> dict:
     """Right-nested bracketing [l1,[l2,...[l_{n-1},ln]]] of a word."""
-    return _on_word(_r_codes, w)
+    return _on_word(r_codes, w)
 
 
 def rho_word(w: Word) -> dict:
     """Adjoint of the right-bracketing operator, via its two-sided recursion."""
-    return _on_word(_rho_codes, w)
+    return _on_word(rho_codes, w)
 
 
 @memo
@@ -720,7 +552,7 @@ def rho_word_via_d(w: Word) -> dict:
         for t, c in rho_word_via_d(w[:cut]).items():
             for s, m in shuffle_words(t, w[cut:]).items():
                 out[s] = out.get(s, 0) - c * m
-    return _nonzero(out)
+    return nonzero(out)
 
 
 def unshuffle_word(w: Word) -> dict:
@@ -728,8 +560,8 @@ def unshuffle_word(w: Word) -> dict:
     by the last letter a: unshuffle(w a) = unshuffle(w) (a (x) e + e (x) a)."""
     (code,), k = _encode_words(w)
     return {
-        (_decode(u, k), _decode(v, k)): c
-        for (u, v), c in _unshuffle_codes(code, k).items()
+        (decode(u, k), decode(v, k)): c
+        for (u, v), c in unshuffle_codes(code, k).items()
     }
 
 
@@ -738,12 +570,12 @@ def pi1_word(u: Word) -> dict:
 
     Its restriction to grouplike elements is the concatenation logarithm.
     """
-    return _on_word(_pi1_numerators, u, _log_den)
+    return _on_word(pi1_numerators, u, log_den)
 
 
 def pi1_transpose_word(w: Word) -> dict:
     """Transpose of pi1: log(id) for deconcatenation and shuffle."""
-    return _on_word(_pi1_transpose_numerators, w, _log_den)
+    return _on_word(pi1_transpose_numerators, w, log_den)
 
 
 # -- bilinear and linear lifts --------------------------------------------
@@ -813,12 +645,12 @@ def _bilinear(kind, dim, pairs, cut=None, bracket=False, level=None):
     get = acc.get
     for x, y, mul in pairs:
         entries = [
-            (key, c * mul) + _split(key[0], cut == 1, k) + (k * _length(key[1], k),)
+            (key, c * mul) + _split(key[0], cut == 1, k) + (k * length(key[1], k),)
             for key, c in y._terms.items()
         ]
         for (p, s), cp, terms in _pairs(x, entries, level):
             p_head, p_last = _split(p, cut == 0, k)
-            s_len = k * _length(s, k)
+            s_len = k * length(s, k)
             for (_, t), cq, q_head, q_last, t_len in terms:
                 c = cp * cq
                 st = (s << t_len) | t
@@ -827,7 +659,7 @@ def _bilinear(kind, dim, pairs, cut=None, bracket=False, level=None):
                     if st == ts:
                         continue
                 last = p_last | q_last
-                for w, m in _shuffled(p_head, q_head, k).items():
+                for w, m in shuffled(p_head, q_head, k).items():
                     w = (w << shift) | last
                     key = (w, st)
                     acc[key] = get(key, 0) + c * m
@@ -934,7 +766,7 @@ def concat(x: TensorElem, y: TensorElem, level=None) -> TensorElem:
     """Concatenation product; levels above `level` are dropped if given."""
     x._same_alphabet(y)
     k = x.dim.bit_length()
-    right = [(v, cv, k * _length(v, k)) for v, cv in y._terms.items()]
+    right = [(v, cv, k * length(v, k)) for v, cv in y._terms.items()]
     acc: dict = {}
     get = acc.get
     for u, cu, terms in _pairs(x, right, level):
@@ -963,7 +795,7 @@ def _shuffles(dim, triples, den, cut):
         for u, cu in a._terms.items():
             for head, last, cv in right:
                 c = cu * cv
-                for w, m in _shuffled(u, head, k).items():
+                for w, m in shuffled(u, head, k).items():
                     w = (w << shift) | last
                     acc[w] = get(w, 0) + c * m
         check_term_budget(len(acc))
@@ -1010,7 +842,7 @@ def area_sum(dim: int, triples) -> TensorElem:
 
 def _areas(kind, dim, triples, den, level=None):
     """The sum of m * area(x, y) over the (x, y, m) in `triples`, summed as
-    in _shuffles through _area_words; for a pair-keyed kind, of area(x_s,
+    in _shuffles through area_words; for a pair-keyed kind, of area(x_s,
     y_t) (x) (s t - t s) over the non-commuting right words s of x and t of
     y with |s| + |t| <= level, x_s being the left words x pairs with s."""
     k = dim.bit_length()
@@ -1018,20 +850,20 @@ def _areas(kind, dim, triples, den, level=None):
     get = acc.get
     for x, y, mul in triples:
         if kind is TensorElem:
-            _area_words(acc, x._terms.items(), ((v, c * mul) for v, c in y._terms.items()), k)
+            area_words(acc, x._terms.items(), ((v, c * mul) for v, c in y._terms.items()), k)
         else:
             lefts, rights = {}, {}
             for side, z, scale in ((lefts, x, 1), (rights, y, mul)):
                 for (p, s), c in z._terms.items():
                     side.setdefault(s, []).append((p, c * scale))
             for s, xs in lefts.items():
-                s_len = _length(s, k)
+                s_len = length(s, k)
                 for t, ys in rights.items():
-                    t_len = _length(t, k)
+                    t_len = length(t, k)
                     st, ts = (s << k * t_len) | t, (t << k * s_len) | s
                     if st == ts or (level is not None and s_len + t_len > level):
                         continue
-                    for w, c in _area_words({}, xs, ys, k).items():
+                    for w, c in area_words({}, xs, ys, k).items():
                         if c:
                             key = (w, st)
                             acc[key] = get(key, 0) + c
@@ -1039,33 +871,6 @@ def _areas(kind, dim, triples, den, level=None):
                             acc[key] = get(key, 0) - c
         check_term_budget(len(acc))
     return kind._over(dim, acc, den)
-
-
-def _area_words(acc, left, right, k):
-    """acc (code -> int) plus the sum of cu * cv * area(u, v) over the
-    (u, cu) in `left` and the (v, cv) in `right`, all nonempty codes, by
-    the rule in area's docstring."""
-    get, mask = acc.get, (1 << k) - 1
-    right = [(v, cv, v & mask, v >> k) for v, cv in right]
-    for u, cu in left:
-        a, u_head = u & mask, u >> k
-        for v, cv, b, v_head in right:
-            if u == v:
-                continue
-            # cut each word before its last letter, or its last two if they agree
-            c, cut = cu * cv, k if a != b else 2 * k
-            tails = (1 << cut) - 1
-            if v_head or cut == k:
-                tail = v & tails
-                for w, m in _shuffled(u, v >> cut, k).items():
-                    w = (w << cut) | tail
-                    acc[w] = get(w, 0) + c * m
-            if u_head or cut == k:
-                tail = u & tails
-                for w, m in _shuffled(v, u >> cut, k).items():
-                    w = (w << cut) | tail
-                    acc[w] = get(w, 0) - c * m
-    return acc
 
 
 def lie_bracket(x: TensorElem, y: TensorElem) -> TensorElem:
@@ -1086,12 +891,12 @@ def pairing(x: TensorElem, y: TensorElem) -> Fraction:
 
 def dynkin_r(x: TensorElem) -> TensorElem:
     """Right bracketing w -> [l1,[l2,...[l_{n-1},ln]]], linearly extended."""
-    return _linear(x, _r_codes)
+    return _linear(x, r_codes)
 
 
 def rho(x: TensorElem) -> TensorElem:
     """Adjoint of dynkin_r under the word pairing."""
-    return _linear(x, _rho_codes)
+    return _linear(x, rho_codes)
 
 
 def grading_d(x):
@@ -1121,17 +926,17 @@ def antipode(x: TensorElem) -> TensorElem:
     k = x.dim.bit_length()
     terms = {}
     for w, c in x._terms.items():
-        word = _decode(w, k)
-        terms[_encode(reversed(word), k)] = -c if len(word) % 2 else c
+        word = decode(w, k)
+        terms[encode(reversed(word), k)] = -c if len(word) % 2 else c
     return TensorElem._raw(x.dim, terms, x._den)
 
 
 def pi1(x: TensorElem) -> TensorElem:
-    return _linear(x, _pi1_numerators, key_den=_log_den)
+    return _linear(x, pi1_numerators, key_den=log_den)
 
 
 def pi1_transpose(x: TensorElem) -> TensorElem:
-    return _linear(x, _pi1_transpose_numerators, key_den=_log_den)
+    return _linear(x, pi1_transpose_numerators, key_den=log_den)
 
 
 class CoproductTerms(_Terms):
@@ -1146,7 +951,7 @@ class CoproductTerms(_Terms):
 
 def unshuffle(x: TensorElem) -> CoproductTerms:
     """Coproduct dual to the shuffle product."""
-    return _linear(x, _unshuffle_codes, CoproductTerms)
+    return _linear(x, unshuffle_codes, CoproductTerms)
 
 
 def is_grouplike(g: TensorElem, level: int) -> bool:
@@ -1180,7 +985,7 @@ def _concat_horner(x, level, weights) -> TensorElem:
     k = x.dim.bit_length()
     grades = [[] for _ in range(level + 1)]
     for u, c in x._terms.items():
-        n = _length(u, k)
+        n = length(u, k)
         if 0 < n <= level:
             grades[n].append((u, c))
     den = x._den

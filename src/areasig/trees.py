@@ -392,30 +392,13 @@ def zeta_via_trees(basis: HallBasis, h: HallWord) -> TensorElem:
     return _hall_sum(basis, h, _mixed_shapes(len(h)), coeff_e)
 
 
-def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
-    """The image of the dual element s(h) under rho, three computable ways."""
-    n = len(h)
-    if method == "recursion":
-        return _rho_hall_recursive(basis, h)
-    if method == "q_trees":
-        shapes = _plain_shapes(n)
-        check_term_budget(len(shapes) * _multinomial(h.word))
-        return linear_combination(TensorElem(basis.dim, {}), (
-            (_q_sum(basis, shape, h), Fraction(1, coeff_b(shape))) for shape in shapes
-        ))
-    if method == "p_trees":
-        return _hall_sum(basis, h, _plain_shapes(n), _inverse_c)
-    raise ValueError("unknown rho_hall method %r" % method)
-
-
-@memo_per_owner
-def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
-    n = len(h)
-    if n == 1:
-        return letter_elem(h.word[0], basis.dim)
-    return area_sum(basis.dim, (
-        (_rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2), c / (n - 1))
-        for h1, h2, c in basis._bracket_terms(n)[h]
+def rho_via_q_trees(basis: HallBasis, h: HallWord) -> TensorElem:
+    """rho of the dual element s(h) as the sum over the area shapes T of
+    _q_sum(T, h) / coeff_b(T); the cross-check of rho_hall."""
+    shapes = _plain_shapes(len(h))
+    check_term_budget(len(shapes) * _multinomial(h.word))
+    return linear_combination(TensorElem(basis.dim, {}), (
+        (_q_sum(basis, shape, h), Fraction(1, coeff_b(shape))) for shape in shapes
     ))
 
 
@@ -434,4 +417,23 @@ def _q_sum(basis: HallBasis, shape, h: HallWord) -> TensorElem:
         (_q_sum(basis, left, h1), _q_sum(basis, right, h2), c)
         for h1, h2, c in basis._bracket_terms(len(h))[h]
         if len(h1) == n_left
+    ))
+
+
+def rho_hall(basis: HallBasis, h: HallWord, method: str = "recursion") -> TensorElem:
+    """The image of the dual element s(h) under rho, by the area recursion
+    on the Hall structure constants; "recursion" is the only method."""
+    if method != "recursion":
+        raise ValueError("unknown rho_hall method %r" % method)
+    return _rho_hall_recursive(basis, h)
+
+
+@memo_per_owner
+def _rho_hall_recursive(basis: HallBasis, h: HallWord) -> TensorElem:
+    n = len(h)
+    if n == 1:
+        return letter_elem(h.word[0], basis.dim)
+    return area_sum(basis.dim, (
+        (_rho_hall_recursive(basis, h1), _rho_hall_recursive(basis, h2), c / (n - 1))
+        for h1, h2, c in basis._bracket_terms(n)[h]
     ))

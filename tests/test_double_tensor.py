@@ -39,6 +39,7 @@ from areasig import (
     pre_lie_sym_sum,
     r_element,
     rho,
+    rho_hall,
     s_element,
     shuffle,
     signature_pwl,
@@ -411,6 +412,11 @@ def test_removed_method_aliases_are_rejected():
         rho(word_elem("12", 2), "via_d")
     with pytest.raises(ValueError, match="unknown lambda_element method"):
         lambda_element(2, 2, "log_of_S")
+    basis = hall_set(2, 3)
+    h = basis.find((1, 1, 2))
+    for method in ("q_trees", "p_trees"):
+        with pytest.raises(ValueError, match="unknown rho_hall method"):
+            rho_hall(basis, h, method)
 
 
 # -- int numerators against the Fraction lifts ----------------------------------

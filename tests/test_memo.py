@@ -2,7 +2,7 @@ import gc
 import inspect
 import weakref
 
-from areasig import hall_set, rho_hall
+from areasig import hall_set, rho_hall, rho_via_q_trees
 from areasig.memo import memo, memo_per_owner
 
 
@@ -46,7 +46,7 @@ def test_memo_per_owner_does_not_keep_a_basis_alive():
         basis.dual_pbw(h)
         basis.zeta(h)
         rho_hall(basis, h, "recursion")
-        rho_hall(basis, h, "q_trees")
+        rho_via_q_trees(basis, h)
     ref = weakref.ref(basis)
     del basis, h
     gc.collect()

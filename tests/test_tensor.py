@@ -68,6 +68,16 @@ from areasig.tensor import (
     unshuffle_word,
     words_of_length,
 )
+from areasig.words import (
+    decode,
+    encode,
+    length,
+    pi1_numerators,
+    pi1_transpose_numerators,
+    r_codes,
+    rho_codes,
+    shuffle_codes,
+)
 
 from conftest import (
     all_words,
@@ -375,18 +385,19 @@ def test_rho_dual_to_r():
 
 def test_rho_adjoint_check_catches_a_broken_rho(monkeypatch):
     assert checks.rho_adjoint_to_r(2, 5) and checks.rho_adjoint_to_r(3, 3)
-    real = tensor._rho_codes  # the code kernel behind the rho lift
+    real = rho_codes  # the code kernel behind the rho lift
 
     def broken(code, k):
         # one sign flipped at length 3; lengths up to 3 only are asked for,
         # so the real kernel's memo holds no value built from this one
         out = real(code, k)
-        return {t: -c for t, c in out.items()} if tensor._length(code, k) == 3 else out
+        return {t: -c for t, c in out.items()} if length(code, k) == 3 else out
 
-    monkeypatch.setattr(tensor, "_rho_codes", broken)
+    # the rho lift reads the kernel through its own module's binding
+    monkeypatch.setattr(tensor, "rho_codes", broken)
     assert checks.rho_adjoint_to_r(2, 2)
     assert not checks.rho_adjoint_to_r(2, 3)
-    monkeypatch.setattr(tensor, "_rho_codes", lambda code, k: {code: 1})
+    monkeypatch.setattr(tensor, "rho_codes", lambda code, k: {code: 1})
     assert not checks.rho_adjoint_to_r(3, 2)
 
 
@@ -667,6 +678,43 @@ def test_only_the_tensor_module_reads_coefficient_maps():
         if "._terms" in line or "._raw(" in line or "._den" in line
     ]
     assert readers == []
+
+
+WORD_KERNELS = (
+    "encode", "decode", "length", "appended", "nonzero", "shuffle_codes",
+    "shuffled", "r_codes", "rho_codes", "unshuffle_codes", "concat_codes",
+    "deconcat_codes", "convolution_power", "log_den", "log_id",
+    "pi1_numerators", "pi1_transpose_numerators", "area_words",
+)
+
+
+def test_the_word_kernels_live_below_the_tensor_module():
+    package = Path(areasig.__file__).parent
+    kernels = ast.parse((package / "words.py").read_text())
+    # the package modules that words imports, relative or absolute
+    imported = set()
+    for node in ast.walk(kernels):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "areasig":
+                imported.add(module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "areasig")
+    assert imported == {".memo"}
+    moved = {name for kernel in WORD_KERNELS for name in (kernel, "_" + kernel)}
+    defined = {
+        node.name for node in ast.parse((package / "tensor.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & moved
+    # and no module takes a kernel from tensor
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                assert not {a.name for a in node.names} & moved, path.name
+    assert set(WORD_KERNELS) <= {
+        node.name for node in kernels.body if isinstance(node, ast.FunctionDef)
+    }
 
 
 # -- int numerators over one denominator -----------------------------------------
@@ -1059,14 +1107,14 @@ def _some_words(rng, d):
 def test_codes_round_trip_and_sort_as_words_do(d):
     k = d.bit_length()
     words = _some_words(random.Random(d), d)
-    codes = {u: tensor._encode(u, k) for u in words}
+    codes = {u: encode(u, k) for u in words}
     assert codes[()] == 0
     for u, code in codes.items():
-        assert tensor._decode(code, k) == u
-        assert tensor._length(code, k) == len(u)
+        assert decode(code, k) == u
+        assert length(code, k) == len(u)
     # the canonical word order: by length, then lexicographic
     assert sorted(set(words), key=lambda w: (len(w), w)) == [
-        tensor._decode(code, k) for code in sorted(set(codes.values()))
+        decode(code, k) for code in sorted(set(codes.values()))
     ]
     x = TensorElem(d, {u: i + 1 for i, u in enumerate(set(words))})
     assert x.words() == sorted(set(words), key=lambda w: (len(w), w))
@@ -1164,25 +1212,25 @@ def test_lifts_match_the_fraction_lifts_on_packed_alphabets(d, seed):
 
 
 def test_memoised_code_kernels_store_no_zero():
-    assert r_word((1, 1)) == {} and tensor._r_codes(tensor._encode((1, 1), 2), 2) == {}
+    assert r_word((1, 1)) == {} and r_codes(encode((1, 1), 2), 2) == {}
     assert 0 not in rho_word_via_d((1, 2, 1, 2)).values()
     for d in (1, 2, 3):
         k = d.bit_length()
         for u in all_words(d, 5):
-            code = tensor._encode(u, k)
-            for kernel in (tensor._r_codes, tensor._rho_codes,
-                           tensor._pi1_numerators, tensor._pi1_transpose_numerators):
+            code = encode(u, k)
+            for kernel in (r_codes, rho_codes,
+                           pi1_numerators, pi1_transpose_numerators):
                 assert 0 not in kernel(code, k).values(), (kernel.__name__, u)
 
 
 def test_lifts_call_the_shuffle_memo_with_the_pair_in_order(monkeypatch):
-    real, seen = tensor._shuffle_codes, []
+    real, seen = shuffle_codes, []
 
     def spy(u, v, k):
         seen.append((u, v))
         return real(u, v, k)
 
-    monkeypatch.setattr(tensor, "_shuffle_codes", spy)
+    monkeypatch.setattr("areasig.words.shuffle_codes", spy)
     rng = random.Random(5)
     x, y = (random_elem(rng, 3, 4, min_deg=1, terms=6) for _ in range(2))
     p, q = (random_double(rng, 3, 3, 2, min_left=1) for _ in range(2))

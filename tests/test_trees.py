@@ -26,6 +26,7 @@ from areasig import (
     r_via_trees,
     rho,
     rho_hall,
+    rho_via_q_trees,
     shuffle,
     signed_form,
     tensor_pair,
@@ -266,8 +267,9 @@ def test_hall_expansions_match_the_sums_over_labeled_trees(kind):
         basis = hall_set(d, top, kind)
         for h in basis.all_hall_words():
             assert zeta_via_trees(basis, h) == zeta_via_trees_oracle(basis, h)
-            assert rho_hall(basis, h, "p_trees") == rho_p_trees_oracle(basis, h)
-            assert rho_hall(basis, h, "q_trees") == rho_q_trees_oracle(basis, h)
+            # the area recursion against the sum over p-weighted trees
+            assert rho_hall(basis, h) == rho_p_trees_oracle(basis, h)
+            assert rho_via_q_trees(basis, h) == rho_q_trees_oracle(basis, h)
 
 
 def _refuse_products(monkeypatch):
@@ -296,8 +298,7 @@ def test_hall_expansions_check_the_budget_before_building(monkeypatch):
     h = basis.find((1, 1, 1, 1, 1, 2))
     expansions = [
         (lambda: zeta_via_trees(basis, h), _mixed_shapes(6)),
-        (lambda: rho_hall(basis, h, "p_trees"), _plain_shapes(6)),
-        (lambda: rho_hall(basis, h, "q_trees"), _plain_shapes(6)),
+        (lambda: rho_via_q_trees(basis, h), _plain_shapes(6)),
     ]
     _refuse_products(monkeypatch)
     previous = guard.get_term_budget()
@@ -327,14 +328,13 @@ def test_lambda_via_trees_matches_log():
 
 @pytest.mark.parametrize("kind", ["lyndon", "standard_hall"])
 def test_rho_hall_methods(kind):
-    # all three computations agree with rho of the dual element across the
-    # full stated ranges
+    # the recursion and the q-tree sum agree with rho of the dual element
+    # across the full stated ranges; the p-tree sum is its conftest oracle
     for d, top in ((2, 5), (3, 4)):
         basis = hall_set(d, top, kind)
         for h in basis.all_hall_words():
             recursion = rho_hall(basis, h, "recursion")
-            assert recursion == rho_hall(basis, h, "q_trees")
-            assert recursion == rho_hall(basis, h, "p_trees")
+            assert recursion == rho_via_q_trees(basis, h)
             assert recursion == rho(basis.dual_pbw(h))
 
 

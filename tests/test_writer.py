@@ -1,6 +1,6 @@
 """The text writers (to_json_obj, to_json, str, repr) of every term map kind
 against the writer they replaced: each key decoded to a tuple word with
-_decode, each coefficient made a Fraction, each word written by
+words.decode, each coefficient made a Fraction, each word written by
 format_word.  The writers under test run on int numerators and the
 memoised word text instead, and must give the same bytes."""
 
@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from areasig import CoproductTerms, DoubleTensor, TensorElem, tensor
-from areasig.tensor import _decode, format_word
+from areasig.tensor import format_word
+from areasig.words import decode
 
 DIMS = (1, 2, 3, 4, 7, 8, 9, 10, 12, 16)
 KINDS = (TensorElem, DoubleTensor, CoproductTerms)
@@ -24,9 +25,9 @@ def oracle_terms(x):
     k = x.dim.bit_length()
     for key in sorted(x._terms, key=x._order):
         if isinstance(x, TensorElem):
-            public = _decode(key, k)
+            public = decode(key, k)
         else:
-            public = (_decode(key[0], k), _decode(key[1], k))
+            public = (decode(key[0], k), decode(key[1], k))
         yield public, Fraction(x._terms[key], x._den)
 
 
@@ -147,8 +148,8 @@ def test_a_second_write_decodes_no_word_and_makes_no_fraction(monkeypatch):
     rng = random.Random(5)
     elems = [random_elem(kind, rng, dim) for kind in KINDS for dim in (5, 11)]
     calls = []
-    real_decode, real_format = tensor._decode, tensor.format_word
-    monkeypatch.setattr(tensor, "_decode", lambda *a: calls.append("_decode") or real_decode(*a))
+    real_format = tensor.format_word
+    monkeypatch.setattr(tensor, "decode", lambda *a: calls.append("decode") or decode(*a))
     monkeypatch.setattr(tensor, "format_word", lambda *a: calls.append("format") or real_format(*a))
     monkeypatch.setattr(tensor, "Fraction", lambda *a: calls.append("Fraction"))
     first = [writes(x) for x in elems]
