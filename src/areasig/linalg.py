@@ -2,7 +2,8 @@
 
 One sparse fraction-free row echelon answers every rank and span-membership
 question, so there is never a tolerance question.  Vectors are dicts
-key -> int or rational coefficient with comparable keys (words or indices).
+key -> int or rational coefficient with comparable keys (words, indices, or
+the word codes of TensorElem.int_row()).
 Each enters once as a primitive int row: scaled by the lcm of its
 denominators, then divided by the gcd of its entries.  `echelon` keeps one
 row per pivot key, the row's smallest key, where its entry is positive.  A

@@ -22,9 +22,11 @@ codes.  A TensorElem key is one code; a DoubleTensor or CoproductTerms key
 is a pair of codes, so terms() sorts plain ints.  The tuple-level kernels
 (shuffle_words, r_word, ...) are encode/decode adapters over the code
 kernels.  Words are tuples at every public boundary: the constructors,
-coeff, terms() and words().  str, repr and JSON are written from int
-numerators and each word's memoised text (_word_text), with no Fraction
-made and no word decoded per term.
+coeff, terms() and words().  The one exception is TensorElem.int_row(),
+the int row that linalg reduces: its keys are codes, opaque keys that
+sort like the words.  str, repr and JSON are written from int numerators
+and each word's memoised text (_word_text), with no Fraction made and no
+word decoded per term.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.
@@ -434,6 +436,12 @@ class TensorElem(_Terms):
 
     def empty_coeff(self) -> Fraction:
         return self._coeff(0)
+
+    def int_row(self) -> dict:
+        """A new dict of the int numerators, the coefficients times one
+        positive factor, keyed by word codes (opaque keys that sort like
+        the words): linalg's row for dict(terms()), with no Fraction made."""
+        return dict(self._terms)
 
     # -- presentation ----------------------------------------------------
 

@@ -42,6 +42,7 @@ from areasig import linalg, span
 from areasig.cli import main
 from areasig.span import (
     SpanReport,
+    _leftbracket_rows,
     area_span_dim,
     arealb_word,
     interval_permutations,
@@ -49,6 +50,7 @@ from areasig.span import (
 )
 from areasig.trees import _labeled, area_eval
 from areasig.tensor import words_of_length
+from areasig.words import decode
 
 from conftest import (
     assert_canonical,
@@ -411,6 +413,65 @@ def test_leftbracket_span_check():
         assert report.full_rank and report.rank == report.target == area_span_dim(d, n)
 
 
+def _word_keyed(row, d):
+    """An int row of TensorElem.int_row() keyed by tuple words again."""
+    return {decode(code, d.bit_length()): c for code, c in row.items()}
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in range(2, 6)])
+def test_leftbracket_rows_span_every_left_bracketing(d, n):
+    # the words with w[0] < w[1]: swapping the first two letters negates a
+    # left bracketing and equal first letters give 0
+    rows = linalg.echelon(_word_keyed(row, d) for row in _leftbracket_rows(d, n))
+    assert len(rows) == area_span_dim(d, n)
+    for w in words_of_length(d, n):
+        assert linalg.in_span(rows, dict(arealb_word(w, d).terms()))
+
+
+INT_ROW_ELEMS = [
+    TensorElem(3, {(1, 2): Fraction(1, 2), (2, 1): Fraction(2, 3), (3, 3): 5}),
+    TensorElem(3, {(1, 2): Fraction(-1, 2), (2, 3): Fraction(2, 3)}),
+    TensorElem(3, {(2, 1): 5, (3, 3): Fraction(-5, 2), (2, 3): Fraction(-2, 3)}),
+    TensorElem(3, {(1, 3): Fraction(2, 3), (3, 1): Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("x", INT_ROW_ELEMS)
+def test_int_row_is_a_new_dict_of_scaled_int_numerators(x):
+    row = x.int_row()
+    assert all(type(c) is int for c in row.values())
+    ratios = {Fraction(c) / x.coeff(w) for w, c in _word_keyed(row, 3).items()}
+    assert _word_keyed(row, 3).keys() == dict(x.terms()).keys()
+    assert len(ratios) == 1 and ratios.pop() > 0
+    before = TensorElem(3, dict(x.terms()))
+    row.clear()
+    row[1] = 7
+    assert x == before and x.int_row() != row
+
+
+def test_int_rows_answer_as_terms_rows():
+    targets = [
+        INT_ROW_ELEMS[0] * Fraction(3, 7) - INT_ROW_ELEMS[1] * 5,
+        INT_ROW_ELEMS[2] + INT_ROW_ELEMS[3] * Fraction(1, 2),
+        TensorElem(3, {(1, 2): Fraction(1, 2)}),
+        TensorElem(3, {(3, 2): Fraction(2, 3), (1, 1): 5}),
+    ]
+    for size in range(1, len(INT_ROW_ELEMS) + 1):
+        xs = INT_ROW_ELEMS[:size]
+        by_terms = linalg.echelon(dict(x.terms()) for x in xs)
+        by_codes = linalg.echelon(x.int_row() for x in xs)
+        assert linalg.rank_of_vectors(x.int_row() for x in xs) == len(by_terms)
+        assert len(by_codes) == len(by_terms)
+        for y in targets:
+            assert linalg.in_span(by_codes, y.int_row()) == linalg.in_span(
+                by_terms, dict(y.terms())
+            )
+    # both answers occur
+    first_two = linalg.echelon(x.int_row() for x in INT_ROW_ELEMS[:2])
+    assert linalg.in_span(first_two, targets[0].int_row())
+    assert not linalg.in_span(first_two, targets[3].int_row())
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -510,7 +571,9 @@ def _special_tree_reduction_per_labeling(n, d):
     return SpanReport(d, n, d**n, solvable, len(trees), solvable == len(trees))
 
 
-@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3) for n in (4, 5)])
+@pytest.mark.parametrize(
+    "d, n", [(d, n) for d in (1, 2, 3) for n in (4, 5)] + [(2, 6), (4, 4)]
+)
 def test_special_tree_reduction_per_class_matches_per_labeling(d, n):
     assert special_tree_reduction(n, d) == _special_tree_reduction_per_labeling(n, d)
 
